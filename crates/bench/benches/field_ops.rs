@@ -2,7 +2,7 @@
 //! innermost loops of every coding node.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use dyncode_gf::{vector, Field, Gf256, Gf2Vec, Mersenne61};
+use dyncode_gf::{vector, Field, Gf256, Gf257, Gf2Vec, Mersenne61};
 use rand::{rngs::StdRng, SeedableRng};
 use std::hint::black_box;
 
@@ -64,10 +64,54 @@ fn bench_mersenne61(c: &mut Criterion) {
     g.finish();
 }
 
+/// The prime-field cell's reduce/compose step at a full n = k = 64 basis:
+/// one deferred-reduction `combine_rows` against the per-term `axpy` fold
+/// it must equal.
+fn bench_combine_rows<F: Field>(c: &mut Criterion, name: &str) {
+    let (rows, width) = (64usize, 72usize);
+    let mut rng = StdRng::seed_from_u64(4);
+    let arena: Vec<F> = vector::random_vec(rows * width, &mut rng);
+    let terms: Vec<(u32, u32, F)> = (0..rows as u32)
+        .map(|r| (r, r, F::random_nonzero(&mut rng)))
+        .collect();
+    let mut g = c.benchmark_group("combine_rows");
+    g.bench_function(format!("{name}/combined"), |bench| {
+        bench.iter_batched(
+            || vec![F::ZERO; width],
+            |mut dst| {
+                F::combine_rows(&mut dst, black_box(&arena), width, black_box(&terms));
+                dst
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.bench_function(format!("{name}/sequential_axpy"), |bench| {
+        bench.iter_batched(
+            || vec![F::ZERO; width],
+            |mut dst| {
+                for &(slot, start, coeff) in black_box(&terms) {
+                    let (slot, start) = (slot as usize, start as usize);
+                    let row = &black_box(&arena)[slot * width + start..(slot + 1) * width];
+                    F::axpy(&mut dst[start..], row, coeff);
+                }
+                dst
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
+fn bench_combine_rows_prime_fields(c: &mut Criterion) {
+    bench_combine_rows::<Gf257>(c, "gf257");
+    bench_combine_rows::<Mersenne61>(c, "m61");
+}
+
 criterion_group!(
     benches,
     bench_gf2_packed,
     bench_gf256_axpy,
-    bench_mersenne61
+    bench_mersenne61,
+    bench_combine_rows_prime_fields
 );
 criterion_main!(benches);

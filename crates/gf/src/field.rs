@@ -94,6 +94,22 @@ pub trait Field:
         }
     }
 
+    /// `dst += Σ_t c_t · row_t` — the fast kernel's gather-then-combine
+    /// step: a whole reduction or composition as one vector–matrix
+    /// product. Row `slot` is `arena[slot·stride .. (slot+1)·stride]`, and
+    /// each term `(slot, start_col, c)` touches columns `start_col..`
+    /// only (the caller knows the row is zero before that). The default
+    /// is one [`Field::axpy`] per term; an override may reorder and defer
+    /// reductions but must return exactly that fold's result — field
+    /// arithmetic is exact, so any summation order qualifies.
+    ///
+    /// # Panics
+    /// Panics if `dst.len() != stride` or a term reaches outside `arena`
+    /// or past the row end.
+    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, u32, Self)]) {
+        combine_rows_by_axpy(dst, arena, stride, terms);
+    }
+
     /// A uniformly random field element.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self;
 
@@ -105,6 +121,26 @@ pub trait Field:
                 return x;
             }
         }
+    }
+}
+
+/// [`Field::combine_rows`]' defining fold, one `axpy` per term in order —
+/// a free function so an override can fall back to it for the moduli it
+/// does not specialise.
+pub(crate) fn combine_rows_by_axpy<F: Field>(
+    dst: &mut [F],
+    arena: &[F],
+    stride: usize,
+    terms: &[(u32, u32, F)],
+) {
+    assert_eq!(dst.len(), stride, "combine_rows width mismatch");
+    for &(slot, start, c) in terms {
+        let (slot, start) = (slot as usize, start as usize);
+        F::axpy(
+            &mut dst[start..],
+            &arena[slot * stride + start..(slot + 1) * stride],
+            c,
+        );
     }
 }
 

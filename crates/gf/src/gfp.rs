@@ -10,7 +10,7 @@
 //! simulatable scales can exploit. Small primes ([`Gf257`], [`Gf65537`])
 //! cover the intermediate regime of the field-size experiments (E9/E11).
 
-use crate::field::Field;
+use crate::field::{combine_rows_by_axpy, Field};
 use rand::{Rng, RngExt};
 
 /// An element of GF(P) for a prime `P < 2^63`. The value is kept reduced in
@@ -32,6 +32,22 @@ pub type Mersenne61 = GfP<2_305_843_009_213_693_951>;
 /// The Mersenne-61 modulus, named so `mul` can branch on it per-instance.
 const MERSENNE61_P: u64 = 2_305_843_009_213_693_951;
 
+/// Most terms [`Field::combine_rows`] may add to one GF(257) symbol before
+/// it must reduce: the sums are kept in the `u64` representative itself, a
+/// reduced start is ≤ 256 and every raw product is ≤ 256², so this many
+/// terms cannot wrap the lane.
+const GF257_DEFER_TERMS: usize = ((u64::MAX - 256) / (256 * 256)) as usize;
+
+/// Most M61 terms between two Mersenne folds of a `u128` lane: a folded
+/// lane is below 2^68 and every raw product below 2^122, so 32 of them
+/// stay below 2^127 + 2^68 < 2^128 (a round count inside the limit, not
+/// the tight one).
+const M61_FOLD_TERMS: usize = 32;
+
+/// Columns per pass of the M61 combine — the `u128` lanes live in a
+/// fixed stack block of this many entries, whatever the row width.
+const M61_BLOCK_COLS: usize = 128;
+
 impl<const P: u64> GfP<P> {
     /// Builds an element from an already-reduced representative.
     ///
@@ -45,6 +61,79 @@ impl<const P: u64> GfP<P> {
     /// The canonical representative.
     pub fn value(self) -> u64 {
         self.0
+    }
+
+    /// GF(257) [`Field::combine_rows`]: raw products summed in place in the
+    /// `u64` representatives (unreduced only inside this call), one `%`
+    /// per symbol per [`GF257_DEFER_TERMS`] terms.
+    fn combine_rows_gf257(
+        dst: &mut [Self],
+        arena: &[Self],
+        stride: usize,
+        terms: &[(u32, u32, Self)],
+    ) {
+        assert_eq!(dst.len(), stride, "combine_rows width mismatch");
+        for chunk in terms.chunks(GF257_DEFER_TERMS) {
+            for &(slot, start, c) in chunk {
+                let (slot, start) = (slot as usize, start as usize);
+                let row = &arena[slot * stride + start..(slot + 1) * stride];
+                for (d, s) in dst[start..].iter_mut().zip(row) {
+                    // Both factors are < 2^9; saying so lets the compiler
+                    // use the 32×32→64 vector multiply.
+                    d.0 += (c.0 as u32 as u64) * (s.0 as u32 as u64);
+                }
+            }
+            for d in dst.iter_mut() {
+                d.0 %= P;
+            }
+        }
+    }
+
+    /// M61 [`Field::combine_rows`]: `u128` products summed per column in a
+    /// stack block, Mersenne-folded every [`M61_FOLD_TERMS`] terms and
+    /// fully reduced once at the end.
+    fn combine_rows_m61(
+        dst: &mut [Self],
+        arena: &[Self],
+        stride: usize,
+        terms: &[(u32, u32, Self)],
+    ) {
+        assert_eq!(dst.len(), stride, "combine_rows width mismatch");
+        for &(slot, start, _) in terms {
+            assert!(
+                start as usize <= stride && (slot as usize + 1) * stride <= arena.len(),
+                "combine_rows term ({slot}, {start}) out of range"
+            );
+        }
+        let fold = |x: u128| (x & MERSENNE61_P as u128) + (x >> 61);
+        let mut lanes = [0u128; M61_BLOCK_COLS];
+        for b0 in (0..stride).step_by(M61_BLOCK_COLS) {
+            let b1 = (b0 + M61_BLOCK_COLS).min(stride);
+            let acc = &mut lanes[..b1 - b0];
+            for (a, d) in acc.iter_mut().zip(&dst[b0..b1]) {
+                *a = d.0 as u128;
+            }
+            for chunk in terms.chunks(M61_FOLD_TERMS) {
+                for &(slot, start, c) in chunk {
+                    let (slot, lo) = (slot as usize, (start as usize).max(b0));
+                    if lo >= b1 {
+                        continue;
+                    }
+                    let row = &arena[slot * stride + lo..slot * stride + b1];
+                    for (a, s) in acc[lo - b0..].iter_mut().zip(row) {
+                        *a += c.0 as u128 * s.0 as u128;
+                    }
+                }
+                for a in acc.iter_mut() {
+                    *a = fold(*a);
+                }
+            }
+            for (d, &a) in dst[b0..b1].iter_mut().zip(acc.iter()) {
+                // Two more folds bring a < 2^68 lane to at most p.
+                let r = fold(fold(a)) as u64;
+                d.0 = if r >= P { r - P } else { r };
+            }
+        }
     }
 }
 
@@ -97,6 +186,20 @@ impl<const P: u64> Field for GfP<P> {
             GfP(if r >= 257 { r - 257 } else { r })
         } else {
             GfP(((self.0 as u128 * rhs.0 as u128) % P as u128) as u64)
+        }
+    }
+
+    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, u32, Self)]) {
+        // Same const-modulus branch as `mul`: both special moduli leave
+        // room above a raw product to add many of them before reducing, so
+        // a symbol pays one reduction per call (M61: per 32 terms) instead
+        // of one per multiply.
+        if P == MERSENNE61_P {
+            Self::combine_rows_m61(dst, arena, stride, terms);
+        } else if P == 257 {
+            Self::combine_rows_gf257(dst, arena, stride, terms);
+        } else {
+            combine_rows_by_axpy(dst, arena, stride, terms);
         }
     }
 
@@ -208,6 +311,99 @@ mod tests {
                 ((a as u128 * b as u128) % p as u128) as u64
             );
         }
+    }
+
+    /// `combine_rows` against its defining `axpy` fold, from a `dst` of
+    /// all `fill` over an arena of all `fill`.
+    fn assert_combine_is_axpy_fold<const P: u64>(
+        width: usize,
+        rows: usize,
+        fill: GfP<P>,
+        terms: &[(u32, u32, GfP<P>)],
+    ) {
+        let arena = vec![fill; rows * width];
+        let mut got = vec![fill; width];
+        let mut want = got.clone();
+        GfP::<P>::combine_rows(&mut got, &arena, width, terms);
+        combine_rows_by_axpy(&mut want, &arena, width, terms);
+        assert_eq!(got, want, "{} terms over GF({P})", terms.len());
+    }
+
+    /// `count` terms cycling over three rows, with start columns that
+    /// include 0, the row end and — for a wide row — both sides of the
+    /// accumulator block edge; every `zero_every`-th coefficient is zero.
+    fn boundary_terms<const P: u64>(
+        count: usize,
+        width: usize,
+        zero_every: usize,
+    ) -> Vec<(u32, u32, GfP<P>)> {
+        (0..count)
+            .map(|t| {
+                let c = if t % zero_every == zero_every - 1 {
+                    0
+                } else {
+                    P - 1
+                };
+                ((t % 3) as u32, (t * 11 % (width + 1)) as u32, GfP(c))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn m61_combine_rows_is_exact_across_every_fold_boundary() {
+        let top = Mersenne61::new(MERSENNE61_P - 1);
+        // Narrow, exactly one block, and wider than the lane block.
+        for width in [7, M61_BLOCK_COLS, M61_BLOCK_COLS + 37] {
+            for count in [0, 1, 31, 32, 33, 64, 65, 1000] {
+                // All-(p−1) everywhere: the largest sums the lanes can see.
+                let terms = boundary_terms(count, width, usize::MAX);
+                assert_combine_is_axpy_fold(width, 3, top, &terms);
+                // The same with start column 0 throughout (the densest case).
+                let dense: Vec<_> = terms.iter().map(|&(s, _, c)| (s, 0, c)).collect();
+                assert_combine_is_axpy_fold(width, 3, top, &dense);
+                let terms = boundary_terms(count, width, 3);
+                assert_combine_is_axpy_fold(width, 3, top, &terms);
+            }
+        }
+    }
+
+    #[test]
+    fn gf257_combine_rows_is_exact_past_two_to_the_sixteen_terms() {
+        let top = Gf257::new(256);
+        // One past what a 32-bit lane of 2^16-sized products could hold.
+        for count in [0, 1, 257, (1 << 16) + 1] {
+            for width in [1, 5, 19] {
+                let dense: Vec<_> = (0..count).map(|t| ((t % 3) as u32, 0, top)).collect();
+                assert_combine_is_axpy_fold(width, 3, top, &dense);
+                assert_combine_is_axpy_fold(width, 3, top, &boundary_terms(count, width, 5));
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_reduction_bounds_are_what_the_lanes_can_hold() {
+        // GF(257): a reduced start plus DEFER raw products fits a u64 lane,
+        // one more product does not.
+        let worst = 256u128 + GF257_DEFER_TERMS as u128 * (256 * 256);
+        assert!(worst <= u64::MAX as u128);
+        assert!(worst + 256 * 256 > u64::MAX as u128);
+        // M61: a folded lane plus FOLD raw products fits a u128 lane.
+        let folded = (1u128 << 61) + (u128::MAX >> 61);
+        let product = (MERSENNE61_P as u128 - 1) * (MERSENNE61_P as u128 - 1);
+        assert!(product
+            .checked_mul(M61_FOLD_TERMS as u128)
+            .and_then(|sum| sum.checked_add(folded))
+            .is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn m61_combine_rows_rejects_a_slot_outside_the_arena() {
+        let arena = vec![Mersenne61::ONE; 2 * 4];
+        let mut dst = vec![Mersenne61::ZERO; 4];
+        // Start column at the row end: no symbol is touched, the slot is
+        // still checked.
+        Mersenne61::combine_rows(&mut dst, &arena, 4, &[(2, 4, Mersenne61::ONE)]);
     }
 
     #[test]

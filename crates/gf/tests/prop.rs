@@ -1,10 +1,11 @@
 //! Property-based tests for the field and linear-algebra substrate.
 
 use dyncode_gf::{
-    matrix::Matrix, vector, Field, Gf2, Gf256, Gf2Basis, Gf2Vec, Mersenne61, Subspace,
+    matrix::Matrix, vector, Field, Gf2, Gf256, Gf257, Gf2Basis, Gf2Vec, Gf65537, Mersenne61,
+    Subspace,
 };
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, RngExt, SeedableRng};
 
 fn gf256() -> impl Strategy<Value = Gf256> {
     any::<u8>().prop_map(|x| Gf256::from_u64(x as u64))
@@ -14,7 +15,55 @@ fn m61() -> impl Strategy<Value = Mersenne61> {
     any::<u64>().prop_map(Mersenne61::from_u64)
 }
 
+/// `combine_rows` must equal the fold of `axpy` over the same terms in
+/// order — the one definition the default and every override answer to.
+/// Roughly one coefficient in five is zero.
+fn combine_rows_is_axpy_fold<F: Field>(seed: u64, rows: usize, stride: usize, count: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let arena: Vec<F> = vector::random_vec(rows * stride, &mut rng);
+    let mut got: Vec<F> = vector::random_vec(stride, &mut rng);
+    let mut want = got.clone();
+    let terms: Vec<(u32, u32, F)> = (0..count)
+        .map(|_| {
+            let c = if rng.random_range(0..5u32) == 0 {
+                F::ZERO
+            } else {
+                F::random(&mut rng)
+            };
+            (
+                rng.random_range(0..rows) as u32,
+                rng.random_range(0..=stride) as u32,
+                c,
+            )
+        })
+        .collect();
+    F::combine_rows(&mut got, &arena, stride, &terms);
+    for &(slot, start, c) in &terms {
+        let (slot, start) = (slot as usize, start as usize);
+        F::axpy(
+            &mut want[start..],
+            &arena[slot * stride + start..(slot + 1) * stride],
+            c,
+        );
+    }
+    assert_eq!(got, want);
+}
+
 proptest! {
+    #[test]
+    fn combine_rows_is_the_axpy_fold_over_every_field(
+        seed in any::<u64>(),
+        rows in 1usize..12,
+        stride in 1usize..200,
+        count in 0usize..80,
+    ) {
+        combine_rows_is_axpy_fold::<Gf2>(seed, rows, stride, count);
+        combine_rows_is_axpy_fold::<Gf256>(seed, rows, stride, count);
+        combine_rows_is_axpy_fold::<Gf257>(seed, rows, stride, count);
+        combine_rows_is_axpy_fold::<Gf65537>(seed, rows, stride, count);
+        combine_rows_is_axpy_fold::<Mersenne61>(seed, rows, stride, count);
+    }
+
     #[test]
     fn gf256_axioms(a in gf256(), b in gf256(), c in gf256()) {
         dyncode_gf::field::assert_field_axioms(a, b, c);

@@ -11,22 +11,33 @@
 //! in per-node row arenas that grow one row per innovative insert, and
 //! stores every composed packet bit-packed at ⌈lg q⌉ bits per symbol in
 //! one flat `u64` arena ([`dyncode_gf::pack`]'s chunked-LE layout), so a
-//! round performs zero allocations after warmup. Three further wins over
-//! the reference path:
+//! round performs zero allocations after warmup. What it does less of
+//! than the reference path:
 //!
-//! * row operations go through [`Field::axpy`], which GF(2^8) overrides
-//!   with a hoisted log/antilog table form;
+//! * **one reduction per symbol, not one per multiply.** The bases are in
+//!   reduced row echelon form, so the coefficients that reduce an incoming
+//!   packet `v` are `v[p_r]` at every pivot — all known before the first
+//!   row operation, exactly like compose's drawn coefficients. Reduce and
+//!   compose are therefore each one gather of `(slot, pivot, coefficient)`
+//!   terms and one [`Field::combine_rows`], which GF(257) and M61 override
+//!   to sum raw products in wide lanes and reduce once per symbol (M61:
+//!   one Mersenne fold per 32 terms). Back-elimination is a rank-1 update
+//!   — every touched symbol gets exactly one product — so it has nothing
+//!   to defer and stays on [`Field::axpy`];
+//! * every row operation starts at the row's pivot (rows are zero before
+//!   it), where `Subspace` pays full-length rows;
 //! * a node whose span is already full (rank k) skips its whole inbox —
 //!   no insert against a full basis can be innovative or change state, and
-//!   inserts draw no coins, so the skip is bit-invisible;
-//! * prime-field reduction is division-free (`dyncode_gf::gfp`).
+//!   inserts draw no coins, so the skip is bit-invisible.
 //!
-//! **Equivalence.** The insert replays `Subspace::insert` operation for
-//! operation (reduce in pivot order, leading-index scan, pivot
-//! normalization, back-elimination, pivot-sorted insert), and compose
-//! draws exactly one `F::random` per basis row in pivot order — the draw
-//! sequence of `vector::random_combination` — so runs are bit-identical
-//! to the reference `FieldBroadcast<F>` under the kernel contract.
+//! **Equivalence.** The insert computes what `Subspace::insert` computes
+//! (reduce against every pivot, leading-index scan, pivot normalization,
+//! back-elimination, pivot-sorted insert) — field arithmetic is exact, so
+//! summing the reduction's products in another order yields the same row
+//! — and compose draws exactly one `F::random` per basis row in pivot
+//! order — the draw sequence of `vector::random_combination` — so runs
+//! are bit-identical to the reference `FieldBroadcast<F>` under the
+//! kernel contract.
 
 use crate::cell::FastCell;
 use crate::csr::CsrTopology;
@@ -69,6 +80,9 @@ pub struct DenseCell<F: Field> {
     unpacked: Vec<F>,
     /// Compose/unpack buffer, `ambient` symbols.
     scratch: Vec<F>,
+    /// Gathered `(slot, pivot, coefficient)` terms of the reduction or
+    /// composition in flight, at most k of them.
+    terms: Vec<(u32, u32, F)>,
 }
 
 impl<F: Field> DenseCell<F> {
@@ -96,6 +110,7 @@ impl<F: Field> DenseCell<F> {
             has_msg: vec![false; n],
             unpacked: vec![F::ZERO; n * ambient],
             scratch: vec![F::ZERO; ambient],
+            terms: Vec::with_capacity(k),
         }
     }
 
@@ -143,24 +158,25 @@ impl<F: Field> DenseCell<F> {
     fn insert(&mut self, node: usize, v: &mut [F]) -> bool {
         let (k, ambient) = (self.k, self.ambient);
         let st = &mut self.nodes[node];
-        // Reduce against the basis in pivot order. Every stored row is
-        // zero before its pivot column (the pivot is its leading index,
-        // an invariant back-elimination preserves: a new pivot only ever
-        // rewrites columns at or after itself in rows with smaller
-        // pivots), so each axpy starts at the pivot — the reference
-        // `Subspace` pays full-length row ops instead.
-        for r in 0..st.order.len() {
-            let p = st.pivots[r] as usize;
-            let c = v[p];
+        // Reduce against the whole basis at once. Row r is the only one
+        // nonzero in its pivot column p_r (RREF), so reducing by one row
+        // never changes `v` at another row's pivot: the coefficient a
+        // row-by-row reduction would meet at row r is `v[p_r]` as
+        // delivered. Every row is zero before its pivot (its leading
+        // index), so each term starts there.
+        let terms = &mut self.terms;
+        terms.clear();
+        for (&slot, &p) in st.order.iter().zip(&st.pivots) {
+            let c = v[p as usize];
             if !c.is_zero() {
-                let slot = st.order[r] as usize;
-                F::axpy(
-                    &mut v[p..],
-                    &st.rows[slot * ambient + p..(slot + 1) * ambient],
-                    c.neg(),
-                );
+                terms.push((slot, p, c.neg()));
             }
         }
+        F::combine_rows(v, &st.rows, ambient, terms);
+        debug_assert!(
+            st.pivots.iter().all(|&q| v[q as usize].is_zero()),
+            "reduced row must vanish at every pivot column"
+        );
         let Some(p) = vector::leading_index(v) else {
             return false;
         };
@@ -177,6 +193,10 @@ impl<F: Field> DenseCell<F> {
                 F::axpy(row, &v[p..], c.neg());
             }
         }
+        debug_assert!(
+            st.rows.iter().skip(p).step_by(ambient).all(|c| c.is_zero()),
+            "existing rows must vanish at the new pivot column"
+        );
         // Insert keeping pivots sorted; the row data takes the next slot.
         let nrank = st.order.len();
         assert!(
@@ -218,32 +238,28 @@ impl<F: Field> FastCell for DenseCell<F> {
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
         let mut msg = std::mem::take(&mut self.scratch);
+        let mut terms = std::mem::take(&mut self.terms);
         for u in 0..self.n {
             let st = &self.nodes[u];
-            let nrank = st.order.len();
-            if nrank == 0 {
+            if st.order.is_empty() {
                 // Nothing received: stay silent and draw no coefficients,
                 // exactly like the reference emit.
                 self.has_msg[u] = false;
                 continue;
             }
-            msg.fill(F::ZERO);
-            for r in 0..nrank {
-                // One coefficient per basis row in pivot order — the draw
-                // sequence of `random_combination`; the axpy itself skips
-                // zero coefficients, as `scale_add` does, and starts at
-                // the row's pivot (rows are zero before their pivot).
+            // One coefficient per basis row in pivot order — the draw
+            // sequence of `random_combination`; zero coefficients are
+            // skipped, as `scale_add` does, and each term starts at the
+            // row's pivot (rows are zero before their pivot).
+            terms.clear();
+            for (&slot, &p) in st.order.iter().zip(&st.pivots) {
                 let c = F::random(rng);
                 if !c.is_zero() {
-                    let slot = st.order[r] as usize;
-                    let p = st.pivots[r] as usize;
-                    F::axpy(
-                        &mut msg[p..],
-                        &st.rows[slot * ambient + p..(slot + 1) * ambient],
-                        c,
-                    );
+                    terms.push((slot, p, c));
                 }
             }
+            msg.fill(F::ZERO);
+            F::combine_rows(&mut msg, &st.rows, ambient, &terms);
             if let Some(limit) = bit_limit {
                 assert!(
                     bits <= limit,
@@ -257,6 +273,7 @@ impl<F: Field> FastCell for DenseCell<F> {
             self.has_msg[u] = true;
         }
         self.scratch = msg;
+        self.terms = terms;
         (round_bits, round_max)
     }
 
@@ -347,8 +364,8 @@ mod tests {
     /// `Subspace::insert` on innovation, rank, pivots, and row content.
     /// Inputs are random combinations of k source packets — the only
     /// vectors a run can deliver.
-    fn insert_agrees_with_subspace<F: Field>(seed: u64) {
-        let (k, d) = (5, 7);
+    fn insert_agrees_with_subspace<F: Field>(seed: u64, k: usize) {
+        let d = 7;
         let mut rng = StdRng::seed_from_u64(seed);
         let sources: Vec<Vec<F>> = (0..k)
             .map(|i| {
@@ -362,7 +379,7 @@ mod tests {
             .collect();
         let mut cell: DenseCell<F> = DenseCell::new(1, k, d);
         let mut reference: Subspace<F> = Subspace::new(k + d);
-        for _ in 0..60 {
+        for _ in 0..k + 55 {
             let mut v = vec![F::ZERO; k + d];
             for s in &sources {
                 F::axpy(&mut v, s, F::random(&mut rng));
@@ -380,9 +397,13 @@ mod tests {
 
     #[test]
     fn insert_mirrors_subspace_over_every_dense_field() {
-        insert_agrees_with_subspace::<Gf256>(11);
-        insert_agrees_with_subspace::<Gf257>(12);
-        insert_agrees_with_subspace::<Mersenne61>(13);
+        // k = 40 takes the reduction past 32 gathered terms, where M61's
+        // deferred reduction folds mid-sum.
+        for k in [5, 40] {
+            insert_agrees_with_subspace::<Gf256>(11, k);
+            insert_agrees_with_subspace::<Gf257>(12, k);
+            insert_agrees_with_subspace::<Mersenne61>(13, k);
+        }
     }
 
     #[test]

@@ -92,6 +92,18 @@ fn exhaustive_small_matrix() {
     }
 }
 
+#[test]
+fn prime_field_cells_match_above_the_fold_boundary() {
+    // The randomized matrix below draws n = k < 20, so no basis there ever
+    // gathers more than 32 terms — M61's deferred reduction folds its
+    // lanes every 32. n = k = 40 reduces and composes across that edge.
+    for spec in ["field-broadcast(m61)", "field-broadcast(gf257)"] {
+        for adv in ["edge-markov(0.1,0.3)", "shuffled-path"] {
+            assert_equivalent(spec, adv, 40, 1, 5);
+        }
+    }
+}
+
 /// The quorum family keeps its own equivalence matrix: its `n ≥ 5f+1`
 /// regime floor rules out the small sizes the randomized matrix above
 /// draws, and — gossiping every round with no protocol randomness — it is
