@@ -1,7 +1,7 @@
 //! Argument handling for the `experiments` binary: the shared flag
-//! parser, usage text, and registry printouts — extracted from `main.rs`
-//! so flag parsing is unit-testable and every subcommand shares one
-//! grammar.
+//! parser, each subcommand's flag allowlist and usage text, and the
+//! registry printouts — extracted from `main.rs` so flag parsing is
+//! unit-testable and every subcommand shares one grammar.
 //!
 //! Exit-code convention (enforced by `main.rs`): 0 success, 1 failed
 //! experiment or regression, 2 usage error. Parse errors from this module
@@ -14,9 +14,123 @@ use dyncode_core::spec;
 use dyncode_engine::{delivery_registry, Engine, Kernel, Shard};
 use std::path::PathBuf;
 
+/// A subcommand as the flag parser sees it. A flag the parser knows but
+/// `flags` does not list is an error naming the subcommand — never
+/// silently ignored — so accepting a flag somewhere is one edit here.
+pub struct Cmd {
+    /// What `<flag> is not valid for <name>` prints.
+    name: &'static str,
+    /// The usage text after `usage: ` (continuation lines unindented).
+    usage: &'static str,
+    /// Accepted flags; `--quiet`/`--verbose` are valid everywhere.
+    flags: &'static [&'static str],
+}
+
+/// `experiments <id>...` and `--list`.
+pub const EXPERIMENTS: Cmd = Cmd {
+    name: "experiment runs",
+    usage: "experiments <all | e1 .. e23>... [--quick] [--threads N] [--json] [--out DIR]\n\
+            \x20           [--events PATH] [--metrics PATH]\n\
+            experiments --list",
+    flags: &[
+        "--quick",
+        "--json",
+        "--list",
+        "--threads",
+        "--out",
+        "--events",
+        "--metrics",
+    ],
+};
+
+/// `experiments compare`.
+pub const COMPARE: Cmd = Cmd {
+    name: "compare",
+    usage: "experiments compare <BASE.json> <CANDIDATE.json> [--tol F]",
+    flags: &["--tol"],
+};
+
+/// `experiments schema`.
+pub const SCHEMA: Cmd = Cmd {
+    name: "schema",
+    usage: "experiments schema <FILE.json>...",
+    flags: &[],
+};
+
+/// `experiments trace`; `--kernel` belongs to `replay` alone, which
+/// `main.rs` checks once the action is known.
+pub const TRACE: Cmd = Cmd {
+    name: "trace",
+    usage: "experiments trace record <PATH.dct> <SCENARIO> <N> <ROUNDS> [SEED]\n\
+            experiments trace info <PATH.dct>\n\
+            experiments trace replay <PATH.dct> [PROTOCOL] [SEED] [--kernel K]",
+    flags: &["--kernel"],
+};
+
+/// `experiments campaign` (the spec's `kernel =` key selects the backend).
+pub const CAMPAIGN: Cmd = Cmd {
+    name: "campaign",
+    usage: "experiments campaign <SPEC.camp> [--quick] [--threads N] [--json] [--out DIR]\n\
+            \x20           [--shard I/K] [--store DIR] [--resume] [--events PATH] [--metrics PATH]",
+    flags: &[
+        "--quick",
+        "--threads",
+        "--json",
+        "--out",
+        "--shard",
+        "--store",
+        "--resume",
+        "--events",
+        "--metrics",
+    ],
+};
+
+/// `experiments merge`.
+pub const MERGE: Cmd = Cmd {
+    name: "merge",
+    usage: "experiments merge <SHARD.json>... [--out DIR]",
+    flags: &["--out"],
+};
+
+/// `experiments serve`.
+pub const SERVE: Cmd = Cmd {
+    name: "serve",
+    usage: "experiments serve <SPOOL> [--once] [--quick] [--threads N] [--out DIR] [--store DIR]\n\
+            \x20           [--events PATH] [--metrics PATH]",
+    flags: &[
+        "--once",
+        "--quick",
+        "--threads",
+        "--out",
+        "--store",
+        "--events",
+        "--metrics",
+    ],
+};
+
+/// `experiments store`; `--max-bytes` belongs to `gc` alone, which
+/// `orchestrate.rs` checks once the action is known.
+pub const STORE: Cmd = Cmd {
+    name: "store",
+    usage: "experiments store <stats | gc --max-bytes N | pin DIGEST...> --store DIR",
+    flags: &["--store", "--max-bytes"],
+};
+
+/// Every flag-parsing subcommand, in usage order.
+const COMMANDS: [&Cmd; 8] = [
+    &EXPERIMENTS,
+    &COMPARE,
+    &SCHEMA,
+    &TRACE,
+    &CAMPAIGN,
+    &MERGE,
+    &SERVE,
+    &STORE,
+];
+
 /// Parsed common flags; leftover positional arguments are returned.
-/// `out`/`tol` stay `None` unless explicitly passed so each subcommand
-/// can reject flags it would otherwise silently ignore.
+/// `out`/`tol` stay `None` unless explicitly passed so a subcommand can
+/// tell "absent" from its own default.
 #[derive(Debug)]
 pub struct Flags {
     /// Quick-profile sweeps (CI-sized).
@@ -31,10 +145,8 @@ pub struct Flags {
     pub out: Option<PathBuf>,
     /// Relative tolerance for `compare`.
     pub tol: Option<f64>,
-    /// Percent tolerance for `perf-compare`.
-    pub tol_pct: Option<f64>,
     /// Execution backend override (`--kernel reference|fast|auto`) for
-    /// the subcommands that run cells (`perf`, `trace replay`).
+    /// `trace replay`.
     pub kernel: Option<Kernel>,
     /// Campaign slice (`--shard I/K`) for the `campaign` subcommand.
     pub shard: Option<Shard>,
@@ -46,8 +158,6 @@ pub struct Flags {
     pub once: bool,
     /// Store size budget (`store gc --max-bytes N`).
     pub max_bytes: Option<u64>,
-    /// Percent budget for peak-RSS growth in `perf-compare`.
-    pub max_rss_pct: Option<f64>,
     /// Telemetry event stream path (`--events PATH`, JSONL) for the
     /// subcommands that run cells.
     pub events: Option<PathBuf>,
@@ -61,9 +171,10 @@ pub struct Flags {
     pub positional: Vec<String>,
 }
 
-/// Parses the shared flag grammar. Unknown `--flags` and missing/bad
-/// values are errors; positional arguments pass through untouched.
-pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses the shared flag grammar for `cmd`. Unknown `--flags`, flags
+/// outside `cmd`'s allowlist and missing/bad values are errors;
+/// positional arguments pass through untouched.
+pub fn parse_flags(cmd: &Cmd, args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags {
         quick: false,
         json: false,
@@ -71,14 +182,12 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
         threads: Engine::with_default_parallelism().threads(),
         out: None,
         tol: None,
-        tol_pct: None,
         kernel: None,
         shard: None,
         store: None,
         resume: false,
         once: false,
         max_bytes: None,
-        max_rss_pct: None,
         events: None,
         metrics: None,
         quiet: false,
@@ -87,6 +196,10 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
+        if !a.starts_with("--") {
+            flags.positional.push(a.clone());
+            continue;
+        }
         let mut value_of = |name: &str| -> Result<String, String> {
             it.next().cloned().ok_or(format!("{name} requires a value"))
         };
@@ -109,16 +222,6 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
                         .map_err(|_| format!("bad --tol value {v:?}"))?,
                 );
             }
-            "--tol-pct" => {
-                let v = value_of("--tol-pct")?;
-                let pct = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad --tol-pct value {v:?}"))?;
-                if pct.is_nan() || pct < 0.0 {
-                    return Err(format!("--tol-pct must be ≥ 0, got {v:?}"));
-                }
-                flags.tol_pct = Some(pct);
-            }
             "--kernel" => {
                 let v = value_of("--kernel")?;
                 flags.kernel = Some(Kernel::parse(&v)?);
@@ -134,24 +237,14 @@ pub fn parse_flags(args: &[String]) -> Result<Flags, String> {
                         .map_err(|_| format!("bad --max-bytes value {v:?}"))?,
                 );
             }
-            "--max-rss-pct" => {
-                let v = value_of("--max-rss-pct")?;
-                let pct = v
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad --max-rss-pct value {v:?}"))?;
-                if pct.is_nan() || pct < 0.0 {
-                    return Err(format!("--max-rss-pct must be ≥ 0, got {v:?}"));
-                }
-                flags.max_rss_pct = Some(pct);
-            }
             "--events" => flags.events = Some(PathBuf::from(value_of("--events")?)),
             "--metrics" => flags.metrics = Some(PathBuf::from(value_of("--metrics")?)),
             "--quiet" => flags.quiet = true,
             "--verbose" => flags.verbose = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag {other:?}"));
-            }
-            other => flags.positional.push(other.to_string()),
+            other => return Err(format!("unknown flag {other:?}")),
+        }
+        if !matches!(a.as_str(), "--quiet" | "--verbose") && !cmd.flags.contains(&a.as_str()) {
+            return Err(format!("{a} is not valid for {}", cmd.name));
         }
     }
     if flags.quiet && flags.verbose {
@@ -174,19 +267,25 @@ pub fn apply_log_level(flags: &Flags) {
     });
 }
 
-/// Errors on `--events`/`--metrics` for subcommands that don't run cells
-/// (compare, schema, merge, store, …) — same loud-failure policy as
-/// [`reject_store_flags`]. `--quiet`/`--verbose` are valid everywhere.
-pub fn reject_obs_flags(flags: &Flags, cmd: &str) -> Result<(), String> {
-    for (name, present) in [
-        ("--events", flags.events.is_some()),
-        ("--metrics", flags.metrics.is_some()),
-    ] {
-        if present {
-            return Err(format!("{name} is not valid for {cmd}"));
+/// [`parse_flags`] for a subcommand's `main`: applies the log level, or
+/// prints the error and `cmd`'s usage and yields exit code 2.
+pub fn parse_or_usage(cmd: &Cmd, args: &[String]) -> Result<Flags, i32> {
+    match parse_flags(cmd, args) {
+        Ok(f) => {
+            apply_log_level(&f);
+            Ok(f)
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            print_usage(cmd);
+            Err(2)
         }
     }
-    Ok(())
+}
+
+/// `cmd`'s usage text on stderr.
+pub fn print_usage(cmd: &Cmd) {
+    eprintln!("usage: {}", cmd.usage.replace('\n', "\n       "));
 }
 
 /// Starts the telemetry session requested by `--events`/`--metrics` (or a
@@ -197,59 +296,17 @@ pub fn start_obs_session(flags: &Flags) -> Result<dyncode_obs::Session, String> 
         .map_err(|e| format!("cannot create --events file: {e}"))
 }
 
-/// Errors on the first store/orchestration flag set in `flags` —
-/// subcommands outside the store family call this so a stray `--shard`,
-/// `--store`, `--resume`, `--once`, `--max-bytes`, or (unless
-/// `allow_rss`) `--max-rss-pct` fails loudly instead of being silently
-/// ignored.
-pub fn reject_store_flags(flags: &Flags, cmd: &str, allow_rss: bool) -> Result<(), String> {
-    let set = [
-        ("--shard", flags.shard.is_some()),
-        ("--store", flags.store.is_some()),
-        ("--resume", flags.resume),
-        ("--once", flags.once),
-        ("--max-bytes", flags.max_bytes.is_some()),
-        ("--max-rss-pct", !allow_rss && flags.max_rss_pct.is_some()),
-    ];
-    match set.iter().find(|(_, present)| *present) {
-        Some((name, _)) => Err(format!("{name} is not valid for {cmd}")),
-        None => Ok(()),
-    }
-}
-
 /// The usage text plus the experiment registry (with each experiment's
 /// protocol column), on stderr.
 pub fn print_usage_and_registry() {
-    eprintln!(
-        "usage: experiments <all | e1 .. e23>... [--quick] [--threads N] [--json] [--out DIR]\n\
-         \x20                  [--events PATH] [--metrics PATH]"
-    );
-    eprintln!("       experiments --list");
-    eprintln!("       experiments protocols");
-    eprintln!("       experiments compare <BASE.json> <CANDIDATE.json> [--tol F]");
-    eprintln!("       experiments perf [--quick] [--kernel K] [--json] [--out DIR]");
-    eprintln!(
-        "       experiments perf-compare <BASE.json> <CANDIDATE.json> [--tol-pct P] \
-         [--max-rss-pct P]"
-    );
-    eprintln!("       experiments schema <FILE.json>...");
-    eprintln!("       experiments bench-engine [--quick] [--threads N]");
-    eprintln!("       experiments trace record <PATH.dct> <SCENARIO> <N> <ROUNDS> [SEED]");
-    eprintln!("       experiments trace info <PATH.dct>");
-    eprintln!("       experiments trace replay <PATH.dct> [PROTOCOL] [SEED] [--kernel K]");
-    eprintln!(
-        "       experiments campaign <SPEC.camp> [--quick] [--threads N] [--out DIR]\n\
-         \x20                  [--shard I/K] [--store DIR] [--resume] [--events PATH] \
-         [--metrics PATH]"
-    );
-    eprintln!("       experiments merge <SHARD.json>... [--out DIR]");
-    eprintln!(
-        "       experiments serve <SPOOL> [--once] [--quick] [--threads N] [--out DIR] \
-         [--store DIR]\n\
-         \x20                  [--events PATH] [--metrics PATH]"
-    );
-    eprintln!("       experiments store <stats | gc --max-bytes N | pin DIGEST...> --store DIR");
-    eprintln!("       experiments obs <check | summarize> <EVENTS.jsonl>\n");
+    let mut usage = String::new();
+    for cmd in COMMANDS {
+        usage.push_str(cmd.usage);
+        usage.push('\n');
+    }
+    usage.push_str("experiments protocols\n");
+    usage.push_str("experiments obs <check | summarize> <EVENTS.jsonl>");
+    eprintln!("usage: {}\n", usage.replace('\n', "\n       "));
     eprintln!("global: --quiet (errors only) / --verbose (debug detail) on any subcommand\n");
     eprintln!("experiments:");
     for (id, desc, protocols, _) in &registry() {
@@ -333,145 +390,186 @@ mod tests {
 
     #[test]
     fn defaults_and_positionals() {
-        let f = parse_flags(&strings(&["e1", "e21"])).unwrap();
+        let f = parse_flags(&EXPERIMENTS, &strings(&["e1", "e21"])).unwrap();
         assert!(!f.quick && !f.json && !f.list);
         assert!(f.threads >= 1);
-        assert!(f.out.is_none() && f.tol.is_none());
-        assert!(f.tol_pct.is_none() && f.kernel.is_none());
+        assert!(f.out.is_none() && f.tol.is_none() && f.kernel.is_none());
         assert_eq!(f.positional, vec!["e1", "e21"]);
     }
 
     #[test]
-    fn kernel_and_tol_pct_flags_parse() {
-        let f = parse_flags(&strings(&["perf", "--kernel", "fast", "--tol-pct", "25"])).unwrap();
+    fn kernel_flag_parses() {
+        let f = parse_flags(&TRACE, &strings(&["replay", "t.dct", "--kernel", "fast"])).unwrap();
         assert_eq!(f.kernel, Some(Kernel::Fast));
-        assert_eq!(f.tol_pct, Some(25.0));
-        assert_eq!(f.positional, vec!["perf"]);
+        assert_eq!(f.positional, vec!["replay", "t.dct"]);
         for (args, needle) in [
             (&["--kernel", "turbo"][..], "valid kernels"),
             (&["--kernel"][..], "requires a value"),
-            (&["--tol-pct", "-3"][..], "must be ≥ 0"),
-            (&["--tol-pct", "soon"][..], "bad --tol-pct"),
         ] {
-            let err = parse_flags(&strings(args)).unwrap_err();
+            let err = parse_flags(&TRACE, &strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
     }
 
     #[test]
     fn store_and_shard_flags_parse() {
-        let f = parse_flags(&strings(&[
-            "campaign",
-            "spec.camp",
-            "--shard",
-            "2/4",
-            "--store",
-            "cache",
-            "--resume",
-            "--once",
-            "--max-bytes",
-            "4096",
-            "--max-rss-pct",
-            "75",
-        ]))
+        let f = parse_flags(
+            &CAMPAIGN,
+            &strings(&[
+                "spec.camp",
+                "--shard",
+                "2/4",
+                "--store",
+                "cache",
+                "--resume",
+            ]),
+        )
         .unwrap();
         assert_eq!(f.shard, Some(Shard { index: 2, count: 4 }));
         assert_eq!(f.store.as_deref(), Some(std::path::Path::new("cache")));
-        assert!(f.resume && f.once);
+        assert!(f.resume && !f.once);
+        assert_eq!(f.positional, vec!["spec.camp"]);
+        let f = parse_flags(&STORE, &strings(&["gc", "--max-bytes", "4096"])).unwrap();
         assert_eq!(f.max_bytes, Some(4096));
-        assert_eq!(f.max_rss_pct, Some(75.0));
-        assert_eq!(f.positional, vec!["campaign", "spec.camp"]);
-        for (args, needle) in [
-            (&["--shard", "0/2"][..], "1 ≤ I ≤ K"),
-            (&["--shard", "3/2"][..], "1 ≤ I ≤ K"),
-            (&["--shard", "nope"][..], "expected I/K"),
-            (&["--shard"][..], "requires a value"),
-            (&["--max-bytes", "soon"][..], "bad --max-bytes"),
-            (&["--max-rss-pct", "-1"][..], "must be ≥ 0"),
+        assert!(
+            parse_flags(&SERVE, &strings(&["spool", "--once"]))
+                .unwrap()
+                .once
+        );
+        for (cmd, args, needle) in [
+            (&CAMPAIGN, &["--shard", "0/2"][..], "1 ≤ I ≤ K"),
+            (&CAMPAIGN, &["--shard", "3/2"][..], "1 ≤ I ≤ K"),
+            (&CAMPAIGN, &["--shard", "nope"][..], "expected I/K"),
+            (&CAMPAIGN, &["--shard"][..], "requires a value"),
+            (&STORE, &["--max-bytes", "soon"][..], "bad --max-bytes"),
         ] {
-            let err = parse_flags(&strings(args)).unwrap_err();
+            let err = parse_flags(cmd, &strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
     }
 
+    /// Every flag the parser knows, with a value where it takes one.
+    const EVERY_FLAG: [&[&str]; 16] = [
+        &["--quick"],
+        &["--json"],
+        &["--list"],
+        &["--threads", "2"],
+        &["--out", "d"],
+        &["--tol", "0.5"],
+        &["--kernel", "fast"],
+        &["--shard", "1/2"],
+        &["--store", "d"],
+        &["--resume"],
+        &["--once"],
+        &["--max-bytes", "1"],
+        &["--events", "e"],
+        &["--metrics", "m"],
+        &["--quiet"],
+        &["--verbose"],
+    ];
+
     #[test]
     fn store_flags_are_rejected_outside_the_store_family() {
-        let f = parse_flags(&strings(&["e1", "--shard", "1/2"])).unwrap();
-        let err = reject_store_flags(&f, "experiment runs", false).unwrap_err();
-        assert!(err.contains("--shard is not valid"), "{err}");
-        let f = parse_flags(&strings(&["perf-compare", "--max-rss-pct", "10"])).unwrap();
-        assert!(reject_store_flags(&f, "perf-compare", true).is_ok());
-        assert!(reject_store_flags(&f, "perf", false).is_err());
+        // The allowlist is exact: for every subcommand, each known flag
+        // either is listed (or global) and parses, or is rejected by name.
+        for cmd in COMMANDS {
+            for flag in cmd.flags {
+                assert!(cmd.usage.contains(flag), "{flag} missing from usage");
+            }
+            for args in EVERY_FLAG {
+                let flag = args[0];
+                let allowed = cmd.flags.contains(&flag) || flag == "--quiet" || flag == "--verbose";
+                match parse_flags(cmd, &strings(args)) {
+                    Ok(_) => assert!(allowed, "{flag} accepted by {}", cmd.name),
+                    Err(e) => {
+                        assert!(!allowed, "{flag} rejected by {}: {e}", cmd.name);
+                        assert_eq!(e, format!("{flag} is not valid for {}", cmd.name));
+                    }
+                }
+            }
+        }
+        let err = parse_flags(&EXPERIMENTS, &strings(&["e1", "--shard", "1/2"])).unwrap_err();
+        assert_eq!(err, "--shard is not valid for experiment runs");
     }
 
     #[test]
     fn flags_parse_in_any_position() {
-        let f = parse_flags(&strings(&[
-            "--quick",
-            "e1",
-            "--threads",
-            "4",
-            "--json",
-            "e2",
-            "--out",
-            "dir",
-            "--tol",
-            "0.5",
-        ]))
+        let f = parse_flags(
+            &EXPERIMENTS,
+            &strings(&[
+                "--quick",
+                "e1",
+                "--threads",
+                "4",
+                "--json",
+                "e2",
+                "--out",
+                "dir",
+            ]),
+        )
         .unwrap();
         assert!(f.quick && f.json);
         assert_eq!(f.threads, 4);
         assert_eq!(f.out.as_deref(), Some(std::path::Path::new("dir")));
-        assert_eq!(f.tol, Some(0.5));
         assert_eq!(f.positional, vec!["e1", "e2"]);
+        let f = parse_flags(&COMPARE, &strings(&["--tol", "0.5", "a", "b"])).unwrap();
+        assert_eq!(f.tol, Some(0.5));
     }
 
     #[test]
     fn threads_are_clamped_to_one() {
-        let f = parse_flags(&strings(&["--threads", "0"])).unwrap();
+        let f = parse_flags(&EXPERIMENTS, &strings(&["--threads", "0"])).unwrap();
         assert_eq!(f.threads, 1);
     }
 
     #[test]
     fn bad_values_and_unknown_flags_are_errors() {
-        for (args, needle) in [
-            (&["--threads", "x"][..], "bad --threads"),
-            (&["--threads"][..], "requires a value"),
-            (&["--out"][..], "requires a value"),
-            (&["--tol", "fast"][..], "bad --tol"),
-            (&["--frobnicate"][..], "unknown flag"),
+        for (cmd, args, needle) in [
+            (&EXPERIMENTS, &["--threads", "x"][..], "bad --threads"),
+            (&EXPERIMENTS, &["--threads"][..], "requires a value"),
+            (&EXPERIMENTS, &["--out"][..], "requires a value"),
+            (&COMPARE, &["--tol", "fast"][..], "bad --tol"),
+            (&EXPERIMENTS, &["--frobnicate"][..], "unknown flag"),
+            (&COMPARE, &["--tol-pct", "5"][..], "unknown flag"),
+            (&COMPARE, &["--max-rss-pct", "5"][..], "unknown flag"),
         ] {
-            let err = parse_flags(&strings(args)).unwrap_err();
+            let err = parse_flags(cmd, &strings(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
         }
     }
 
     #[test]
     fn list_flag_is_recognized() {
-        assert!(parse_flags(&strings(&["--list"])).unwrap().list);
+        assert!(
+            parse_flags(&EXPERIMENTS, &strings(&["--list"]))
+                .unwrap()
+                .list
+        );
     }
 
     #[test]
     fn obs_flags_parse_and_are_rejected_where_invalid() {
-        let f = parse_flags(&strings(&[
-            "e21",
-            "--events",
-            "ev.jsonl",
-            "--metrics",
-            "m.json",
-            "--verbose",
-        ]))
+        let f = parse_flags(
+            &EXPERIMENTS,
+            &strings(&[
+                "e21",
+                "--events",
+                "ev.jsonl",
+                "--metrics",
+                "m.json",
+                "--verbose",
+            ]),
+        )
         .unwrap();
         assert_eq!(f.events.as_deref(), Some(std::path::Path::new("ev.jsonl")));
         assert_eq!(f.metrics.as_deref(), Some(std::path::Path::new("m.json")));
         assert!(f.verbose && !f.quiet);
-        let err = reject_obs_flags(&f, "compare").unwrap_err();
-        assert!(err.contains("--events is not valid"), "{err}");
-        let quiet = parse_flags(&strings(&["e1", "--quiet"])).unwrap();
-        assert!(reject_obs_flags(&quiet, "compare").is_ok());
-        let err = parse_flags(&strings(&["--quiet", "--verbose"])).unwrap_err();
+        let err = parse_flags(&COMPARE, &strings(&["a", "b", "--events", "ev.jsonl"])).unwrap_err();
+        assert_eq!(err, "--events is not valid for compare");
+        assert!(parse_flags(&COMPARE, &strings(&["a", "b", "--quiet"])).is_ok());
+        let err = parse_flags(&EXPERIMENTS, &strings(&["--quiet", "--verbose"])).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
-        let err = parse_flags(&strings(&["--events"])).unwrap_err();
+        let err = parse_flags(&EXPERIMENTS, &strings(&["--events"])).unwrap_err();
         assert!(err.contains("requires a value"), "{err}");
     }
 }

@@ -10,7 +10,6 @@
 //! cargo run -p dyncode-bench --release -- e2 --quick --threads 8
 //! cargo run -p dyncode-bench --release -- e1 e4 --json --out artifacts
 //! cargo run -p dyncode-bench --release -- compare base.json cand.json
-//! cargo run -p dyncode-bench --release -- bench-engine
 //! ```
 //!
 //! Each experiment prints a markdown table of measured rounds next to the
@@ -29,7 +28,6 @@ pub mod ctx;
 pub mod experiments;
 pub mod obs_cmd;
 pub mod orchestrate;
-pub mod perf;
 pub mod table;
 
 /// One registry row: experiment id, headline claim, the protocol specs it

@@ -8,34 +8,28 @@
 //! cargo run -p dyncode-bench --release -- e1 e4 --quick --json --out artifacts
 //! cargo run -p dyncode-bench --release -- compare baselines/BENCH_seed.json artifacts/BENCH_e1.json
 //! cargo run -p dyncode-bench --release -- schema artifacts/BENCH_e1.json
-//! cargo run -p dyncode-bench --release -- bench-engine
-//! cargo run -p dyncode-bench --release -- perf --json --out artifacts
-//! cargo run -p dyncode-bench --release -- perf-compare baselines/BENCH_perf.json artifacts/BENCH_perf.json --tol-pct 50
 //! ```
 //!
 //! Exit codes: 0 success, 1 failed experiment or regression, 2 usage
 //! error (including unknown experiment ids, which print the registry).
 
 use dyncode_bench::cli::{
-    apply_log_level, parse_flags, print_protocol_registry, print_registry_listing,
-    print_usage_and_registry, reject_obs_flags, reject_store_flags, start_obs_session,
+    apply_log_level, parse_flags, parse_or_usage, print_protocol_registry, print_registry_listing,
+    print_usage, print_usage_and_registry, start_obs_session, COMPARE, EXPERIMENTS, SCHEMA, TRACE,
 };
 use dyncode_bench::ctx::ExpCtx;
 use dyncode_bench::obs_cmd;
 use dyncode_bench::orchestrate;
-use dyncode_bench::perf::{perf_compare, run_perf, PerfArtifact};
 use dyncode_bench::registry;
 use dyncode_core::params::{Params, Placement};
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_engine::{
-    compare, run_campaign, AdversaryKind, Artifact, Campaign, CellSpec, CompareConfig,
-    DeliverySpec, Engine, Json, Kernel,
+    compare, AdversaryKind, Artifact, CellSpec, CompareConfig, DeliverySpec, Kernel,
 };
 use dyncode_obs::{obs_error, obs_info};
 use dyncode_scenarios::{record_scenario_to_file, DctReader, ScenarioKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::Instant;
 
 fn main() {
     std::process::exit(real_main());
@@ -45,10 +39,7 @@ fn real_main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("compare") => cmd_compare(&args[1..]),
-        Some("perf") => cmd_perf(&args[1..]),
-        Some("perf-compare") => cmd_perf_compare(&args[1..]),
         Some("schema") => cmd_schema(&args[1..]),
-        Some("bench-engine") => cmd_bench_engine(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("campaign") => orchestrate::cmd_campaign(&args[1..]),
         Some("merge") => orchestrate::cmd_merge(&args[1..]),
@@ -64,7 +55,7 @@ fn real_main() -> i32 {
 }
 
 fn cmd_experiments(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
+    let flags = match parse_flags(&EXPERIMENTS, args) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -100,18 +91,6 @@ fn cmd_experiments(args: &[String]) -> i32 {
         return 2;
     }
 
-    if flags.tol.is_some() {
-        eprintln!("error: --tol is only valid with the compare subcommand");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(
-        &flags,
-        "experiment runs (use the campaign subcommand)",
-        false,
-    ) {
-        eprintln!("error: {e}");
-        return 2;
-    }
     let _obs = match start_obs_session(&flags) {
         Ok(session) => session,
         Err(e) => {
@@ -167,28 +146,12 @@ fn cmd_experiments(args: &[String]) -> i32 {
 }
 
 fn cmd_compare(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
+    let flags = match parse_or_usage(&COMPARE, args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(code) => return code,
     };
-    apply_log_level(&flags);
-    if flags.out.is_some() {
-        eprintln!("error: --out is not valid for compare");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(&flags, "compare", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "compare") {
-        eprintln!("error: {e}");
-        return 2;
-    }
     let [base_path, cand_path] = flags.positional.as_slice() else {
-        eprintln!("usage: experiments compare <BASE.json> <CANDIDATE.json> [--tol F]");
+        print_usage(&COMPARE);
         return 2;
     };
     let load = |path: &String| -> Result<Artifact, String> {
@@ -212,189 +175,29 @@ fn cmd_compare(args: &[String]) -> i32 {
     }
 }
 
-/// The `perf` subcommand: run the wall-clock suite (reference + fast on
-/// identical cells, equivalence asserted per pair) and — with
-/// `--json`/`--out` — emit `BENCH_perf.json`. `--quick` is the CI smoke
-/// profile (one large-n cell); `--kernel K` times a single backend.
-fn cmd_perf(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    apply_log_level(&flags);
-    if flags.tol.is_some() || flags.tol_pct.is_some() {
-        eprintln!("error: --tol/--tol-pct are not valid for perf");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(&flags, "perf", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if !flags.positional.is_empty() {
-        eprintln!("usage: experiments perf [--quick] [--kernel K] [--json] [--out DIR]");
-        return 2;
-    }
-    let _obs = match start_obs_session(&flags) {
-        Ok(session) => session,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let artifact = run_perf(flags.quick, flags.kernel);
-    println!("\n### perf: wall-clock per cell\n");
-    println!("| protocol | n | kernel | rounds | wall (s) | rounds/sec | peak RSS (MB) |");
-    println!("| -------- | - | ------ | ------ | -------- | ---------- | ------------- |");
-    for c in &artifact.cells {
-        println!(
-            "| {} | {} | {} | {} | {:.3} | {:.1} | {:.1} |",
-            c.protocol,
-            c.n,
-            c.kernel,
-            c.rounds,
-            c.wall_ns as f64 / 1e9,
-            c.rounds_per_sec,
-            c.peak_rss_bytes as f64 / (1024.0 * 1024.0),
-        );
-    }
-    if !artifact.scalars.is_empty() {
-        println!("\n| speedup (fast / reference, rounds/sec) | ratio |");
-        println!("| -------------------------------------- | ----- |");
-        for s in &artifact.scalars {
-            println!("| {} | {:.2} |", s.name, s.value);
-        }
-    }
-    for note in &artifact.notes {
-        obs_info!("[note: {note}]");
-    }
-    if flags.json || flags.out.is_some() {
-        let dir = flags.out.unwrap_or_else(|| PathBuf::from("."));
-        match artifact.write_to(&dir) {
-            Ok(path) => obs_info!("[wrote {}]", path.display()),
-            Err(e) => {
-                obs_error!("error: cannot write BENCH_perf.json: {e}");
-                return 1;
-            }
-        }
-    }
-    0
-}
-
-/// The `perf-compare` gate: throughput within `--tol-pct` percent of the
-/// baseline per matching cell. Exit 1 on a regression, 2 on bad input.
-fn cmd_perf_compare(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    apply_log_level(&flags);
-    if flags.out.is_some() || flags.tol.is_some() {
-        eprintln!("error: --out/--tol are not valid for perf-compare (use --tol-pct)");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(&flags, "perf-compare", true) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "perf-compare") {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    let [base_path, cand_path] = flags.positional.as_slice() else {
-        eprintln!(
-            "usage: experiments perf-compare <BASE.json> <CANDIDATE.json> [--tol-pct P] \
-             [--max-rss-pct P]"
-        );
-        return 2;
-    };
-    let load = |path: &String| -> Result<PerfArtifact, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        PerfArtifact::parse(&text).map_err(|e| format!("{path}: {e}"))
-    };
-    let (base, cand) = match (load(base_path), load(cand_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    // Shared-runner wall clocks are noisy: default to a generous 50%.
-    let tol_pct = flags.tol_pct.unwrap_or(50.0);
-    let (lines, ok) = perf_compare(&base, &cand, tol_pct, flags.max_rss_pct);
-    for line in lines {
-        println!("{line}");
-    }
-    if ok {
-        0
-    } else {
-        1
-    }
-}
-
 fn cmd_schema(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
+    let flags = match parse_or_usage(&SCHEMA, args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(code) => return code,
     };
-    apply_log_level(&flags);
-    if flags.out.is_some() || flags.tol.is_some() {
-        eprintln!("error: --out/--tol are not valid for schema");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(&flags, "schema", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "schema") {
-        eprintln!("error: {e}");
-        return 2;
-    }
     if flags.positional.is_empty() {
-        eprintln!("usage: experiments schema <FILE.json>...");
+        print_usage(&SCHEMA);
         return 2;
     }
     let mut bad = 0;
     for path in &flags.positional {
-        // Dispatch on the declared schema: experiment artifacts
-        // (dyncode-artifact/v1) and perf artifacts (dyncode-perf/v1)
-        // validate through their own parsers.
         let validated = std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
-            .and_then(|text| {
-                let declared = Json::parse(&text)
-                    .ok()
-                    .and_then(|j| j.get("schema").and_then(Json::as_str).map(String::from));
-                match declared.as_deref() {
-                    Some(dyncode_bench::perf::PERF_SCHEMA) => {
-                        let a = PerfArtifact::parse(&text)?;
-                        Ok(format!(
-                            "OK ({}, {} cells, {} scalars)",
-                            dyncode_bench::perf::PERF_SCHEMA,
-                            a.cells.len(),
-                            a.scalars.len()
-                        ))
-                    }
-                    _ => {
-                        let a = Artifact::parse(&text)?;
-                        Ok(format!(
-                            "OK (id {:?}, {} cells, {} fits, {} scalars, {} tables)",
-                            a.id,
-                            a.cells.len(),
-                            a.fits.len(),
-                            a.scalars.len(),
-                            a.tables.len()
-                        ))
-                    }
-                }
+            .and_then(|text| Artifact::parse(&text))
+            .map(|a| {
+                format!(
+                    "OK (id {:?}, {} cells, {} fits, {} scalars, {} tables)",
+                    a.id,
+                    a.cells.len(),
+                    a.fits.len(),
+                    a.scalars.len(),
+                    a.tables.len()
+                )
             });
         match validated {
             Ok(line) => println!("{path}: {line}"),
@@ -421,32 +224,22 @@ fn cmd_schema(args: &[String]) -> i32 {
 ///   protocol against the recorded schedule and report the `RunResult`.
 fn cmd_trace(raw_args: &[String]) -> i32 {
     let usage = || -> i32 {
-        eprintln!("usage: experiments trace record <PATH.dct> <SCENARIO> <N> <ROUNDS> [SEED]");
-        eprintln!("       experiments trace info <PATH.dct>");
-        eprintln!("       experiments trace replay <PATH.dct> [PROTOCOL] [SEED] [--kernel K]");
+        print_usage(&TRACE);
         eprintln!("\nscenarios: edge-markov(p_up,p_down) | waypoint(radius,speed)");
         eprintln!("           | churn(rate,base) | shuffled-path | … | random-connected");
         eprintln!("protocols: any registry spec (see `experiments protocols`)");
         eprintln!("kernels:   reference (default) | fast | auto");
         2
     };
-    let flags = match parse_flags(raw_args) {
+    let flags = match parse_or_usage(&TRACE, raw_args) {
         Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
+        Err(code) => return code,
     };
-    apply_log_level(&flags);
-    if let Err(e) = reject_store_flags(&flags, "trace", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "trace") {
-        eprintln!("error: {e}");
-        return 2;
-    }
     let args = &flags.positional;
+    if flags.kernel.is_some() && args.first().map(String::as_str) != Some("replay") {
+        eprintln!("error: --kernel is not valid for trace record/info");
+        return 2;
+    }
     match args.first().map(String::as_str) {
         Some("record") => {
             let (Some(path), Some(spec), Some(n_raw), Some(rounds_raw)) =
@@ -633,74 +426,4 @@ fn cmd_trace(raw_args: &[String]) -> i32 {
         }
         _ => usage(),
     }
-}
-
-/// The wall-clock speedup smoke check: one medium sweep, serial vs
-/// `--threads N`, asserting the artifacts are byte-identical — the perf
-/// trajectory's first datapoint.
-fn cmd_bench_engine(args: &[String]) -> i32 {
-    let flags = match parse_flags(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    apply_log_level(&flags);
-    if flags.out.is_some() || flags.tol.is_some() {
-        eprintln!("error: --out/--tol are not valid for bench-engine");
-        return 2;
-    }
-    if let Err(e) = reject_store_flags(&flags, "bench-engine", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "bench-engine") {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    let campaign = Campaign::builder("bench-engine", "wall-clock speedup smoke check")
-        .protocol(ProtocolSpec::TokenForwarding)
-        .adversaries(vec![AdversaryKind::ShuffledPath, AdversaryKind::Bottleneck])
-        .ns(&[32, 48])
-        .seeds(&[1, 2, 3, 4])
-        .quick_ns(&[16, 24])
-        .quick_seeds(&[1, 2])
-        .build()
-        .expect("static campaign is valid");
-    let campaign = if flags.quick {
-        campaign.quick()
-    } else {
-        campaign
-    };
-    let cells = campaign.cells().len();
-    let runs = cells * campaign.seeds.len();
-    obs_info!(
-        "bench-engine: {cells} cells x {} seeds = {runs} runs per pass",
-        campaign.seeds.len()
-    );
-
-    let t0 = Instant::now();
-    let serial = run_campaign(&Engine::new(1), &campaign);
-    let serial_s = t0.elapsed().as_secs_f64();
-
-    let threads = flags.threads;
-    let t1 = Instant::now();
-    let parallel = run_campaign(&Engine::new(threads), &campaign);
-    let parallel_s = t1.elapsed().as_secs_f64();
-
-    if serial.to_json_string() != parallel.to_json_string() {
-        eprintln!("FAIL: parallel artifact differs from serial artifact");
-        return 1;
-    }
-    println!("\n### bench-engine: serial vs parallel wall clock\n");
-    println!("| pass | threads | elapsed (s) | speedup |");
-    println!("| ---- | ------- | ----------- | ------- |");
-    println!("| serial | 1 | {serial_s:.3} | 1.00 |");
-    println!(
-        "| parallel | {threads} | {parallel_s:.3} | {:.2} |",
-        serial_s / parallel_s
-    );
-    println!("\nartifacts byte-identical across thread counts: OK ({runs} runs)");
-    0
 }

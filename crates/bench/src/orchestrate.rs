@@ -8,48 +8,23 @@
 //! or input error (bad flags, malformed specs, digest mismatches,
 //! incomplete shard sets).
 
-use crate::cli::{apply_log_level, parse_flags, reject_obs_flags, start_obs_session, Flags};
+use crate::cli::{parse_or_usage, print_usage, start_obs_session, CAMPAIGN, MERGE, SERVE, STORE};
 use dyncode_engine::{merge_shards, Artifact, Campaign, Engine};
 use dyncode_obs::{obs_debug, obs_error, obs_info};
 use dyncode_store::{run_campaign_stored, serve_once, write_sidecar, RunOptions, Store};
 use std::path::PathBuf;
-
-fn parse_or_usage(args: &[String], usage: &str) -> Result<Flags, i32> {
-    match parse_flags(args) {
-        Ok(f) => {
-            apply_log_level(&f);
-            Ok(f)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {usage}");
-            Err(2)
-        }
-    }
-}
-
-const CAMPAIGN_USAGE: &str = "experiments campaign <SPEC.camp> [--quick] [--threads N] \
-                              [--out DIR] [--shard I/K] [--store DIR] [--resume]";
 
 /// `experiments campaign`: run one `.camp` spec through the stored
 /// orchestrator. `--out DIR` (or `--json`) writes `BENCH_<id>.json` plus
 /// the `BENCH_<id>.store.json` counter sidecar; `--resume` re-opens a
 /// partial artifact under `--out` and executes only the missing cells.
 pub fn cmd_campaign(args: &[String]) -> i32 {
-    let flags = match parse_or_usage(args, CAMPAIGN_USAGE) {
+    let flags = match parse_or_usage(&CAMPAIGN, args) {
         Ok(f) => f,
         Err(code) => return code,
     };
-    if flags.tol.is_some() || flags.tol_pct.is_some() || flags.kernel.is_some() {
-        eprintln!("error: --tol/--tol-pct/--kernel are not valid for campaign (the spec's `kernel =` key selects the backend)");
-        return 2;
-    }
-    if flags.once || flags.max_bytes.is_some() || flags.max_rss_pct.is_some() {
-        eprintln!("error: --once/--max-bytes/--max-rss-pct are not valid for campaign");
-        return 2;
-    }
     let [spec_path] = flags.positional.as_slice() else {
-        eprintln!("usage: {CAMPAIGN_USAGE}");
+        print_usage(&CAMPAIGN);
         return 2;
     };
     if flags.resume && flags.out.is_none() {
@@ -188,30 +163,16 @@ pub fn cmd_campaign(args: &[String]) -> i32 {
     0
 }
 
-const MERGE_USAGE: &str = "experiments merge <SHARD.json>... [--out DIR]";
-
 /// `experiments merge`: reassemble a complete set of shard artifacts
 /// into the unsharded `BENCH_<base>.json`, byte-identical to a
 /// single-process run of the same campaign.
 pub fn cmd_merge(args: &[String]) -> i32 {
-    let flags = match parse_or_usage(args, MERGE_USAGE) {
+    let flags = match parse_or_usage(&MERGE, args) {
         Ok(f) => f,
         Err(code) => return code,
     };
-    if let Err(e) = crate::cli::reject_store_flags(&flags, "merge", false) {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if let Err(e) = reject_obs_flags(&flags, "merge") {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if flags.tol.is_some() || flags.tol_pct.is_some() || flags.kernel.is_some() || flags.quick {
-        eprintln!("error: merge takes only shard files and --out DIR");
-        return 2;
-    }
     if flags.positional.is_empty() {
-        eprintln!("usage: {MERGE_USAGE}");
+        print_usage(&MERGE);
         return 2;
     }
     let mut shards = Vec::new();
@@ -252,32 +213,18 @@ pub fn cmd_merge(args: &[String]) -> i32 {
     }
 }
 
-const SERVE_USAGE: &str = "experiments serve <SPOOL> [--once] [--quick] [--threads N] \
-                           [--out DIR] [--store DIR]";
-
 /// `experiments serve`: a minimal spool loop. Campaign specs dropped
 /// into `<SPOOL>/*.camp` are run (oldest name first) and their artifacts
 /// written under `--out`; processed specs move to `<SPOOL>/done/` or
 /// `<SPOOL>/failed/` (with a `.err` reason file). `--once` drains the
 /// spool a single time and exits 1 if any spec failed.
 pub fn cmd_serve(args: &[String]) -> i32 {
-    let flags = match parse_or_usage(args, SERVE_USAGE) {
+    let flags = match parse_or_usage(&SERVE, args) {
         Ok(f) => f,
         Err(code) => return code,
     };
-    if flags.tol.is_some()
-        || flags.tol_pct.is_some()
-        || flags.kernel.is_some()
-        || flags.shard.is_some()
-        || flags.resume
-        || flags.max_bytes.is_some()
-        || flags.max_rss_pct.is_some()
-    {
-        eprintln!("error: serve takes only --once/--quick/--threads/--out/--store");
-        return 2;
-    }
     let [spool] = flags.positional.as_slice() else {
-        eprintln!("usage: {SERVE_USAGE}");
+        print_usage(&SERVE);
         return 2;
     };
     let spool = PathBuf::from(spool);
@@ -355,9 +302,6 @@ pub fn cmd_serve(args: &[String]) -> i32 {
     }
 }
 
-const STORE_USAGE: &str =
-    "experiments store <stats | gc --max-bytes N | pin DIGEST...> --store DIR";
-
 /// `experiments store`: cache hygiene. `stats` prints object count,
 /// bytes, and pin count; `gc --max-bytes N` evicts coldest-first
 /// (ascending hit count, then age) down to the budget, never touching
@@ -365,30 +309,13 @@ const STORE_USAGE: &str =
 /// `--store DIR` is required explicitly — gc deletes files, so there is
 /// deliberately no default directory.
 pub fn cmd_store(args: &[String]) -> i32 {
-    let flags = match parse_or_usage(args, STORE_USAGE) {
+    let flags = match parse_or_usage(&STORE, args) {
         Ok(f) => f,
         Err(code) => return code,
     };
-    if let Err(e) = reject_obs_flags(&flags, "store") {
-        eprintln!("error: {e}");
-        return 2;
-    }
-    if flags.tol.is_some()
-        || flags.tol_pct.is_some()
-        || flags.kernel.is_some()
-        || flags.shard.is_some()
-        || flags.resume
-        || flags.once
-        || flags.quick
-        || flags.out.is_some()
-        || flags.max_rss_pct.is_some()
-    {
-        eprintln!("error: store takes only --store DIR and (for gc) --max-bytes N");
-        return 2;
-    }
     let Some(root) = flags.store.clone() else {
         eprintln!("error: store needs an explicit --store DIR");
-        eprintln!("usage: {STORE_USAGE}");
+        print_usage(&STORE);
         return 2;
     };
     let store = match Store::open(&root) {
@@ -453,7 +380,7 @@ pub fn cmd_store(args: &[String]) -> i32 {
             }
             if digests.is_empty() {
                 eprintln!("error: store pin needs at least one DIGEST");
-                eprintln!("usage: {STORE_USAGE}");
+                print_usage(&STORE);
                 return 2;
             }
             for digest in digests {
@@ -469,7 +396,7 @@ pub fn cmd_store(args: &[String]) -> i32 {
             0
         }
         _ => {
-            eprintln!("usage: {STORE_USAGE}");
+            print_usage(&STORE);
             2
         }
     }

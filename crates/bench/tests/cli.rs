@@ -242,6 +242,67 @@ fn unknown_flag_is_a_usage_error() {
 }
 
 #[test]
+fn flags_outside_a_subcommands_allowlist_are_usage_errors() {
+    // A flag its subcommand has no use for fails loudly, never silently
+    // ignored — wherever it sits among valid ones.
+    for (args, needle) in [
+        (
+            &["e1", "--kernel", "fast"][..],
+            "--kernel is not valid for experiment runs",
+        ),
+        (
+            &["e1", "--tol", "0.5"][..],
+            "--tol is not valid for experiment runs",
+        ),
+        (
+            &["compare", "A", "B", "--quick", "--kernel", "fast", "--json"][..],
+            "--quick is not valid for compare",
+        ),
+        (
+            &["compare", "A", "B", "--kernel", "fast"][..],
+            "--kernel is not valid for compare",
+        ),
+        (
+            &["trace", "info", "t.dct", "--kernel", "fast"][..],
+            "--kernel is not valid for trace record/info",
+        ),
+        // No subcommand knows these at all.
+        (&["e1", "--tol-pct", "5"][..], "unknown flag \"--tol-pct\""),
+        (
+            &["compare", "A", "B", "--max-rss-pct", "75"][..],
+            "unknown flag \"--max-rss-pct\"",
+        ),
+    ] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "args {args:?}: {err}");
+        assert!(!err.contains("[running"), "args {args:?} ran something");
+    }
+}
+
+#[test]
+fn removed_perf_subcommands_are_unknown_experiment_ids() {
+    for args in [
+        &["perf", "--quick"][..],
+        &["perf-compare", "A.json", "B.json"][..],
+        &["bench-engine", "--quick"][..],
+    ] {
+        let out = experiments(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let err = stderr(&out);
+        assert!(err.contains("unknown experiment id"), "{err}");
+        assert!(err.contains(&format!("{:?}", args[0])), "{err}");
+        assert!(err.contains("\n  e23 "), "registry must be printed:\n{err}");
+    }
+    // `help` lists every subcommand's usage.
+    let err = stderr(&experiments(&["help"]));
+    for gone in ["perf", "bench-engine"] {
+        assert!(!err.contains(gone), "{gone} still in usage:\n{err}");
+    }
+}
+
+#[test]
 fn json_artifacts_are_emitted_schema_valid_and_thread_independent() {
     let dir1 = temp_dir("t1");
     let dir8 = temp_dir("t8");

@@ -95,7 +95,6 @@ pub fn run_fast(
     let mut max_message_bits = 0u64;
     let mut history = Vec::new();
 
-    crate::phase::ensure_env_compat();
     crate::phase::elim_reset();
     let (mut t_view, mut t_compose, mut t_deliver) = (
         std::time::Duration::ZERO,

@@ -10,33 +10,13 @@
 //! accumulated here by the cells, which wrap only their per-message
 //! `insert` calls and only while [`active`] — so the disabled path adds
 //! one atomic load per `deliver_all`, not per message.
-//!
-//! `DYNCODE_PHASE_TIME=1` remains supported as a compat alias: the first
-//! fast run installs a stderr sink filtered to `kernel.*`, reproducing
-//! the old per-run phase dump (now structured).
 
 use std::cell::Cell;
-use std::sync::Once;
 
 /// Whether phase spans should be recorded (one relaxed atomic load).
 #[inline]
 pub fn active() -> bool {
     dyncode_obs::enabled()
-}
-
-/// Installs the `DYNCODE_PHASE_TIME` compat stderr sink (once per
-/// process) if the env var is set. Called at the top of every fast run.
-pub fn ensure_env_compat() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        if std::env::var_os("DYNCODE_PHASE_TIME").is_some() {
-            // Leaked on purpose: the sink lives for the whole process,
-            // like the env var that requested it.
-            dyncode_obs::install(std::sync::Arc::new(dyncode_obs::StderrSink::with_prefix(
-                "kernel.",
-            )));
-        }
-    });
 }
 
 thread_local! {

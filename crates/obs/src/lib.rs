@@ -16,9 +16,8 @@
 //! - [`metrics`] — process-global counters, gauges, and log2-bucketed
 //!   fixed-memory histograms; always-on (recording is a relaxed atomic
 //!   op), so sidecars can render from them without any sink.
-//! - [`sink`] — the [`Sink`] trait plus [`MemorySink`] (aggregation),
-//!   [`JsonlSink`] (`dyncode-events/v1` stream for `--events`), and
-//!   [`StderrSink`] (the `DYNCODE_PHASE_TIME` compat rendering).
+//! - [`sink`] — the [`Sink`] trait plus [`MemorySink`] (aggregation)
+//!   and [`JsonlSink`] (`dyncode-events/v1` stream for `--events`).
 //! - [`log`] — leveled progress logging behind [`obs_info!`],
 //!   [`obs_debug!`], [`obs_error!`] (`--quiet`/`--verbose`).
 //! - [`Session`] — the CLI guard that installs sinks and finalizes
@@ -39,7 +38,7 @@ pub mod summary;
 
 pub use event::{parse_events, Event, Kind, Value, EVENTS_SCHEMA};
 pub use session::Session;
-pub use sink::{JsonlSink, MemorySink, Sink, StderrSink};
+pub use sink::{JsonlSink, MemorySink, Sink};
 pub use span::SpanGuard;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

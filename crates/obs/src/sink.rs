@@ -1,11 +1,10 @@
 //! Pluggable event sinks.
 //!
 //! A [`Sink`] receives every emitted [`Event`] while installed (see
-//! [`crate::install`]). Three implementations cover the repo's needs:
+//! [`crate::install`]). Two implementations cover the repo's needs:
 //! [`MemorySink`] aggregates in memory (tests, `obs summarize` of a live
-//! run), [`JsonlSink`] streams `dyncode-events/v1` lines to a file
-//! (`--events PATH`), and [`StderrSink`] renders compact human lines
-//! (the `DYNCODE_PHASE_TIME` compat path).
+//! run) and [`JsonlSink`] streams `dyncode-events/v1` lines to a file
+//! (`--events PATH`).
 
 use crate::event::Event;
 use std::fs::File;
@@ -86,56 +85,6 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Renders events as compact bracketed lines on stderr, optionally
-/// filtered to names starting with a prefix. Setting `DYNCODE_PHASE_TIME`
-/// installs `StderrSink::with_prefix("kernel.")` for backward
-/// compatibility with the old per-phase timing dump.
-pub struct StderrSink {
-    prefix: Option<&'static str>,
-}
-
-impl StderrSink {
-    /// A sink printing every event.
-    pub fn new() -> StderrSink {
-        StderrSink { prefix: None }
-    }
-
-    /// A sink printing only events whose name starts with `prefix`.
-    pub fn with_prefix(prefix: &'static str) -> StderrSink {
-        StderrSink {
-            prefix: Some(prefix),
-        }
-    }
-}
-
-impl Default for StderrSink {
-    fn default() -> Self {
-        StderrSink::new()
-    }
-}
-
-impl Sink for StderrSink {
-    fn record(&self, ev: &Event) {
-        if let Some(p) = self.prefix {
-            if !ev.name.starts_with(p) {
-                return;
-            }
-        }
-        let mut line = format!("[{} {}", ev.kind.name(), ev.name);
-        if let Some(d) = ev.dur_ns {
-            line.push_str(&format!(" {:.3}s", d as f64 / 1e9));
-        }
-        if let Some(v) = ev.value {
-            line.push_str(&format!(" value={v}"));
-        }
-        for (k, v) in &ev.fields {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        line.push(']');
-        eprintln!("{line}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,12 +120,5 @@ mod tests {
         assert_eq!(sink.events().len(), 2);
         assert_eq!(sink.take().len(), 2);
         assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn stderr_sink_prefix_filters() {
-        // Only checks the filter logic doesn't panic on both branches.
-        let s = StderrSink::with_prefix("zz-never.");
-        s.record(&Event::mark("other.name", Vec::new()));
     }
 }

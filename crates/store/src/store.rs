@@ -556,6 +556,10 @@ mod tests {
         let path = store.object_path(key.digest_hex());
         std::fs::write(&path, "{not json").unwrap();
         assert_eq!(store.get(&key), None);
+        // So must nesting deep enough to overflow an unbounded parser's
+        // stack — an abort no caller could contain.
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        assert_eq!(store.get(&key), None);
         // An object whose embedded key disagrees (e.g. truncated digest
         // collision) also misses.
         std::fs::write(&path, encode_object("someone-else", &sample_result(false))).unwrap();

@@ -104,6 +104,23 @@ fn prime_field_cells_match_above_the_fold_boundary() {
     }
 }
 
+#[test]
+fn binary_field_cells_match_above_one_limb_and_the_bitsliced_rank() {
+    // Two more edges the randomized matrix's n = k < 20 never reaches:
+    // at n = k = 72 a coded row (k + d = 81 bits) spans two `u64` limbs,
+    // and at n = k = 40 GF(2^8) elimination passes rank 32, where it
+    // switches to the bit-sliced reduce path.
+    for (spec, n) in [
+        ("field-broadcast(gf2)", 72),
+        ("indexed-broadcast", 72),
+        ("field-broadcast(gf256)", 40),
+    ] {
+        for adv in ["edge-markov(0.1,0.3)", "shuffled-path"] {
+            assert_equivalent(spec, adv, n, 1, 5);
+        }
+    }
+}
+
 /// The quorum family keeps its own equivalence matrix: its `n ≥ 5f+1`
 /// regime floor rules out the small sizes the randomized matrix above
 /// draws, and — gossiping every round with no protocol randomness — it is
