@@ -27,7 +27,7 @@ use dyncode_engine::{
     compare, AdversaryKind, Artifact, CellSpec, CompareConfig, DeliverySpec, Kernel,
 };
 use dyncode_obs::{obs_error, obs_info};
-use dyncode_scenarios::{record_scenario_to_file, DctReader, ScenarioKind};
+use dyncode_scenarios::{record_scenario_to_file, DctHeader, DctReader, ScenarioKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -214,6 +214,73 @@ fn cmd_schema(args: &[String]) -> i32 {
     }
 }
 
+/// What one streaming pass over a `.dct` file finds: its header and the
+/// size statistics of the live edge set.
+struct TraceScan {
+    header: DctHeader,
+    total_flips: u64,
+    edge_sum: u64,
+    min_edges: u64,
+    max_edges: u64,
+}
+
+/// Decodes every frame of the trace at `path`, which validates it (flip
+/// ids in range and ascending, no frame cut short). Holds only the
+/// current edge set — nothing is sized by the header's n.
+fn scan_trace(path: &str) -> Result<TraceScan, String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
+    let mut reader = DctReader::new(std::io::BufReader::new(file))
+        .map_err(|e| format!("{path} is not a valid .dct trace: {e}"))?;
+    let mut scan = TraceScan {
+        header: *reader.header(),
+        total_flips: 0,
+        edge_sum: 0,
+        min_edges: u64::MAX,
+        max_edges: 0,
+    };
+    loop {
+        match reader.next_flips() {
+            Ok(None) => return Ok(scan),
+            Ok(Some(flips)) => {
+                scan.total_flips += flips.len() as u64;
+                let e = reader.num_edges() as u64;
+                scan.edge_sum += e;
+                scan.min_edges = scan.min_edges.min(e);
+                scan.max_edges = scan.max_edges.max(e);
+            }
+            Err(e) => {
+                return Err(format!(
+                    "{path} is corrupt at round {}: {e}",
+                    reader.consumed()
+                ))
+            }
+        }
+    }
+}
+
+/// Can a run be driven by the scanned trace? Beyond decoding cleanly it
+/// needs a node, a round, and in every round at least the n − 1 edges a
+/// connected graph has (the driver rejects a disconnected round by
+/// panicking; this catches the cheap-to-see cases first).
+fn replayable(path: &str, scan: &TraceScan) -> Result<DctHeader, String> {
+    let header = scan.header;
+    if header.n == 0 {
+        return Err(format!("{path} has n = 0 nodes"));
+    }
+    if header.rounds == 0 {
+        return Err(format!("{path} records no rounds"));
+    }
+    let need = header.n as u64 - 1;
+    if scan.min_edges < need {
+        return Err(format!(
+            "{path} has a round with {} edges; a connected graph on n = {} nodes needs at \
+             least {need}",
+            scan.min_edges, header.n
+        ));
+    }
+    Ok(header)
+}
+
 /// The `.dct` toolbox: produce and inspect topology traces without
 /// writing code.
 ///
@@ -294,43 +361,14 @@ fn cmd_trace(raw_args: &[String]) -> i32 {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
+            let scan = match scan_trace(path) {
+                Ok(s) => s,
                 Err(e) => {
-                    eprintln!("error: cannot open {path}: {e}");
+                    eprintln!("error: {e}");
                     return 1;
                 }
             };
-            let mut reader = match DctReader::new(std::io::BufReader::new(file)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {path} is not a valid .dct trace: {e}");
-                    return 1;
-                }
-            };
-            let header = *reader.header();
-            // Stream the frames; the reader maintains the live edge set.
-            let (mut total_flips, mut edge_sum, mut min_e, mut max_e) =
-                (0u64, 0u64, u64::MAX, 0u64);
-            loop {
-                match reader.next_flips() {
-                    Ok(None) => break,
-                    Ok(Some(flips)) => {
-                        total_flips += flips.len() as u64;
-                        let e = reader.num_edges() as u64;
-                        edge_sum += e;
-                        min_e = min_e.min(e);
-                        max_e = max_e.max(e);
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "error: {path} is corrupt at round {}: {e}",
-                            reader.consumed()
-                        );
-                        return 1;
-                    }
-                }
-            }
+            let header = scan.header;
             let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
             println!("{path}: dyncode .dct trace");
             println!("  n           {}", header.n);
@@ -340,11 +378,13 @@ fn cmd_trace(raw_args: &[String]) -> i32 {
                 "  bytes       {bytes} ({:.2}/round)",
                 (bytes.saturating_sub(24)) as f64 / header.rounds.max(1) as f64
             );
-            println!("  edge flips  {total_flips} total");
+            println!("  edge flips  {} total", scan.total_flips);
             if header.rounds > 0 {
                 println!(
-                    "  edges       min {min_e}, mean {:.1}, max {max_e}",
-                    edge_sum as f64 / header.rounds as f64
+                    "  edges       min {}, mean {:.1}, max {}",
+                    scan.min_edges,
+                    scan.edge_sum as f64 / header.rounds as f64,
+                    scan.max_edges
                 );
             }
             0
@@ -381,15 +421,14 @@ fn cmd_trace(raw_args: &[String]) -> i32 {
                     return 2;
                 }
             }
-            // Validate the header up front (build() inside the cell only
-            // panics, which would be an ugly way to report a typo).
-            let header = match std::fs::File::open(path)
-                .map_err(|e| e.to_string())
-                .and_then(|f| DctReader::new(std::io::BufReader::new(f)).map_err(|e| e.to_string()))
-            {
-                Ok(r) => *r.header(),
+            // Validate the whole file before anything is sized by its
+            // header: past this point a malformed trace could only
+            // surface as a panic inside the cell (or, for a huge n, as a
+            // failed allocation).
+            let header = match scan_trace(path).and_then(|scan| replayable(path, &scan)) {
+                Ok(h) => h,
                 Err(e) => {
-                    eprintln!("error: cannot replay {path}: {e}");
+                    eprintln!("error: cannot replay: {e}");
                     return 1;
                 }
             };

@@ -228,6 +228,53 @@ fn trace_record_info_replay_round_trip() {
 }
 
 #[test]
+fn trace_replay_rejects_malformed_traces_with_exit_1() {
+    // Four ways a `.dct` file can be wrong that used to reach a panic or
+    // an aborting allocation inside the cell; each must exit 1 with a
+    // message instead.
+    let dir = temp_dir("trace_malformed");
+    let good = dir.join("good.dct");
+    let out = experiments(&[
+        "trace",
+        "record",
+        good.to_str().unwrap(),
+        "edge-markov(0.1,0.3)",
+        "12",
+        "20",
+        "5",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let bytes = std::fs::read(&good).unwrap();
+    assert!(bytes.len() > 40, "the truncation below must cut frames");
+
+    // Header layout: magic, n (u32 LE at 4), rounds (u64 LE at 8), seed.
+    let with_n = |n: u32| {
+        let mut b = bytes.clone();
+        b[4..8].copy_from_slice(&n.to_le_bytes());
+        b
+    };
+    let mut empty_round = bytes[..24].to_vec();
+    empty_round[8..16].copy_from_slice(&1u64.to_le_bytes());
+    empty_round.push(0); // one frame: zero flips against the empty graph
+    let cases = [
+        ("n-zero", with_n(0)),
+        ("truncated", bytes[..40].to_vec()),
+        ("n-huge", with_n(1 << 31)),
+        ("empty-round", empty_round),
+    ];
+    for (name, bad) in cases {
+        let path = dir.join(format!("{name}.dct"));
+        std::fs::write(&path, bad).unwrap();
+        let out = experiments(&["trace", "replay", path.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{name}: {err}");
+        assert!(err.contains("error: cannot replay"), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_exits_zero() {
     let out = experiments(&["help"]);
     assert_eq!(out.status.code(), Some(0));

@@ -2,13 +2,15 @@
 //! summary statistics — over concrete protocol types ([`run_one`],
 //! [`sweep_seeds`]) or registry specs ([`run_spec`], [`sweep_seeds_spec`]).
 //!
-//! Spec runs dispatch over a [`Kernel`]: the reference simulator, the
-//! arena-backed `dyncode-kernel` fast path ([`run_spec_kernel`]), or
-//! `Auto`, which picks the fast path for the eligible families
-//! ([`fast_eligible`]) and falls back to the reference otherwise. The
-//! contract, locked by `tests/kernel_equivalence.rs`: for every eligible
-//! spec × adversary × seed, both backends return bit-identical
-//! `RunResult`s, per-round histories included.
+//! Every run is one sequence — build a cell, drive it with
+//! `dyncode_dynet::driver::run_fast`, verify the postcondition — and a
+//! [`Kernel`] ([`run_spec_kernel`]) only picks the cell's state layout:
+//! `Reference` is the registry's per-node state machine behind
+//! [`PerNode`], `Fast` the family's `dyncode-kernel` arena cell, `Auto`
+//! the arena cell where one exists ([`fast_eligible`]). The contract,
+//! locked by `tests/kernel_equivalence.rs`: for every eligible spec ×
+//! adversary × seed, both layouts return bit-identical `RunResult`s,
+//! per-round histories included.
 
 use crate::params::Instance;
 use crate::protocols::field_broadcast::token_to_symbols;
@@ -17,12 +19,10 @@ use crate::protocols::token_forwarding::ForwardingConfig;
 use crate::spec::{FieldKind, ProtocolSpec};
 use crate::term::{TerminationPredicate, TOKEN_COMPLETION};
 use dyncode_dynet::adversary::Adversary;
-use dyncode_dynet::simulator::{run, run_erased, Protocol, RunResult, SimConfig};
+use dyncode_dynet::driver::{run_fast, FastCell};
+use dyncode_dynet::simulator::{PerNode, Protocol, RunResult, SimConfig};
 use dyncode_gf::{Field, Gf256, Gf257, Mersenne61};
-use dyncode_kernel::{
-    run_fast, DenseCell, ErasedCell, FastCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode,
-    QuorumCell,
-};
+use dyncode_kernel::{DenseCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode, QuorumCell};
 
 pub use dyncode_kernel::Kernel;
 
@@ -114,46 +114,69 @@ where
     FB: Fn() -> P,
     FA: Fn() -> Box<dyn Adversary>,
 {
-    let (mut p, mut a) = {
+    run_cell(
+        || {
+            let p = build();
+            let k = p.num_tokens();
+            (Box::new(PerNode::new(p)), k)
+        },
+        adv,
+        config,
+        seed,
+        term,
+        None,
+    )
+}
+
+/// The sequence behind every entry point of this module: build the cell
+/// and the adversary (`runner.setup` span), drive them (`runner.run`),
+/// check `term` on a completed run's final view and drop both
+/// (`runner.teardown`). `build` also returns the token count k that
+/// `term` checks against; `spec` only names the run in the panic.
+fn run_cell<'a, FA>(
+    build: impl FnOnce() -> (Box<dyn FastCell + 'a>, usize),
+    adv: &FA,
+    config: &SimConfig,
+    seed: u64,
+    term: &dyn TerminationPredicate,
+    spec: Option<&ProtocolSpec>,
+) -> RunResult
+where
+    FA: Fn() -> Box<dyn Adversary>,
+{
+    let ((mut cell, k), mut a) = {
         let _setup = dyncode_obs::span!("runner.setup", seed = seed);
         (build(), adv())
     };
     let r = {
         let _run = dyncode_obs::span!("runner.run", seed = seed);
-        run(&mut p, a.as_mut(), config, seed)
+        run_fast(cell.as_mut(), a.as_mut(), config, seed)
     };
     {
         let _teardown = dyncode_obs::span!("runner.teardown", seed = seed);
         if r.completed {
-            if let Err(e) = term.verify(&p.view(), p.num_tokens()) {
+            if let Err(e) = term.verify(&cell.view(), k) {
+                let what = spec.map(|s| format!("{s} ")).unwrap_or_default();
                 panic!(
-                    "completed run failed its {} postcondition (seed {seed}): {e}",
+                    "completed {what}run failed its {} postcondition (seed {seed}): {e}",
                     term.name()
                 );
             }
         }
         drop(a);
-        drop(p);
+        drop(cell);
     }
     r
 }
 
 /// [`run_one`] for a registry spec: builds the protocol named by `spec`
-/// over `inst` (with the cell's stability interval `t`) and runs it
-/// through the dyn-dispatch simulator twin, verifying the spec's own
-/// [`TerminationPredicate`] ([`ProtocolSpec::termination`]) on
-/// completion — token completion for dissemination families, the quorum
-/// threshold for the quorum families.
+/// over `inst` (with the cell's stability interval `t`) as its per-node
+/// reference state machine — [`run_spec_kernel`] at [`Kernel::Reference`].
 ///
 /// Equivalence contract: for every simulator spec the returned
 /// `RunResult` is bit-identical to running the monomorphized protocol
 /// through [`run_one`] — the erased wrapper forwards every call without
 /// touching the RNG (locked by `tests/protocol_registry.rs`).
-///
-/// `patch-indexed` is the one non-simulator spec: its §8 charged-rounds
-/// model consumes the adversary per stability window, and the result maps
-/// charged rounds into `RunResult::rounds` (bit accounting stays zero —
-/// the model charges rounds, not messages).
 pub fn run_spec<FA>(
     spec: &ProtocolSpec,
     inst: &Instance,
@@ -165,46 +188,7 @@ pub fn run_spec<FA>(
 where
     FA: Fn() -> Box<dyn Adversary>,
 {
-    if let ProtocolSpec::PatchIndexed = spec {
-        let mut a = adv();
-        let name = a.name();
-        let pp = PatchParams::new(inst.params.n, t.max(1), inst.params.b);
-        let res = {
-            let _run = dyncode_obs::span!("runner.run", seed = seed);
-            patch_dissemination(inst, pp, a.as_mut(), seed, config.max_rounds)
-        };
-        return RunResult {
-            rounds: res.charged_rounds,
-            completed: res.completed,
-            total_bits: 0,
-            max_message_bits: 0,
-            adversary: name,
-            history: Vec::new(),
-        };
-    }
-    let (mut p, mut a) = {
-        let _setup = dyncode_obs::span!("runner.setup", seed = seed);
-        (spec.build(inst, t), adv())
-    };
-    let r = {
-        let _run = dyncode_obs::span!("runner.run", seed = seed);
-        run_erased(&mut p, a.as_mut(), config, seed)
-    };
-    {
-        let _teardown = dyncode_obs::span!("runner.teardown", seed = seed);
-        if r.completed {
-            let term = spec.termination();
-            if let Err(e) = term.verify(&p.view(), p.num_tokens()) {
-                panic!(
-                    "completed {spec} run failed its {} postcondition (seed {seed}): {e}",
-                    term.name()
-                );
-            }
-        }
-        drop(a);
-        drop(p);
-    }
-    r
+    run_spec_kernel(spec, inst, t, adv, config, seed, Kernel::Reference)
 }
 
 /// Why `spec` cannot run on the fast backend, or `None` if it can.
@@ -305,11 +289,10 @@ fn build_gf256_cell(inst: &Instance) -> Box<dyn FastCell> {
 /// (`t` is the cell's stability interval, adopted by
 /// `pipelined-forwarding` without an explicit T — the same rule as
 /// [`ProtocolSpec::build`]). Dedicated cells cover the elimination-bound
-/// coding families ([`Gf2Cell`], [`Gf256Cell`], [`DenseCell`]) and the
-/// Theorem 2.1
-/// forwarding schedules ([`ForwardCell`]); the stage-machine families run
-/// through [`ErasedCell`], which reuses the fast loop's CSR snapshot and
-/// message arenas around the reference state machines.
+/// coding families ([`Gf2Cell`], [`Gf256Cell`], [`DenseCell`]), the
+/// Theorem 2.1 forwarding schedules ([`ForwardCell`]) and the quorum
+/// family ([`QuorumCell`]); the stage-machine families have no arena
+/// layout and run as their reference state machines behind [`PerNode`].
 ///
 /// # Errors
 /// Returns the [`fast_ineligibility`] message on an ineligible spec.
@@ -363,7 +346,7 @@ pub fn build_fast_cell(
         | ProtocolSpec::PriorityForward { .. }
         | ProtocolSpec::RandomForward { .. }
         | ProtocolSpec::NaiveCoded
-        | ProtocolSpec::Centralized => Box::new(ErasedCell::new(spec.build(inst, t))),
+        | ProtocolSpec::Centralized => Box::new(PerNode::new(spec.build(inst, t))),
         ProtocolSpec::QuorumWatermark { .. } | ProtocolSpec::QuorumDecide { .. } => {
             let cfg = spec.quorum_config().expect("quorum spec has a config");
             Box::new(QuorumCell::new(p.n, p.k, cfg))
@@ -375,9 +358,17 @@ pub fn build_fast_cell(
     })
 }
 
-/// [`run_spec`] through an explicit [`Kernel`]: the reference simulator,
-/// the arena-backed fast path, or `Auto` dispatch between them — with the
-/// same dissemination assertion on completion either way.
+/// Runs `spec` over `inst` on the state layout `kernel` selects — the
+/// per-node reference state machine, the family's arena cell, or `Auto`
+/// dispatch between them — verifying the spec's own
+/// [`TerminationPredicate`] ([`ProtocolSpec::termination`]) on completion
+/// either way: token completion for dissemination families, the quorum
+/// threshold for the quorum families.
+///
+/// `patch-indexed` is the one non-simulator spec: its §8 charged-rounds
+/// model consumes the adversary per stability window, and the result maps
+/// charged rounds into `RunResult::rounds` (bit accounting stays zero —
+/// the model charges rounds, not messages).
 ///
 /// # Panics
 /// Panics with the [`fast_ineligibility`] message on an explicit
@@ -396,35 +387,39 @@ pub fn run_spec_kernel<FA>(
 where
     FA: Fn() -> Box<dyn Adversary>,
 {
-    if resolve_kernel(spec, kernel) != Kernel::Fast {
-        return run_spec(spec, inst, t, adv, config, seed);
+    let fast = resolve_kernel(spec, kernel) == Kernel::Fast;
+    if !fast && matches!(spec, ProtocolSpec::PatchIndexed) {
+        let mut a = adv();
+        let name = a.name();
+        let pp = PatchParams::new(inst.params.n, t.max(1), inst.params.b);
+        let res = {
+            let _run = dyncode_obs::span!("runner.run", seed = seed);
+            patch_dissemination(inst, pp, a.as_mut(), seed, config.max_rounds)
+        };
+        return RunResult {
+            rounds: res.charged_rounds,
+            completed: res.completed,
+            total_bits: 0,
+            max_message_bits: 0,
+            adversary: name,
+            history: Vec::new(),
+        };
     }
-    let (mut cell, mut a) = {
-        let _setup = dyncode_obs::span!("runner.setup", seed = seed);
-        (
-            build_fast_cell(spec, inst, t).unwrap_or_else(|e| panic!("{e}")),
-            adv(),
-        )
-    };
-    let r = {
-        let _run = dyncode_obs::span!("runner.run", seed = seed);
-        run_fast(cell.as_mut(), a.as_mut(), config, seed)
-    };
-    {
-        let _teardown = dyncode_obs::span!("runner.teardown", seed = seed);
-        if r.completed {
-            let term = spec.termination();
-            if let Err(e) = term.verify(&cell.view(), inst.params.k) {
-                panic!(
-                    "completed {spec} run failed its {} postcondition (seed {seed}): {e}",
-                    term.name()
-                );
-            }
-        }
-        drop(a);
-        drop(cell);
-    }
-    r
+    run_cell(
+        || {
+            let cell = if fast {
+                build_fast_cell(spec, inst, t).unwrap_or_else(|e| panic!("{e}"))
+            } else {
+                Box::new(PerNode::new(spec.build(inst, t)))
+            };
+            (cell, inst.params.k)
+        },
+        adv,
+        config,
+        seed,
+        spec.termination(),
+        Some(spec),
+    )
 }
 
 /// [`sweep_seeds_spec`] through an explicit [`Kernel`]: one
@@ -472,7 +467,8 @@ where
         .collect()
 }
 
-/// [`sweep_seeds`] for a registry spec: one [`run_spec`] cell per seed.
+/// [`sweep_seeds`] for a registry spec: one [`run_spec`] cell per seed
+/// ([`sweep_seeds_spec_kernel`] at [`Kernel::Reference`]).
 pub fn sweep_seeds_spec<FA>(
     spec: &ProtocolSpec,
     inst: &Instance,
@@ -484,11 +480,7 @@ pub fn sweep_seeds_spec<FA>(
 where
     FA: Fn() -> Box<dyn Adversary>,
 {
-    let config = SimConfig::with_max_rounds(max_rounds);
-    seeds
-        .iter()
-        .map(|&seed| run_spec(spec, inst, t, &adv, &config, seed))
-        .collect()
+    sweep_seeds_spec_kernel(spec, inst, t, seeds, max_rounds, adv, Kernel::Reference)
 }
 
 #[cfg(test)]

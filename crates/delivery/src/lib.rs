@@ -35,8 +35,8 @@
 //! per node in ascending node order (message-holders draw the `p` coin,
 //! silent nodes draw the `spont` coin only when `spont > 0`), lossy draws
 //! one coin per *speaking* neighbor in receiver-major ascending order.
-//! Both the reference simulator and the fast kernel call the same planner
-//! over the same topology view, so fast == reference stays bit-exact.
+//! The round driver is the planner's one caller, whatever the state
+//! layout behind it, so fast == reference stays bit-exact.
 //!
 //! Per-round accounting lands in `dyncode-obs` counters
 //! `delivery.{sent,delivered,collided,dropped}` (directed pairs, so
@@ -216,9 +216,9 @@ impl fmt::Display for DeliverySpec {
 }
 
 /// Read access to one round's committed topology: visit `u`'s neighbors
-/// in ascending order. Implemented by `dyncode-dynet`'s `Graph` and the
-/// fast kernel's `CsrTopology`, so both backends feed the planner the
-/// identical neighbor sequence (the determinism contract hinges on it).
+/// in ascending order (the determinism contract hinges on that order).
+/// Implemented by `dyncode-dynet`'s `CsrTopology`, the round driver's
+/// snapshot of the committed graph.
 pub trait NeighborView {
     /// Calls `visit` for each neighbor of `u`, ascending.
     fn for_each_neighbor(&self, u: usize, visit: &mut dyn FnMut(usize));
@@ -388,7 +388,7 @@ impl DeliveryModel {
     }
 
     /// The plan's receiver-major offsets (CSR row bounds), for building
-    /// a masked topology snapshot in the fast kernel.
+    /// a masked topology snapshot in the round driver.
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
     }

@@ -1,11 +1,11 @@
-//! The CSR adjacency snapshot: the fast loop's reusable, flat view of the
+//! The CSR adjacency snapshot: the round driver's reusable, flat view of the
 //! adversary's per-round topology.
 //!
 //! The adversary hands the simulator a fresh [`Graph`] every round, but
 //! consecutive dynamic-network topologies usually share most of their
 //! edges (that observation is the whole `.dct` trace format). The
 //! snapshot therefore works in edge-delta terms, reusing the
-//! `dyncode_dynet::trace` flip machinery: each round the incoming graph's
+//! [`trace`](crate::trace) flip machinery: each round the incoming graph's
 //! sorted [`edge_id`] list is diffed against the previous round's, and
 //!
 //! * **zero flips** — every round inside a T-stable window, every
@@ -14,8 +14,8 @@
 //! * **any flips** trigger one O(n + m) refill of the arrays, with no
 //!   heap growth after warmup (the buffers are reused).
 
-use dyncode_dynet::graph::Graph;
-use dyncode_dynet::trace::edge_id;
+use crate::graph::Graph;
+use crate::trace::edge_id;
 
 /// A compressed-sparse-row adjacency snapshot with delta-driven reuse.
 #[derive(Debug)]
@@ -34,7 +34,7 @@ pub struct CsrTopology {
 }
 
 /// Number of elements in the symmetric difference of two sorted,
-/// duplicate-free id lists — the flip count of `dyncode_dynet::trace`'s
+/// duplicate-free id lists — the flip count of [`trace`](crate::trace)'s
 /// delta encoding, computed without materializing the flip list.
 fn flip_count(a: &[u64], b: &[u64]) -> usize {
     let (mut i, mut j, mut flips) = (0, 0, 0);
@@ -130,6 +130,7 @@ impl CsrTopology {
     }
 
     /// The neighbors of `u` in the current snapshot, ascending.
+    #[inline]
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.targets[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
@@ -140,6 +141,7 @@ impl CsrTopology {
     }
 
     /// Number of edges in the current snapshot.
+    #[inline]
     pub fn num_edges(&self) -> usize {
         self.targets.len() / 2
     }
@@ -162,8 +164,8 @@ impl dyncode_delivery::NeighborView for CsrTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncode_dynet::adversaries::ShuffledPathAdversary;
-    use dyncode_dynet::adversary::{Adversary, KnowledgeView, TStable};
+    use crate::adversaries::ShuffledPathAdversary;
+    use crate::adversary::{Adversary, KnowledgeView, TStable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -209,7 +211,7 @@ mod tests {
 
     #[test]
     fn flip_count_matches_symm_diff() {
-        use dyncode_dynet::trace::symm_diff;
+        use crate::trace::symm_diff;
         let a = vec![1u64, 3, 5, 9];
         let b = vec![3u64, 4, 9, 11];
         assert_eq!(flip_count(&a, &b), symm_diff(&a, &b).len());

@@ -1,26 +1,32 @@
-//! The fast round loop: [`FastCell`] is the arena-backed counterpart of
-//! `dyncode_dynet::simulator::Protocol`, batched per round instead of per
-//! node, and [`run_fast`] is the counterpart of `simulator::run`.
+//! The round driver: the model's round structure (Section 4.1) as one
+//! function. [`run_fast`] is the only round loop in the workspace —
+//! adversary view, topology validation, neighbor-blind compose, delivery
+//! planning, anonymous delivery, end-of-round hook, history row,
+//! termination test — and [`FastCell`] is the state layout it drives,
+//! batched per round instead of per node: an arena-backed cell of
+//! `dyncode-kernel`, or any per-node `Protocol` behind
+//! [`PerNode`](crate::simulator::PerNode), which is how `simulator::run`
+//! and `run_erased` get here.
 //!
-//! The loop replays the reference round structure *exactly* — adversary
-//! view, topology validation, neighbor-blind compose, anonymous delivery,
-//! end-of-round hook, history row — and draws from the same two RNG
-//! streams (`seed` for the protocol, [`adversary_rng`] for the
-//! adversary), which is what makes the fast `RunResult` bit-identical to
-//! the reference one for every eligible cell (the contract
-//! `tests/kernel_equivalence.rs` locks).
+//! The protocol draws from `seed` and the adversary from
+//! [`adversary_rng`] whatever the layout, so an arena cell and the state
+//! machine it mirrors return bit-identical `RunResult`s (locked by
+//! `tests/kernel_equivalence.rs`); `tests/driver_golden.rs` pins the loop.
 
+use crate::adversary::{Adversary, KnowledgeView};
 use crate::csr::CsrTopology;
-use dyncode_dynet::adversary::{Adversary, KnowledgeView};
-use dyncode_dynet::simulator::{adversary_rng, RoundRecord, RunResult, SimConfig};
+use crate::phase;
+use crate::simulator::{adversary_rng, RoundRecord, RunResult, SimConfig};
+use dyncode_obs::{Event, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::{Duration, Instant};
 
-/// One protocol family running on the fast backend.
+/// The state of all n nodes, as the round driver sees it.
 ///
 /// Unlike `Protocol`, the surface is *batched*: one `compose_all` and one
 /// `deliver_all` per round over internal arenas, so the round loop does
-/// no per-node allocation. Implementations must preserve the reference
+/// no per-node allocation. Implementations must preserve the per-node
 /// semantics: compose per node in ascending node order (drawing exactly
 /// the coins the reference protocol draws), deliver per node from
 /// ascending neighbors, and report the same views and statistics.
@@ -29,8 +35,8 @@ pub trait FastCell {
     fn num_nodes(&self) -> usize;
 
     /// Composes every node's broadcast for `round` into the message
-    /// arena, enforcing `bit_limit` per message when set. Returns
-    /// `(bits broadcast this round, largest message this round)`.
+    /// arena, passing each message's size through [`check_budget`].
+    /// Returns `(bits broadcast this round, largest message this round)`.
     fn compose_all(&mut self, round: usize, rng: &mut StdRng, bit_limit: Option<u64>)
         -> (u64, u64);
 
@@ -58,22 +64,48 @@ pub trait FastCell {
     fn view(&self) -> KnowledgeView;
 
     /// `(min_dim, max_dim, total_tokens, done)` of the current state, for
-    /// a history row (the reference derives these from `view()`).
-    fn history_stats(&self) -> (usize, usize, usize, usize);
+    /// a history row. The default derives them from `view()`; arena cells
+    /// answer from their own counters.
+    fn history_stats(&self) -> (usize, usize, usize, usize) {
+        let v = self.view();
+        (
+            v.dims.iter().copied().min().unwrap_or(0),
+            v.dims.iter().copied().max().unwrap_or(0),
+            v.tokens.iter().map(|t| t.len()).sum(),
+            v.done.iter().filter(|&&d| d).count(),
+        )
+    }
+}
 
-    /// Does every node know every token (the dissemination
-    /// postcondition asserted after a completed run)?
-    fn fully_disseminated(&self) -> bool;
+/// The strict O(b) accounting mode: every composed message's size goes
+/// through here, in compose order.
+///
+/// # Panics
+/// Panics if `limit` is set and `bits` exceeds it.
+#[inline]
+pub fn check_budget(node: usize, round: usize, bits: u64, limit: Option<u64>) {
+    if let Some(limit) = limit {
+        assert!(
+            bits <= limit,
+            "node {node} exceeded the message budget at round {round}: {bits} > {limit} bits"
+        );
+    }
 }
 
 /// Runs `cell` against `adversary` from `seed` until every node is done
-/// or `config.max_rounds` elapse — `simulator::run`, specialized to the
-/// arena-backed cells.
+/// or `config.max_rounds` elapse.
+///
+/// The adversary draws from its **own** RNG stream (derived from `seed`
+/// but domain-separated from the protocol's): topologies and protocol
+/// coins are independent functions of the seed. This is what makes
+/// recorded schedules exactly replayable — substituting a replay
+/// adversary (which draws nothing) for the original stochastic one leaves
+/// the protocol's random stream untouched, so the whole `RunResult` is
+/// reproduced bit-for-bit.
 ///
 /// # Panics
 /// Panics if the adversary produces a disconnected or wrongly-sized
-/// graph, or (in strict mode) if a message exceeds the bit limit — the
-/// same conditions, with the same messages, as the reference loop.
+/// graph, or (in strict mode) if a message exceeds the bit limit.
 pub fn run_fast(
     cell: &mut dyn FastCell,
     adversary: &mut dyn Adversary,
@@ -84,27 +116,26 @@ pub fn run_fast(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut adv_rng = adversary_rng(seed);
     let mut csr = CsrTopology::new(n);
-    // Non-reliable delivery: the planner draws the same coins over the
-    // same topology view as the reference loop, and the resulting
-    // directed plan is materialized into its own CSR snapshot so the
-    // adversary snapshot's delta reuse is untouched.
-    let mut delivery = config.delivery.model(seed);
-    let mut masked = delivery.as_ref().map(|_| CsrTopology::new(n));
+    // `None` for reliable delivery: no delivery coins are ever drawn.
+    // Otherwise the planner's directed per-round plan is materialized
+    // into its own CSR snapshot, so the adversary snapshot's delta reuse
+    // is untouched.
+    let mut delivery = config
+        .delivery
+        .model(seed)
+        .map(|m| (m, CsrTopology::new(n)));
     let mut speaks: Vec<bool> = Vec::new();
     let mut total_bits = 0u64;
     let mut max_message_bits = 0u64;
     let mut history = Vec::new();
 
-    crate::phase::elim_reset();
-    let (mut t_view, mut t_compose, mut t_deliver) = (
-        std::time::Duration::ZERO,
-        std::time::Duration::ZERO,
-        std::time::Duration::ZERO,
-    );
+    phase::elim_reset();
+    // Time spent in [view + topology + csr, compose, deliver + round_end].
+    let mut spent = [Duration::ZERO; 3];
     let mut round = 0usize;
     let mut completed = cell.all_done();
     while !completed && round < config.max_rounds {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // 1. Adversary commits a topology from the current state.
         let view = cell.view();
         let graph = adversary.topology(round, &view, &mut adv_rng);
@@ -121,30 +152,30 @@ pub fn run_fast(
         );
         csr.load(&graph);
 
-        let t1 = std::time::Instant::now();
+        let t1 = Instant::now();
         // 2. Nodes speak, neighbor-blind.
         let (round_bits, round_max) = cell.compose_all(round, &mut rng, config.bit_limit);
         total_bits += round_bits;
         max_message_bits = max_message_bits.max(round_max);
 
-        let t2 = std::time::Instant::now();
+        let t2 = Instant::now();
         // 3. Anonymous broadcast delivery: along the committed topology,
         // or along the delivery model's per-round masked plan.
-        match (&mut delivery, &mut masked) {
-            (Some(model), Some(plan)) => {
+        match &mut delivery {
+            Some((model, plan)) => {
                 speaks.clear();
                 speaks.extend((0..n).map(|u| cell.spoke(u)));
                 model.plan_round(&speaks, &csr);
                 plan.load_plan(model.offsets(), model.senders());
                 cell.deliver_all(plan, round, &mut rng);
             }
-            _ => cell.deliver_all(&csr, round, &mut rng),
+            None => cell.deliver_all(&csr, round, &mut rng),
         }
         cell.round_end(round, &mut rng);
-        let t3 = std::time::Instant::now();
-        t_view += t1 - t0;
-        t_compose += t2 - t1;
-        t_deliver += t3 - t2;
+        let t3 = Instant::now();
+        for (total, lap) in spent.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2]) {
+            *total += lap;
+        }
 
         if config.record_history {
             let (min_dim, max_dim, total_tokens, done) = cell.history_stats();
@@ -165,32 +196,20 @@ pub fn run_fast(
     // Per-run phase totals as aggregate span events. `kernel.eliminate`
     // is what the cells accumulated around their `insert` calls;
     // `kernel.gather` is the rest of delivery (copy/unpack + inbox walk).
-    let elim_ns = crate::phase::elim_take();
-    if crate::phase::active() {
-        let fields = |extra: Vec<(String, dyncode_obs::Value)>| {
-            let mut f = vec![
-                ("n".to_string(), dyncode_obs::Value::from(n)),
-                ("rounds".to_string(), dyncode_obs::Value::from(round)),
-            ];
-            f.extend(extra);
-            f
-        };
-        let deliver_ns = t_deliver.as_nanos() as u64;
-        for ev in [
-            dyncode_obs::Event::span_total("kernel.csr", t_view.as_nanos() as u64, fields(vec![])),
-            dyncode_obs::Event::span_total(
-                "kernel.compose",
-                t_compose.as_nanos() as u64,
-                fields(vec![]),
-            ),
-            dyncode_obs::Event::span_total(
-                "kernel.gather",
-                deliver_ns.saturating_sub(elim_ns),
-                fields(vec![]),
-            ),
-            dyncode_obs::Event::span_total("kernel.eliminate", elim_ns, fields(vec![])),
+    let elim_ns = phase::elim_take();
+    if phase::active() {
+        let [csr_ns, compose_ns, deliver_ns] = spent.map(|d| d.as_nanos() as u64);
+        for (name, ns) in [
+            ("kernel.csr", csr_ns),
+            ("kernel.compose", compose_ns),
+            ("kernel.gather", deliver_ns.saturating_sub(elim_ns)),
+            ("kernel.eliminate", elim_ns),
         ] {
-            dyncode_obs::emit(&ev);
+            let fields = vec![
+                ("n".to_string(), Value::from(n)),
+                ("rounds".to_string(), Value::from(round)),
+            ];
+            dyncode_obs::emit(&Event::span_total(name, ns, fields));
         }
     }
 

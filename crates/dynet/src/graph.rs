@@ -88,16 +88,6 @@ impl Graph {
         self.adj[u].len()
     }
 
-    /// Visits `u`'s neighbors in increasing id order — the
-    /// `dyncode_delivery::NeighborView` access path, shared verbatim with
-    /// the fast kernel's CSR snapshot so both backends feed the delivery
-    /// planner the identical neighbor sequence.
-    pub fn for_each_neighbor(&self, u: NodeId, visit: &mut dyn FnMut(usize)) {
-        for &v in &self.adj[u] {
-            visit(v);
-        }
-    }
-
     /// All edges as `(u, v)` with `u < v`.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.num_edges);
@@ -190,12 +180,6 @@ impl Graph {
             }
         }
         (parent, depth)
-    }
-}
-
-impl dyncode_delivery::NeighborView for Graph {
-    fn for_each_neighbor(&self, u: usize, visit: &mut dyn FnMut(usize)) {
-        Graph::for_each_neighbor(self, u, visit);
     }
 }
 

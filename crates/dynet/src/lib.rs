@@ -18,9 +18,12 @@
 //! * [`adversary`] / [`adversaries`] — the adversary interface (oblivious
 //!   and knowledge-adaptive), the [`adversary::TStable`] stability wrapper,
 //!   and a suite of hard concrete adversaries.
-//! * [`simulator`] — the round engine with per-message **bit accounting**
-//!   (the paper's central bookkeeping: coding headers must fit in the
-//!   message budget b).
+//! * [`driver`] — the round engine: the one round loop, with per-message
+//!   **bit accounting** (the paper's central bookkeeping: coding headers
+//!   must fit in the message budget b), over a batched state layout
+//!   ([`driver::FastCell`]) and a delta-reused [`csr`] topology snapshot.
+//! * [`simulator`] — the per-node [`Protocol`] surface, its type-erased
+//!   twin, and [`run`], which adapts a protocol onto the driver.
 //! * [`mis`] — Luby/greedy maximal independent sets and the Section 8.1
 //!   patch decomposition.
 //! * [`trace`] — record/replay of adversarial schedules.
@@ -66,9 +69,12 @@
 pub mod adversaries;
 pub mod adversary;
 pub mod bitset;
+pub mod csr;
+pub mod driver;
 pub mod generators;
 pub mod graph;
 pub mod mis;
+pub mod phase;
 pub mod simulator;
 pub mod trace;
 

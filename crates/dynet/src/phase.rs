@@ -1,5 +1,5 @@
-//! Per-phase kernel timing plumbing shared by [`run_fast`](crate::cell::run_fast)
-//! and the elimination cells.
+//! Per-phase timing plumbing shared by [`run_fast`](crate::driver::run_fast)
+//! and the elimination cells of `dyncode-kernel`.
 //!
 //! The round loop times its three sections unconditionally (four
 //! `Instant::now()` calls per round — noise against thousands of row
@@ -24,7 +24,7 @@ thread_local! {
     static ELIM_NS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Zeroes the elimination accumulator (start of a fast run).
+/// Zeroes the elimination accumulator (start of a run).
 pub fn elim_reset() {
     ELIM_NS.with(|c| c.set(0));
 }
@@ -34,7 +34,7 @@ pub fn elim_add(ns: u64) {
     ELIM_NS.with(|c| c.set(c.get() + ns));
 }
 
-/// Reads and zeroes the elimination accumulator (end of a fast run).
+/// Reads and zeroes the elimination accumulator (end of a run).
 pub fn elim_take() -> u64 {
     ELIM_NS.with(|c| c.replace(0))
 }

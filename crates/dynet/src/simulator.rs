@@ -1,5 +1,5 @@
-//! The round-synchronous simulation engine for the KLO dynamic network
-//! model (Section 4.1).
+//! The per-node protocol surface of the KLO dynamic network model
+//! (Section 4.1), and its adapter onto the round driver.
 //!
 //! Round structure, exactly as in the model:
 //!
@@ -10,12 +10,16 @@
 //! 3. Every node receives the messages of all its neighbors in the
 //!    committed graph (anonymous broadcast).
 //!
-//! The simulator meters every message in bits and can enforce a hard
-//! per-message budget, which is how the paper's "messages of size O(b)"
-//! accounting is kept honest (Section 3 stresses that the coding-header
-//! overhead must be paid inside the message).
+//! That loop is [`run_fast`], the one round driver; [`run`] reaches it by
+//! wrapping a [`Protocol`] in [`PerNode`]. The driver meters every
+//! message in bits and can enforce a hard per-message budget, which is
+//! how the paper's "messages of size O(b)" accounting is kept honest
+//! (Section 3 stresses that the coding-header overhead must be paid
+//! inside the message).
 
 use crate::adversary::{Adversary, KnowledgeView};
+use crate::csr::CsrTopology;
+use crate::driver::{check_budget, run_fast, FastCell};
 use crate::graph::NodeId;
 pub use dyncode_delivery::{
     delivery_rng, registry as delivery_registry, DeliveryModel, DeliverySpec,
@@ -23,6 +27,7 @@ pub use dyncode_delivery::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
+use std::borrow::BorrowMut;
 use std::rc::Rc;
 
 /// A protocol running on the dynamic network: per-node message generation
@@ -245,8 +250,8 @@ where
 
 /// A boxed erased protocol is itself a [`Protocol`] (over
 /// [`ErasedMessage`]), which is what makes [`run_erased`] a thin wrapper
-/// around [`run`] rather than a second simulator: there is exactly one
-/// round loop, so the two paths cannot drift apart.
+/// around [`run`] rather than a second simulator: both wrap the protocol
+/// in the same [`PerNode`] adapter, so the two paths cannot drift apart.
 impl Protocol for Box<dyn ErasedProtocol + '_> {
     type Message = ErasedMessage;
 
@@ -307,11 +312,10 @@ pub struct SimConfig {
     /// Record a per-round history (costs memory on long runs).
     pub record_history: bool,
     /// Delivery semantics for the broadcast step. The default
-    /// ([`DeliverySpec::Reliable`]) takes the legacy code path — no
-    /// delivery coins are drawn, byte-identical to the pre-layer
-    /// simulator. Non-default models draw from the private
-    /// [`delivery_rng`] stream, so protocol and adversary randomness are
-    /// untouched either way.
+    /// ([`DeliverySpec::Reliable`]) plans nothing — no delivery coins
+    /// are drawn, byte-identical to the pre-layer simulator. Non-default
+    /// models draw from the private [`delivery_rng`] stream, so protocol
+    /// and adversary randomness are untouched either way.
     pub delivery: DeliverySpec,
 }
 
@@ -386,24 +390,115 @@ pub struct RunResult {
 /// (an arbitrary odd 64-bit constant, splitmix64's increment).
 const ADVERSARY_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The adversary's private RNG for `seed` — the exact stream [`run`]
-/// hands to [`Adversary::topology`], exposed so offline trace recorders
-/// (`dyncode-scenarios`) can reproduce the schedule a live run from the
-/// same seed would see.
+/// The adversary's private RNG for `seed` — the exact stream the round
+/// driver hands to [`Adversary::topology`], exposed so offline trace
+/// recorders (`dyncode-scenarios`) can reproduce the schedule a live run
+/// from the same seed would see.
 pub fn adversary_rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed ^ ADVERSARY_STREAM)
 }
 
-/// Runs `protocol` against `adversary` from `seed` until every node is
-/// done or `config.max_rounds` elapse.
+/// Any per-node [`Protocol`] as a [`FastCell`]: the adapter through which
+/// [`run`] and [`run_erased`] reach the round driver, and the cell
+/// `core::runner` builds for every spec without an arena layout.
 ///
-/// The adversary draws from its **own** RNG stream (derived from `seed`
-/// but domain-separated from the protocol's): topologies and protocol
-/// coins are independent functions of the seed. This is what makes
-/// recorded schedules exactly replayable — substituting a replay
-/// adversary (which draws nothing) for the original stochastic one leaves
-/// the protocol's random stream untouched, so the whole `RunResult` is
-/// reproduced bit-for-bit.
+/// It forwards every protocol call with the arguments, and in the order,
+/// the model prescribes — `compose` per node ascending; then `deliver`
+/// for **every** node ascending, each inbox in ascending-neighbor order
+/// (an empty inbox is still delivered: random-forward refreshes state
+/// there); then `round_end` — and touches the RNG nowhere itself. The
+/// message and inbox vectors keep their capacity across rounds.
+///
+/// `H` is how the protocol is held: owned (`PerNode<P>`, the default) or
+/// borrowed for one run (`PerNode<P, &mut P>`, what [`run`] builds).
+pub struct PerNode<P: Protocol, H: BorrowMut<P> = P> {
+    protocol: H,
+    /// This round's composed broadcasts, indexed by node.
+    msgs: Vec<Option<P::Message>>,
+    /// Reused inbox scratch.
+    inbox: Vec<P::Message>,
+}
+
+impl<P: Protocol> PerNode<P> {
+    /// Wraps an owned protocol (fully built and seeded).
+    pub fn new(protocol: P) -> Self {
+        Self::holding(protocol)
+    }
+}
+
+impl<P: Protocol, H: BorrowMut<P>> PerNode<P, H> {
+    fn holding(protocol: H) -> Self {
+        let n = protocol.borrow().num_nodes();
+        PerNode {
+            protocol,
+            msgs: vec![None; n],
+            inbox: Vec::new(),
+        }
+    }
+}
+
+impl<P: Protocol, H: BorrowMut<P>> FastCell for PerNode<P, H> {
+    fn num_nodes(&self) -> usize {
+        self.msgs.len()
+    }
+
+    fn compose_all(
+        &mut self,
+        round: usize,
+        rng: &mut StdRng,
+        bit_limit: Option<u64>,
+    ) -> (u64, u64) {
+        let protocol = self.protocol.borrow_mut();
+        let (mut round_bits, mut round_max) = (0u64, 0u64);
+        for (u, slot) in self.msgs.iter_mut().enumerate() {
+            *slot = protocol.compose(u, round, rng);
+            if let Some(m) = slot {
+                let bits = protocol.message_bits(m);
+                check_budget(u, round, bits, bit_limit);
+                round_bits += bits;
+                round_max = round_max.max(bits);
+            }
+        }
+        (round_bits, round_max)
+    }
+
+    fn spoke(&self, node: usize) -> bool {
+        self.msgs[node].is_some()
+    }
+
+    fn deliver_all(&mut self, topo: &CsrTopology, round: usize, rng: &mut StdRng) {
+        let protocol = self.protocol.borrow_mut();
+        for u in 0..self.msgs.len() {
+            self.inbox.clear();
+            // Under a delivery model `topo` is the round's plan, which
+            // only routes composed messages; under reliable delivery a
+            // silent neighbor contributes nothing.
+            self.inbox.extend(
+                topo.neighbors(u)
+                    .iter()
+                    .filter_map(|&v| self.msgs[v as usize].clone()),
+            );
+            protocol.deliver(u, &self.inbox, round, rng);
+        }
+    }
+
+    fn round_end(&mut self, round: usize, rng: &mut StdRng) {
+        self.protocol.borrow_mut().round_end(round, rng);
+    }
+
+    fn all_done(&self) -> bool {
+        (0..self.msgs.len()).all(|u| self.protocol.borrow().node_done(u))
+    }
+
+    fn view(&self) -> KnowledgeView {
+        self.protocol.borrow().view()
+    }
+}
+
+/// Runs `protocol` against `adversary` from `seed` until every node is
+/// done or `config.max_rounds` elapse: [`run_fast`] on the protocol
+/// behind a [`PerNode`] adapter, so the round structure, the RNG streams
+/// and the panics are the driver's.
 ///
 /// # Panics
 /// Panics if the adversary produces a disconnected or wrongly-sized graph,
@@ -414,115 +509,8 @@ pub fn run<P: Protocol>(
     config: &SimConfig,
     seed: u64,
 ) -> RunResult {
-    let n = protocol.num_nodes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut adv_rng = adversary_rng(seed);
-    // `None` for reliable delivery: the legacy broadcast path below runs
-    // unchanged and no delivery coins are ever drawn.
-    let mut delivery = config.delivery.model(seed);
-    let mut total_bits = 0u64;
-    let mut max_message_bits = 0u64;
-    let mut history = Vec::new();
-
-    let all_done = |p: &P| (0..n).all(|u| p.node_done(u));
-
-    let mut round = 0usize;
-    let mut completed = all_done(protocol);
-    while !completed && round < config.max_rounds {
-        // 1. Adversary commits a topology from the current state.
-        let view = protocol.view();
-        let graph = adversary.topology(round, &view, &mut adv_rng);
-        assert_eq!(
-            graph.num_nodes(),
-            n,
-            "adversary {} produced a graph of the wrong size",
-            adversary.name()
-        );
-        assert!(
-            graph.is_connected(),
-            "adversary {} produced a disconnected graph at round {round}",
-            adversary.name()
-        );
-
-        // 2. Nodes speak, neighbor-blind.
-        let mut round_bits = 0u64;
-        let messages: Vec<Option<P::Message>> = (0..n)
-            .map(|u| {
-                let msg = protocol.compose(u, round, &mut rng);
-                if let Some(m) = &msg {
-                    let bits = protocol.message_bits(m);
-                    if let Some(limit) = config.bit_limit {
-                        assert!(
-                            bits <= limit,
-                            "node {u} exceeded the message budget at round {round}: \
-                             {bits} > {limit} bits"
-                        );
-                    }
-                    round_bits += bits;
-                    max_message_bits = max_message_bits.max(bits);
-                }
-                msg
-            })
-            .collect();
-        total_bits += round_bits;
-
-        // 3. Anonymous broadcast delivery — reliable (the legacy path)
-        // or the configured delivery model's per-round plan.
-        match &mut delivery {
-            None => {
-                for u in 0..n {
-                    let inbox: Vec<P::Message> = graph
-                        .neighbors(u)
-                        .iter()
-                        .filter_map(|&v| messages[v].clone())
-                        .collect();
-                    protocol.deliver(u, &inbox, round, &mut rng);
-                }
-            }
-            Some(model) => {
-                let speaks: Vec<bool> = messages.iter().map(Option::is_some).collect();
-                model.plan_round(&speaks, &graph);
-                for u in 0..n {
-                    let inbox: Vec<P::Message> = model
-                        .hears(u)
-                        .iter()
-                        .map(|&v| {
-                            messages[v as usize]
-                                .clone()
-                                .expect("delivery plan only routes composed messages")
-                        })
-                        .collect();
-                    protocol.deliver(u, &inbox, round, &mut rng);
-                }
-            }
-        }
-        protocol.round_end(round, &mut rng);
-
-        if config.record_history {
-            let v = protocol.view();
-            history.push(RoundRecord {
-                round,
-                edges: graph.num_edges(),
-                bits: round_bits,
-                min_dim: v.dims.iter().copied().min().unwrap_or(0),
-                max_dim: v.dims.iter().copied().max().unwrap_or(0),
-                total_tokens: v.tokens.iter().map(|t| t.len()).sum(),
-                done: v.done.iter().filter(|&&d| d).count(),
-            });
-        }
-
-        round += 1;
-        completed = all_done(protocol);
-    }
-
-    RunResult {
-        rounds: round,
-        completed,
-        total_bits,
-        max_message_bits,
-        adversary: adversary.name(),
-        history,
-    }
+    let mut cell = PerNode::<P, &mut P>::holding(protocol);
+    run_fast(&mut cell, adversary, config, seed)
 }
 
 #[cfg(test)]
@@ -692,6 +680,116 @@ mod tests {
         assert!(!r.completed);
         assert_eq!(r.rounds, 7);
         assert_eq!(r.total_bits, 0);
+    }
+
+    /// Logs every call the driver makes. Node u stays silent in the
+    /// rounds where `(u + round) % 3 == 0`, and a message is its sender's
+    /// id, so an inbox shows who was heard and in which order.
+    struct Recorder {
+        n: usize,
+        rounds_ended: usize,
+        log: Vec<Call>,
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Compose(NodeId),
+        Deliver(NodeId, Vec<NodeId>),
+        RoundEnd,
+    }
+
+    fn speaks(u: NodeId, round: usize) -> bool {
+        !(u + round).is_multiple_of(3)
+    }
+
+    impl Protocol for Recorder {
+        type Message = NodeId;
+        fn num_nodes(&self) -> usize {
+            self.n
+        }
+        fn num_tokens(&self) -> usize {
+            1
+        }
+        fn compose(&mut self, u: NodeId, round: usize, _g: &mut StdRng) -> Option<NodeId> {
+            self.log.push(Call::Compose(u));
+            speaks(u, round).then_some(u)
+        }
+        fn message_bits(&self, _m: &NodeId) -> u64 {
+            1
+        }
+        fn deliver(&mut self, u: NodeId, inbox: &[NodeId], _r: usize, _g: &mut StdRng) {
+            self.log.push(Call::Deliver(u, inbox.to_vec()));
+        }
+        fn node_done(&self, _u: NodeId) -> bool {
+            self.rounds_ended >= 4
+        }
+        fn view(&self) -> KnowledgeView {
+            KnowledgeView::blank(self.n, 1)
+        }
+        fn round_end(&mut self, _r: usize, _g: &mut StdRng) {
+            self.rounds_ended += 1;
+            self.log.push(Call::RoundEnd);
+        }
+    }
+
+    #[test]
+    fn the_adapter_keeps_the_per_node_call_order() {
+        use crate::trace::RecordingAdversary;
+        let n = 7;
+        for delivery in [DeliverySpec::Reliable, DeliverySpec::Lossy { eps: 0.4 }] {
+            let reliable = delivery.is_default();
+            let mut p = Recorder {
+                n,
+                rounds_ended: 0,
+                log: Vec::new(),
+            };
+            let (mut adv, trace) = RecordingAdversary::new(ShuffledPathAdversary);
+            let cfg = SimConfig::with_max_rounds(10).with_delivery(delivery);
+            let r = run(&mut p, &mut adv, &cfg, 3);
+            assert_eq!((r.rounds, r.completed), (4, true));
+
+            // Per round: n composes ascending, all before the first
+            // deliver; n delivers ascending, empty inboxes included; one
+            // round_end.
+            assert_eq!(p.log.len(), 4 * (2 * n + 1));
+            let graphs: Vec<_> = trace.borrow().graphs().collect();
+            let mut empty_inboxes = 0;
+            for (round, calls) in p.log.chunks(2 * n + 1).enumerate() {
+                for u in 0..n {
+                    assert_eq!(calls[u], Call::Compose(u), "round {round}");
+                    let Call::Deliver(to, inbox) = &calls[n + u] else {
+                        panic!(
+                            "round {round}: expected deliver({u}), got {:?}",
+                            calls[n + u]
+                        );
+                    };
+                    assert_eq!(*to, u, "round {round}");
+                    // Ascending-neighbor order: all speaking neighbors
+                    // when reliable, a subsequence of them when lossy.
+                    let speaking = graphs[round]
+                        .neighbors(u)
+                        .iter()
+                        .copied()
+                        .filter(|&v| speaks(v, round));
+                    if reliable {
+                        assert_eq!(
+                            *inbox,
+                            speaking.collect::<Vec<_>>(),
+                            "round {round} node {u}"
+                        );
+                    } else {
+                        let mut rest = speaking;
+                        assert!(
+                            inbox.iter().all(|v| rest.any(|w| w == *v)),
+                            "round {round} node {u}: {inbox:?}"
+                        );
+                    }
+                    empty_inboxes += inbox.is_empty() as usize;
+                }
+                assert_eq!(calls[2 * n], Call::RoundEnd, "round {round}");
+            }
+            assert!(empty_inboxes > 0, "the run must exercise an empty inbox");
+        }
     }
 
     #[test]

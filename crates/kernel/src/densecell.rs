@@ -39,10 +39,11 @@
 //! are bit-identical to the reference `FieldBroadcast<F>` under the
 //! kernel contract.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::csr::CsrTopology;
+use dyncode_dynet::driver::{check_budget, FastCell};
+use dyncode_dynet::phase;
 use dyncode_gf::{pack, vector, Field};
 use rand::rngs::StdRng;
 
@@ -260,13 +261,7 @@ impl<F: Field> FastCell for DenseCell<F> {
             }
             msg.fill(F::ZERO);
             F::combine_rows(&mut msg, &st.rows, ambient, &terms);
-            if let Some(limit) = bit_limit {
-                assert!(
-                    bits <= limit,
-                    "node {u} exceeded the message budget at round {round}: \
-                     {bits} > {limit} bits"
-                );
-            }
+            check_budget(u, round, bits, bit_limit);
             round_bits += bits;
             round_max = round_max.max(bits);
             pack::pack(&msg, &mut self.msgs[u * wpm..(u + 1) * wpm]);
@@ -290,7 +285,7 @@ impl<F: Field> FastCell for DenseCell<F> {
                 );
             }
         }
-        let timing = crate::phase::active();
+        let timing = phase::active();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: at rank k the node holds the full
@@ -307,7 +302,7 @@ impl<F: Field> FastCell for DenseCell<F> {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }
@@ -347,10 +342,6 @@ impl<F: Field> FastCell for DenseCell<F> {
         let max_dim = (0..self.n).map(|u| self.rank(u)).max().unwrap_or(0);
         let done = (0..self.n).filter(|&u| self.node_done(u)).count();
         (min_dim, max_dim, self.k * done, done)
-    }
-
-    fn fully_disseminated(&self) -> bool {
-        self.all_done()
     }
 }
 

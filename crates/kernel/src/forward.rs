@@ -11,10 +11,10 @@
 //! of the reference protocol, which draws no randomness, so equivalence
 //! is purely structural.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::csr::CsrTopology;
+use dyncode_dynet::driver::{check_budget, FastCell};
 use rand::rngs::StdRng;
 
 /// The arena-backed forwarding state for all n nodes.
@@ -142,13 +142,7 @@ impl FastCell for ForwardCell {
             let chosen = self.msg_tokens.len() - start;
             if chosen > 0 {
                 let bits = (chosen * self.d) as u64;
-                if let Some(limit) = bit_limit {
-                    assert!(
-                        bits <= limit,
-                        "node {u} exceeded the message budget at round {round}: \
-                         {bits} > {limit} bits"
-                    );
-                }
+                check_budget(u, round, bits, bit_limit);
                 round_bits += bits;
                 round_max = round_max.max(bits);
             }
@@ -205,10 +199,6 @@ impl FastCell for ForwardCell {
         let total_tokens = counts.iter().sum();
         let done = (0..self.n).filter(|&u| self.node_done(u)).count();
         (min_dim, max_dim, total_tokens, done)
-    }
-
-    fn fully_disseminated(&self) -> bool {
-        (0..self.n).all(|u| self.known[u].len() == self.k)
     }
 }
 

@@ -50,10 +50,11 @@
 //! `vector::random_combination`. Runs are bit-identical to the reference
 //! `FieldBroadcast<Gf256>` under the kernel contract.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::csr::CsrTopology;
+use dyncode_dynet::driver::{check_budget, FastCell};
+use dyncode_dynet::phase;
 use dyncode_gf::{Field, Gf256};
 use rand::rngs::StdRng;
 
@@ -537,13 +538,7 @@ impl FastCell for Gf256Cell {
                     }
                 }
             }
-            if let Some(limit) = bit_limit {
-                assert!(
-                    bits <= limit,
-                    "node {u} exceeded the message budget at round {round}: \
-                     {bits} > {limit} bits"
-                );
-            }
+            check_budget(u, round, bits, bit_limit);
             round_bits += bits;
             round_max = round_max.max(bits);
             self.msgs[u * rw..(u + 1) * rw].copy_from_slice(&msg);
@@ -555,7 +550,7 @@ impl FastCell for Gf256Cell {
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let rw = self.rw;
-        let timing = crate::phase::active();
+        let timing = phase::active();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: at rank k the node holds the full
@@ -572,7 +567,7 @@ impl FastCell for Gf256Cell {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }
@@ -611,10 +606,6 @@ impl FastCell for Gf256Cell {
         let max_dim = (0..self.n).map(|u| self.rank(u)).max().unwrap_or(0);
         let done = (0..self.n).filter(|&u| self.node_done(u)).count();
         (min_dim, max_dim, self.k * done, done)
-    }
-
-    fn fully_disseminated(&self) -> bool {
-        self.all_done()
     }
 }
 

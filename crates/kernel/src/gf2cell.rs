@@ -20,10 +20,11 @@
 //! the reference works element-wise on `Vec<Gf2>` (one byte per
 //! coordinate) and clones every packet on receive.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::csr::CsrTopology;
+use dyncode_dynet::driver::{check_budget, FastCell};
+use dyncode_dynet::phase;
 use dyncode_gf::bits::{limb_get, limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
 use dyncode_gf::Gf2Vec;
 use rand::rngs::StdRng;
@@ -279,13 +280,7 @@ impl FastCell for Gf2Cell {
                     limb_xor(&mut msg[u * wpr..(u + 1) * wpr], &row[base..base + wpr]);
                 }
             }
-            if let Some(limit) = bit_limit {
-                assert!(
-                    bits <= limit,
-                    "node {u} exceeded the message budget at round {round}: \
-                     {bits} > {limit} bits"
-                );
-            }
+            check_budget(u, round, bits, bit_limit);
             round_bits += bits;
             round_max = round_max.max(bits);
             self.has_msg[u] = true;
@@ -295,7 +290,7 @@ impl FastCell for Gf2Cell {
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let wpr = self.wpr;
-        let timing = crate::phase::active();
+        let timing = phase::active();
         let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
             // Saturation shortcut: every packet lies in the span of the k
@@ -314,7 +309,7 @@ impl FastCell for Gf2Cell {
                     if timing {
                         let t = std::time::Instant::now();
                         self.insert(u, &mut scratch);
-                        crate::phase::elim_add(t.elapsed().as_nanos() as u64);
+                        phase::elim_add(t.elapsed().as_nanos() as u64);
                     } else {
                         self.insert(u, &mut scratch);
                     }
@@ -367,16 +362,6 @@ impl FastCell for Gf2Cell {
             }
         };
         (min_dim, max_dim, total_tokens, done)
-    }
-
-    fn fully_disseminated(&self) -> bool {
-        match self.mode {
-            Gf2ViewMode::Broadcast => self.all_done(),
-            Gf2ViewMode::Indexed => {
-                let mut scratch = BitSet::new(self.k);
-                (0..self.n).all(|u| self.available_into(u, &mut scratch) == self.k)
-            }
-        }
     }
 }
 

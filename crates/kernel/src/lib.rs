@@ -1,19 +1,18 @@
 //! # dyncode-kernel
 //!
-//! The arena-backed fast-path execution backend for the dominant protocol
-//! families, sitting *below* `dyncode-core` in the crate graph: it knows
-//! nothing about `ProtocolSpec`s or `Instance`s — `core::runner` builds a
-//! [`FastCell`] from a spec and hands it to [`run_fast`].
+//! Arena-backed state layouts for the dominant protocol families, sitting
+//! *below* `dyncode-core` in the crate graph: it knows nothing about
+//! `ProtocolSpec`s or `Instance`s — `core::runner` builds a [`FastCell`]
+//! from a spec and hands it to [`run_fast`].
 //!
-//! The reference simulator (`dyncode_dynet::simulator::run`) is
-//! allocation-bound at large n: a fresh `Vec<Option<Message>>` per round,
-//! a payload clone per neighbor, and a per-node inbox `Vec` per round.
-//! This crate replaces those with six reusable structures:
+//! The round loop itself is not here: `dyncode_dynet::driver::run_fast`
+//! is the workspace's one round driver (re-exported below under the
+//! names this crate introduced, with its [`CsrTopology`] snapshot). A
+//! per-node `Protocol` reaches it behind the `simulator::PerNode`
+//! adapter; this crate's cells instead keep all n nodes' state in flat
+//! arenas and do a round's work in one `compose_all` and one
+//! `deliver_all`:
 //!
-//! * [`CsrTopology`] — a flat offsets/targets adjacency snapshot, rebuilt
-//!   from the adversary's edge deltas (the `dyncode_dynet::trace` flip
-//!   machinery): a round whose edge set did not change — every round
-//!   inside a T-stable window — costs one O(m) diff walk and no rebuild.
 //! * [`Gf2Cell`] — per-node GF(2) RLNC state as one word-packed row
 //!   arena, with incremental Gaussian elimination running directly on
 //!   `u64` limb slices (`dyncode_gf::bits::limb_xor` and friends) instead
@@ -30,40 +29,41 @@
 //! * [`ForwardCell`] — the knowledge-based forwarding schedules with a
 //!   flat per-round message arena instead of per-node `Vec<usize>`
 //!   messages and inbox clones.
-//! * [`ErasedCell`] — any erased registry protocol on the fast loop's
-//!   round infrastructure, closing the eligibility table over the
-//!   stage-machine families (greedy/priority/random forwarding,
-//!   `naive-coded`, `centralized`).
+//! * [`QuorumCell`] — the quorum family's per-peer round tables as one
+//!   n × n arena, merged elementwise-max along the CSR rows.
 //!
-//! **Equivalence contract.** For every eligible cell, [`run_fast`]
-//! produces a `RunResult` bit-identical to the reference simulator's —
-//! rounds, bit accounting, adversary schedule, and per-round history.
-//! This holds because the fast loop replays the reference loop's event
-//! order exactly: the adversary sees the same
+//! The stage-machine families (greedy/priority/random forwarding,
+//! `naive-coded`, `centralized`) have no cell: their per-round cost is a
+//! schedule decision plus small token moves, and `PerNode` already gives
+//! them the driver's reused message and inbox vectors.
+//!
+//! **Equivalence contract.** Each cell returns a `RunResult`
+//! bit-identical to the per-node state machine it mirrors — rounds, bit
+//! accounting, adversary schedule, and per-round history. The driver
+//! gives both the same event order; what a cell must add is that the
+//! adversary sees the same
 //! [`KnowledgeView`](dyncode_dynet::adversary::KnowledgeView) each
-//! round, protocol coins are
-//! drawn in the same order (one `bool` per basis row per compose for the
-//! coding cells, none for forwarding), and deliveries apply per node in
-//! ascending neighbor order. `tests/kernel_equivalence.rs` locks the
-//! contract across the eligible-spec × adversary × seed matrix.
+//! round, protocol coins are drawn in the same order (one `bool` per
+//! basis row per compose for the coding cells, none for forwarding), and
+//! deliveries apply per node in ascending neighbor order.
+//! `tests/kernel_equivalence.rs` locks the contract across the
+//! eligible-spec × adversary × seed matrix.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cell;
-pub mod csr;
 pub mod densecell;
-pub mod erased;
 pub mod forward;
 pub mod gf256cell;
 pub mod gf2cell;
-pub mod phase;
 pub mod quorumcell;
 
-pub use cell::{run_fast, FastCell};
-pub use csr::CsrTopology;
 pub use densecell::DenseCell;
-pub use erased::ErasedCell;
+// The round driver and its topology snapshot live in `dyncode-dynet`
+// (every run goes through them, arena cell or not); re-exported under
+// the names this crate introduced.
+pub use dyncode_dynet::csr::CsrTopology;
+pub use dyncode_dynet::driver::{run_fast, FastCell};
 pub use forward::ForwardCell;
 pub use gf256cell::Gf256Cell;
 pub use gf2cell::{Gf2Cell, Gf2ViewMode};
@@ -71,18 +71,20 @@ pub use quorumcell::QuorumCell;
 
 use std::fmt;
 
-/// Which execution backend a run uses — threaded through
+/// Which state layout a run uses on the round driver — threaded through
 /// `core::runner::run_spec_kernel`, the engine's `kernel =` campaign key,
 /// and the bench CLI's `--kernel` flag.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Kernel {
-    /// The reference simulator (`dyncode_dynet::simulator::run`), for
-    /// every spec. The default: committed baselines are reference runs.
+    /// The spec's per-node reference state machine (behind
+    /// `dyncode_dynet::simulator::PerNode`), for every spec. The default:
+    /// committed baselines are reference runs.
     #[default]
     Reference,
-    /// The arena-backed fast path. Rejected (an error naming the
-    /// eligible families) on a spec outside them — use [`Kernel::Auto`]
-    /// to fall back instead.
+    /// The family's arena cell (or, for the stage-machine families,
+    /// the same state machine as `Reference`). Rejected (an error naming
+    /// the eligible families) on a spec outside them — use
+    /// [`Kernel::Auto`] to fall back instead.
     Fast,
     /// Fast for eligible specs, Reference otherwise.
     Auto,

@@ -12,10 +12,10 @@
 //! reference is structural: both compute the identical deterministic
 //! function of the delivered topology sequence.
 
-use crate::cell::FastCell;
-use crate::csr::CsrTopology;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
+use dyncode_dynet::csr::CsrTopology;
+use dyncode_dynet::driver::{check_budget, FastCell};
 use dyncode_quorum::{advance_own_round, quorum_metrics, QuorumConfig, Round};
 use rand::rngs::StdRng;
 
@@ -80,16 +80,8 @@ impl FastCell for QuorumCell {
         // pre-round state, and account 32 bits per (peer, round) entry.
         self.snap.copy_from_slice(&self.rounds);
         let per_msg = (self.n as u64) * u64::from(Round::BITS);
-        if let Some(limit) = bit_limit {
-            for u in 0..self.n {
-                let bits = per_msg;
-                assert!(
-                    bits <= limit,
-                    "node {u} exceeded the message budget at round {round}: \
-                     {bits} > {limit} bits"
-                );
-            }
-        }
+        // Every message has this size, so node 0's is the first over.
+        check_budget(0, round, per_msg, bit_limit);
         (per_msg * self.n as u64, per_msg)
     }
 
@@ -150,20 +142,13 @@ impl FastCell for QuorumCell {
             done,
         )
     }
-
-    fn fully_disseminated(&self) -> bool {
-        // The family's postcondition is its quorum goal, not token
-        // coverage; the runner verifies through the spec's termination
-        // predicate, which reads the done flags below.
-        self.all_done()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::run_fast;
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
+    use dyncode_dynet::driver::run_fast;
     use dyncode_dynet::simulator::run;
     use dyncode_dynet::simulator::SimConfig;
     use dyncode_quorum::{QuorumGoal, QuorumProtocol};

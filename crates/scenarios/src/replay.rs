@@ -1,6 +1,6 @@
 //! Record and replay `.dct` traces through the [`Adversary`] interface.
 //!
-//! Because the simulator hands adversaries a *private* RNG stream
+//! Because the round driver hands adversaries a *private* RNG stream
 //! (`dyncode_dynet::simulator::adversary_rng`), substituting a
 //! [`DctReplay`] (which draws nothing) for the stochastic adversary that
 //! produced the trace leaves the protocol's coins untouched: a run

@@ -31,11 +31,12 @@
 //!   stochastic evolving-graph adversaries (edge-Markov, random
 //!   waypoint, churn) and the streaming `.dct` binary trace format for
 //!   exact record/replay.
-//! * [`kernel`] (`dyncode-kernel`) — the arena-backed fast-path
-//!   execution backend: CSR topology snapshots rebuilt from edge
-//!   deltas, word-packed GF(2) elimination cells, and the
-//!   `Kernel::{Reference, Fast, Auto}` selection enum, bit-identical to
-//!   the reference simulator on every eligible spec.
+//! * [`kernel`] (`dyncode-kernel`) — arena-backed state layouts for
+//!   the round driver in [`dynet`]: word-packed GF(2), bit-planar
+//!   GF(2⁸) and prime-field elimination cells, forwarding and quorum
+//!   arenas, and the `Kernel::{Reference, Fast, Auto}` selection enum,
+//!   bit-identical to the reference state machines on every eligible
+//!   spec.
 //! * [`quorum`] (`dyncode-quorum`) — latest-message-per-peer consensus:
 //!   per-node `max_rounds` tables merged by max on delivery, monotone
 //!   f+1 / 4f+1 watermarks, and the `quorum-watermark` /

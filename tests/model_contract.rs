@@ -2,6 +2,7 @@
 //! accounting, adversary validation, and the Lemma 5.3 / Corollary 2.6
 //! shape guarantees at integration scale.
 
+use dyncode::core::spec::ProtocolSpec;
 use dyncode::prelude::*;
 use dyncode_dynet::adversaries::{RandomConnectedAdversary, ShuffledPathAdversary};
 use dyncode_dynet::adversary::KnowledgeView;
@@ -105,16 +106,50 @@ impl Adversary for DisconnectedAdversary {
     }
 }
 
+/// The message of the panic `run` must raise. The driver's checks are
+/// stated once and reached by two state layouts, so each `should_panic`
+/// test below feeds its contract a per-node protocol through here and
+/// then lets an arena cell raise the panic the attribute expects.
+fn panic_message(run: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+        .expect_err("the per-node run was accepted");
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(p) => p
+            .downcast_ref::<&str>()
+            .map_or(String::new(), |s| s.to_string()),
+    }
+}
+
+/// `spec` on its arena cell (`Kernel::Fast`), against a fresh `adv`.
+fn run_arena_cell<A: Adversary + 'static>(
+    spec: &str,
+    inst: &Instance,
+    adv: fn() -> A,
+    config: &SimConfig,
+    seed: u64,
+) -> RunResult {
+    let spec = ProtocolSpec::parse(spec).expect(spec);
+    let adv = || Box::new(adv()) as Box<dyn Adversary>;
+    run_spec_kernel(&spec, inst, 1, &adv, config, seed, Kernel::Fast)
+}
+
 #[test]
-#[should_panic(expected = "disconnected")]
+#[should_panic(expected = "produced a disconnected graph at round 0")]
 fn simulator_rejects_disconnected_topologies() {
     let params = Params::new(6, 6, 4, 8);
     let inst = Instance::generate(params, Placement::OneTokenPerNode, 1);
-    let mut p = TokenForwarding::baseline(&inst);
-    run(
-        &mut p,
-        &mut DisconnectedAdversary,
-        &SimConfig::with_max_rounds(10),
+    let config = SimConfig::with_max_rounds(10);
+    let msg = panic_message(|| {
+        let mut p = TokenForwarding::baseline(&inst);
+        run(&mut p, &mut DisconnectedAdversary, &config, 1);
+    });
+    assert!(msg.contains("disconnected graph at round 0"), "{msg}");
+    run_arena_cell(
+        "token-forwarding",
+        &inst,
+        || DisconnectedAdversary,
+        &config,
         1,
     );
 }
@@ -126,12 +161,17 @@ fn strict_accounting_rejects_over_budget_forwarding_messages() {
     // messages, so a (d-1)-bit budget must abort the run immediately.
     let params = Params::new(8, 8, 6, 12);
     let inst = Instance::generate(params, Placement::OneTokenPerNode, 2);
-    let mut p = TokenForwarding::baseline(&inst);
-    let mut adv = ShuffledPathAdversary;
-    run(
-        &mut p,
-        &mut adv,
-        &SimConfig::with_max_rounds(1_000).strict_bits(params.d as u64 - 1),
+    let config = SimConfig::with_max_rounds(1_000).strict_bits(params.d as u64 - 1);
+    let msg = panic_message(|| {
+        let mut p = TokenForwarding::baseline(&inst);
+        run(&mut p, &mut ShuffledPathAdversary, &config, 9);
+    });
+    assert!(msg.contains("exceeded the message budget"), "{msg}");
+    run_arena_cell(
+        "token-forwarding",
+        &inst,
+        || ShuffledPathAdversary,
+        &config,
         9,
     );
 }
@@ -145,15 +185,15 @@ fn strict_accounting_rejects_indexed_broadcast_one_bit_short() {
     // suite, exactly `wire_bits()` is accepted).
     let params = Params::new(10, 10, 5, 15);
     let inst = Instance::generate(params, Placement::RoundRobin, 4);
-    let mut p = IndexedBroadcast::new(&inst);
-    let wire = p.wire_bits();
-    let mut adv = RandomConnectedAdversary::new(1);
-    run(
-        &mut p,
-        &mut adv,
-        &SimConfig::with_max_rounds(10_000).strict_bits(wire - 1),
-        4,
-    );
+    let wire = IndexedBroadcast::new(&inst).wire_bits();
+    let config = SimConfig::with_max_rounds(10_000).strict_bits(wire - 1);
+    let msg = panic_message(|| {
+        let mut p = IndexedBroadcast::new(&inst);
+        run(&mut p, &mut RandomConnectedAdversary::new(1), &config, 4);
+    });
+    assert!(msg.contains("exceeded the message budget"), "{msg}");
+    let adv = || RandomConnectedAdversary::new(1);
+    run_arena_cell("indexed-broadcast", &inst, adv, &config, 4);
 }
 
 #[test]
