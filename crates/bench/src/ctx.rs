@@ -19,8 +19,7 @@ use dyncode_core::theory;
 use dyncode_dynet::adversary::Adversary;
 use dyncode_dynet::simulator::{Protocol, RunResult, SimConfig};
 use dyncode_engine::{
-    run_campaign, Artifact, Campaign, CellRecord, Engine, Fit, RunError, RunRecord, Scalar,
-    SeedStats, TableData,
+    run_campaign, Artifact, Campaign, CellRecord, Engine, Fit, Scalar, SeedStats, TableData,
 };
 use std::path::PathBuf;
 
@@ -159,32 +158,15 @@ impl ExpCtx {
         seeds: &[u64],
         outcomes: Vec<Result<RunResult, dyncode_engine::CellError>>,
     ) -> SeedStats {
-        let mut runs = Vec::new();
-        let mut raw = Vec::new();
-        let mut errors = Vec::new();
-        for (&seed, outcome) in seeds.iter().zip(outcomes) {
-            match outcome {
-                Ok(r) => {
-                    runs.push(RunRecord::from_run(seed, &r));
-                    raw.push(r);
-                }
-                Err(e) => errors.push(RunError {
-                    seed,
-                    message: e.message,
-                }),
-            }
-        }
-        let stats = SeedStats::from_runs(&raw, errors.len());
-        self.artifact.cells.push(CellRecord {
-            label: label.to_string(),
-            meta: meta
-                .iter()
+        let cell = CellRecord::from_outcomes(
+            label.to_string(),
+            meta.iter()
                 .map(|(k, v)| (k.to_string(), v.clone()))
                 .collect(),
-            stats: stats.clone(),
-            runs,
-            errors,
-        });
+            seeds.iter().copied().zip(&outcomes),
+        );
+        let stats = cell.stats.clone();
+        self.artifact.cells.push(cell);
         stats
     }
 

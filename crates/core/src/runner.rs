@@ -1,6 +1,7 @@
-//! Experiment-facing run helpers: seed sweeps, completion verification and
-//! summary statistics — over concrete protocol types ([`run_one`],
-//! [`sweep_seeds`]) or registry specs ([`run_spec`], [`sweep_seeds_spec`]).
+//! Experiment-facing run helpers: seed sweeps and completion verification
+//! — over concrete protocol types ([`run_one`], [`sweep_seeds`]) or
+//! registry specs ([`run_spec`], [`sweep_seeds_spec`]). Statistics over a
+//! sweep are `dyncode_engine::SeedStats::from_runs`.
 //!
 //! Every run is one sequence — build a cell, drive it with
 //! `dyncode_dynet::driver::run_fast`, verify the postcondition — and a
@@ -31,48 +32,6 @@ pub use dyncode_kernel::Kernel;
 pub fn fully_disseminated<P: Protocol>(p: &P) -> bool {
     let v = p.view();
     v.tokens.iter().all(|t| t.len() == p.num_tokens())
-}
-
-/// Summary statistics over a seed sweep.
-#[derive(Clone, Debug)]
-pub struct Summary {
-    /// Number of runs aggregated.
-    pub runs: usize,
-    /// Mean rounds over completed runs.
-    pub mean_rounds: f64,
-    /// Minimum rounds.
-    pub min_rounds: usize,
-    /// Maximum rounds.
-    pub max_rounds: usize,
-    /// Runs that failed to complete within the cap.
-    pub failures: usize,
-    /// Mean total broadcast bits.
-    pub mean_bits: f64,
-}
-
-/// Aggregates run results.
-///
-/// # Panics
-/// Panics on an empty slice.
-pub fn summarize(results: &[RunResult]) -> Summary {
-    assert!(!results.is_empty(), "no results to summarize");
-    let completed: Vec<&RunResult> = results.iter().filter(|r| r.completed).collect();
-    let failures = results.len() - completed.len();
-    let mean = |f: &dyn Fn(&RunResult) -> f64| -> f64 {
-        if completed.is_empty() {
-            f64::NAN
-        } else {
-            completed.iter().map(|r| f(r)).sum::<f64>() / completed.len() as f64
-        }
-    };
-    Summary {
-        runs: results.len(),
-        mean_rounds: mean(&|r| r.rounds as f64),
-        min_rounds: completed.iter().map(|r| r.rounds).min().unwrap_or(0),
-        max_rounds: completed.iter().map(|r| r.rounds).max().unwrap_or(0),
-        failures,
-        mean_bits: mean(&|r| r.total_bits as f64),
-    }
 }
 
 /// Runs one freshly built `(protocol, adversary)` cell under `config` from
@@ -491,46 +450,6 @@ mod tests {
     use dyncode_dynet::adversaries::ShuffledPathAdversary;
 
     #[test]
-    fn sweep_and_summarize() {
-        let p = Params::new(8, 8, 4, 8);
-        let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
-        let results = sweep_seeds(
-            &[1, 2, 3],
-            10_000,
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
-        );
-        let s = summarize(&results);
-        assert_eq!(s.runs, 3);
-        assert_eq!(s.failures, 0);
-        assert!(s.mean_rounds > 0.0);
-        assert!(s.min_rounds <= s.max_rounds);
-        assert!(s.mean_bits > 0.0);
-    }
-
-    #[test]
-    fn summary_counts_failures() {
-        let p = Params::new(8, 8, 4, 8);
-        let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
-        // A 1-round cap cannot complete.
-        let results = sweep_seeds(
-            &[1, 2],
-            1,
-            || TokenForwarding::baseline(&inst),
-            || Box::new(ShuffledPathAdversary),
-        );
-        let s = summarize(&results);
-        assert_eq!(s.failures, 2);
-        assert!(s.mean_rounds.is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "no results")]
-    fn empty_summary_rejected() {
-        summarize(&[]);
-    }
-
-    #[test]
     fn run_spec_matches_run_one_and_handles_patch() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
@@ -559,11 +478,11 @@ mod tests {
         assert_eq!(r.total_bits, 0);
         assert_eq!(r.adversary, "shuffled-path");
 
-        // And the spec sweep aggregates like the concrete sweep.
+        // And the spec sweep is the concrete sweep, seed for seed.
         let results = sweep_seeds_spec(&spec, &inst, 1, &[1, 2, 3], 10_000, adv);
-        let s = summarize(&results);
-        assert_eq!(s.runs, 3);
-        assert_eq!(s.failures, 0);
+        let concrete = sweep_seeds(&[1, 2, 3], 10_000, || TokenForwarding::baseline(&inst), adv);
+        assert_eq!(results, concrete);
+        assert!(results.iter().all(|r| r.completed));
     }
 
     #[test]

@@ -33,9 +33,14 @@ pub struct SeedStats {
 
 impl SeedStats {
     /// Aggregates the completed/failed runs of a cell plus `errors`
-    /// contained panics.
-    pub fn from_runs(results: &[RunResult], errors: usize) -> SeedStats {
-        let completed: Vec<&RunResult> = results.iter().filter(|r| r.completed).collect();
+    /// contained panics. The runs are only read, so anything that yields
+    /// `&RunResult` will do (`&Vec<RunResult>`, a `Vec<&RunResult>`, …).
+    pub fn from_runs<'a>(
+        results: impl IntoIterator<Item = &'a RunResult>,
+        errors: usize,
+    ) -> SeedStats {
+        let results: Vec<&RunResult> = results.into_iter().collect();
+        let completed: Vec<&RunResult> = results.iter().copied().filter(|r| r.completed).collect();
         let failures = results.len() - completed.len();
         let m = completed.len();
         let mean = |f: &dyn Fn(&RunResult) -> f64| -> f64 {
@@ -122,5 +127,11 @@ mod tests {
         assert!(none.mean_rounds.is_nan());
         assert_eq!(none.min_rounds, 0);
         assert_eq!(none.failures, 1);
+
+        // No runs at all is a value, not a panic.
+        let empty = SeedStats::from_runs(&[], 2);
+        assert_eq!((empty.runs, empty.failures, empty.errors), (2, 0, 2));
+        assert!(empty.mean_rounds.is_nan() && empty.mean_bits.is_nan());
+        assert_eq!((empty.min_rounds, empty.max_rounds), (0, 0));
     }
 }

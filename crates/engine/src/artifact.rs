@@ -11,8 +11,9 @@
 //! `tests/engine_determinism.rs` locks and `compare` relies on).
 
 use crate::aggregate::SeedStats;
+use crate::executor::CellError;
 use crate::json::Json;
-use dyncode_dynet::simulator::{RoundRecord, RunResult};
+use dyncode_dynet::simulator::RunResult;
 use std::path::{Path, PathBuf};
 
 /// The artifact schema identifier; bump on any incompatible change.
@@ -35,25 +36,9 @@ pub struct RunRecord {
     pub history: Vec<HistoryRow>,
 }
 
-/// One row of a recorded per-round history (mirrors
-/// [`dyncode_dynet::simulator::RoundRecord`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct HistoryRow {
-    /// Round index.
-    pub round: usize,
-    /// Edges in the round topology.
-    pub edges: usize,
-    /// Bits broadcast this round.
-    pub bits: u64,
-    /// Minimum per-node knowledge scalar.
-    pub min_dim: usize,
-    /// Maximum per-node knowledge scalar.
-    pub max_dim: usize,
-    /// Total decodable tokens over nodes.
-    pub total_tokens: usize,
-    /// Locally terminated nodes.
-    pub done: usize,
-}
+/// One row of a recorded per-round history: the simulator's own row type,
+/// under the name the artifact schema calls it.
+pub use dyncode_dynet::simulator::RoundRecord as HistoryRow;
 
 impl RunRecord {
     /// Captures a [`RunResult`] under its seed.
@@ -64,19 +49,21 @@ impl RunRecord {
             completed: r.completed,
             total_bits: r.total_bits,
             max_message_bits: r.max_message_bits,
-            history: r
-                .history
-                .iter()
-                .map(|h: &RoundRecord| HistoryRow {
-                    round: h.round,
-                    edges: h.edges,
-                    bits: h.bits,
-                    min_dim: h.min_dim,
-                    max_dim: h.max_dim,
-                    total_tokens: h.total_tokens,
-                    done: h.done,
-                })
-                .collect(),
+            history: r.history.clone(),
+        }
+    }
+
+    /// The [`RunResult`] this record was captured from — exact, because
+    /// every recorded field is integral; `adversary` is the one field a
+    /// record does not carry.
+    pub fn to_result(&self, adversary: String) -> RunResult {
+        RunResult {
+            rounds: self.rounds,
+            completed: self.completed,
+            total_bits: self.total_bits,
+            max_message_bits: self.max_message_bits,
+            adversary,
+            history: self.history.clone(),
         }
     }
 }
@@ -104,6 +91,39 @@ pub struct CellRecord {
     pub runs: Vec<RunRecord>,
     /// Contained panics, one per errored seed.
     pub errors: Vec<RunError>,
+}
+
+impl CellRecord {
+    /// Folds one cell's per-seed outcomes — the run, or the panic the
+    /// executor contained in its place — into its record, statistics
+    /// included. Every campaign runner assembles its cells here, so an
+    /// artifact does not depend on which of them produced it.
+    pub fn from_outcomes<'a>(
+        label: String,
+        meta: Vec<(String, String)>,
+        outcomes: impl IntoIterator<Item = (u64, &'a Result<RunResult, CellError>)>,
+    ) -> CellRecord {
+        let (mut runs, mut results, mut errors) = (Vec::new(), Vec::new(), Vec::new());
+        for (seed, outcome) in outcomes {
+            match outcome {
+                Ok(r) => {
+                    runs.push(RunRecord::from_run(seed, r));
+                    results.push(r);
+                }
+                Err(e) => errors.push(RunError {
+                    seed,
+                    message: e.message.clone(),
+                }),
+            }
+        }
+        CellRecord {
+            label,
+            meta,
+            stats: SeedStats::from_runs(results, errors.len()),
+            runs,
+            errors,
+        }
+    }
 }
 
 /// A fitted leading constant (`measured ≈ c · predicted`) with its ratio
@@ -288,56 +308,98 @@ impl Artifact {
     /// Decodes from a parsed JSON value, validating the schema as it goes
     /// (missing/mistyped fields are errors naming the field).
     pub fn from_json(json: &Json) -> Result<Artifact, String> {
-        let schema = req_str(json, "schema")?;
+        let schema = json.req("schema", Json::as_str)?;
         if schema != SCHEMA {
             return Err(format!(
                 "unsupported schema {schema:?}, expected {SCHEMA:?}"
             ));
         }
-        let cells = req_arr(json, "cells")?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| cell_from_json(c).map_err(|e| format!("cells[{i}]: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let fits = req_arr(json, "fits")?
-            .iter()
-            .enumerate()
-            .map(|(i, f)| {
-                Ok(Fit {
-                    label: req_str(f, "label").map_err(|e| format!("fits[{i}]: {e}"))?,
-                    constant: req_f64(f, "constant").map_err(|e| format!("fits[{i}]: {e}"))?,
-                    spread: req_f64(f, "spread").map_err(|e| format!("fits[{i}]: {e}"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let scalars = req_arr(json, "scalars")?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                Ok(Scalar {
-                    name: req_str(s, "name").map_err(|e| format!("scalars[{i}]: {e}"))?,
-                    value: req_f64(s, "value").map_err(|e| format!("scalars[{i}]: {e}"))?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let tables = req_arr(json, "tables")?
-            .iter()
-            .enumerate()
-            .map(|(i, t)| table_from_json(t).map_err(|e| format!("tables[{i}]: {e}")))
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(Artifact {
-            id: req_str(json, "id")?,
-            title: req_str(json, "title")?,
+            cells: req_each(json, "cells", cell_from_json)?,
+            fits: req_each(json, "fits", |f| {
+                Ok(Fit {
+                    label: f.req("label", Json::as_str)?.into(),
+                    constant: f.req("constant", Json::as_f64)?,
+                    spread: f.req("spread", Json::as_f64)?,
+                })
+            })?,
+            scalars: req_each(json, "scalars", |s| {
+                Ok(Scalar {
+                    name: s.req("name", Json::as_str)?.into(),
+                    value: s.req("value", Json::as_f64)?,
+                })
+            })?,
+            tables: req_each(json, "tables", table_from_json)?,
+            id: json.req("id", Json::as_str)?.into(),
+            title: json.req("title", Json::as_str)?.into(),
             campaign_digest: json
                 .get("campaign_digest")
                 .and_then(Json::as_str)
                 .map(String::from),
-            cells,
-            fits,
-            scalars,
-            tables,
         })
     }
+}
+
+/// Decodes every element of the required array field `key`; an element's
+/// error is prefixed with its position, `key[i]: …`.
+fn req_each<T>(
+    json: &Json,
+    key: &str,
+    decode: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    json.req(key, Json::as_arr)?
+        .iter()
+        .enumerate()
+        .map(|(i, item)| decode(item).map_err(|e| format!("{key}[{i}]: {e}")))
+        .collect()
+}
+
+/// A per-round history in its wire form, one 7-column row per round:
+/// `[round, edges, bits, min_dim, max_dim, total_tokens, done]`. Artifact
+/// runs and store objects both carry their `history` field in it.
+pub fn history_to_json(history: &[HistoryRow]) -> Json {
+    let row = |h: &HistoryRow| {
+        let cols = [
+            h.round as f64,
+            h.edges as f64,
+            h.bits as f64,
+            h.min_dim as f64,
+            h.max_dim as f64,
+            h.total_tokens as f64,
+            h.done as f64,
+        ];
+        Json::Arr(cols.into_iter().map(Json::Num).collect())
+    };
+    Json::Arr(history.iter().map(row).collect())
+}
+
+/// Decodes the required `history` field of `run` (see
+/// [`history_to_json`]).
+pub fn history_from_json(run: &Json) -> Result<Vec<HistoryRow>, String> {
+    run.req("history", Json::as_arr)?
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let cols = row
+                .as_arr()
+                .filter(|a| a.len() == 7)
+                .ok_or(format!("history[{i}] is not a 7-column row"))?;
+            let col = |j: usize| -> Result<usize, String> {
+                cols[j]
+                    .as_usize()
+                    .ok_or(format!("history[{i}][{j}] is not an integer"))
+            };
+            Ok(HistoryRow {
+                round: col(0)?,
+                edges: col(1)?,
+                bits: cols[2].as_u64().ok_or(format!("history[{i}][2] bad"))?,
+                min_dim: col(3)?,
+                max_dim: col(4)?,
+                total_tokens: col(5)?,
+                done: col(6)?,
+            })
+        })
+        .collect()
 }
 
 fn cell_to_json(c: &CellRecord) -> Json {
@@ -378,25 +440,7 @@ fn cell_to_json(c: &CellRecord) -> Json {
                             ("completed", Json::Bool(r.completed)),
                             ("total_bits", Json::Num(r.total_bits as f64)),
                             ("max_message_bits", Json::Num(r.max_message_bits as f64)),
-                            (
-                                "history",
-                                Json::Arr(
-                                    r.history
-                                        .iter()
-                                        .map(|h| {
-                                            Json::Arr(vec![
-                                                Json::Num(h.round as f64),
-                                                Json::Num(h.edges as f64),
-                                                Json::Num(h.bits as f64),
-                                                Json::Num(h.min_dim as f64),
-                                                Json::Num(h.max_dim as f64),
-                                                Json::Num(h.total_tokens as f64),
-                                                Json::Num(h.done as f64),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
+                            ("history", history_to_json(&r.history)),
                         ])
                     })
                     .collect(),
@@ -420,17 +464,17 @@ fn cell_to_json(c: &CellRecord) -> Json {
 }
 
 fn cell_from_json(json: &Json) -> Result<CellRecord, String> {
-    let stats_json = json.get("stats").ok_or("missing field \"stats\"")?;
+    let stats = json.get("stats").ok_or("missing field \"stats\"")?;
     let stats = SeedStats {
-        runs: req_usize(stats_json, "runs")?,
-        failures: req_usize(stats_json, "failures")?,
-        errors: req_usize(stats_json, "errors")?,
-        mean_rounds: req_f64(stats_json, "mean_rounds")?,
-        min_rounds: req_usize(stats_json, "min_rounds")?,
-        max_rounds: req_usize(stats_json, "max_rounds")?,
-        std_rounds: req_f64(stats_json, "std_rounds")?,
-        ci95_rounds: req_f64(stats_json, "ci95_rounds")?,
-        mean_bits: req_f64(stats_json, "mean_bits")?,
+        runs: stats.req("runs", Json::as_usize)?,
+        failures: stats.req("failures", Json::as_usize)?,
+        errors: stats.req("errors", Json::as_usize)?,
+        mean_rounds: stats.req("mean_rounds", Json::as_f64)?,
+        min_rounds: stats.req("min_rounds", Json::as_usize)?,
+        max_rounds: stats.req("max_rounds", Json::as_usize)?,
+        std_rounds: stats.req("std_rounds", Json::as_f64)?,
+        ci95_rounds: stats.req("ci95_rounds", Json::as_f64)?,
+        mean_bits: stats.req("mean_bits", Json::as_f64)?,
     };
     let meta = match json.get("meta") {
         Some(Json::Obj(fields)) => fields
@@ -444,74 +488,39 @@ fn cell_from_json(json: &Json) -> Result<CellRecord, String> {
         Some(_) => return Err("field \"meta\" is not an object".into()),
         None => return Err("missing field \"meta\"".into()),
     };
-    let runs = req_arr(json, "runs")?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| run_from_json(r).map_err(|e| format!("runs[{i}]: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let errors = req_arr(json, "errors")?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            Ok(RunError {
-                seed: req_u64(e, "seed").map_err(|err| format!("errors[{i}]: {err}"))?,
-                message: req_str(e, "message").map_err(|err| format!("errors[{i}]: {err}"))?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     Ok(CellRecord {
-        label: req_str(json, "label")?,
         meta,
         stats,
-        runs,
-        errors,
+        runs: req_each(json, "runs", run_from_json)?,
+        errors: req_each(json, "errors", |e| {
+            Ok(RunError {
+                seed: e.req("seed", Json::as_u64)?,
+                message: e.req("message", Json::as_str)?.into(),
+            })
+        })?,
+        label: json.req("label", Json::as_str)?.into(),
     })
 }
 
 fn run_from_json(json: &Json) -> Result<RunRecord, String> {
-    let history = req_arr(json, "history")?
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let cols = row
-                .as_arr()
-                .filter(|a| a.len() == 7)
-                .ok_or(format!("history[{i}] is not a 7-column row"))?;
-            let col = |j: usize| -> Result<usize, String> {
-                cols[j]
-                    .as_usize()
-                    .ok_or(format!("history[{i}][{j}] is not an integer"))
-            };
-            Ok(HistoryRow {
-                round: col(0)?,
-                edges: col(1)?,
-                bits: cols[2].as_u64().ok_or(format!("history[{i}][2] bad"))?,
-                min_dim: col(3)?,
-                max_dim: col(4)?,
-                total_tokens: col(5)?,
-                done: col(6)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     Ok(RunRecord {
-        seed: req_u64(json, "seed")?,
-        rounds: req_usize(json, "rounds")?,
-        completed: json
-            .get("completed")
-            .and_then(Json::as_bool)
-            .ok_or("missing/mistyped field \"completed\"")?,
-        total_bits: req_u64(json, "total_bits")?,
-        max_message_bits: req_u64(json, "max_message_bits")?,
-        history,
+        history: history_from_json(json)?,
+        seed: json.req("seed", Json::as_u64)?,
+        rounds: json.req("rounds", Json::as_usize)?,
+        completed: json.req("completed", Json::as_bool)?,
+        total_bits: json.req("total_bits", Json::as_u64)?,
+        max_message_bits: json.req("max_message_bits", Json::as_u64)?,
     })
 }
 
 fn table_from_json(json: &Json) -> Result<TableData, String> {
-    let headers = req_arr(json, "headers")?
+    let headers = json
+        .req("headers", Json::as_arr)?
         .iter()
         .map(|h| h.as_str().map(String::from).ok_or("non-string header"))
         .collect::<Result<Vec<_>, _>>()?;
-    let rows = req_arr(json, "rows")?
+    let rows = json
+        .req("rows", Json::as_arr)?
         .iter()
         .map(|r| {
             r.as_arr()
@@ -531,41 +540,10 @@ fn table_from_json(json: &Json) -> Result<TableData, String> {
         }
     }
     Ok(TableData {
-        title: req_str(json, "title")?,
+        title: json.req("title", Json::as_str)?.into(),
         headers,
         rows,
     })
-}
-
-fn req_str(json: &Json, key: &str) -> Result<String, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .map(String::from)
-        .ok_or(format!("missing/mistyped field {key:?}"))
-}
-
-fn req_f64(json: &Json, key: &str) -> Result<f64, String> {
-    json.get(key)
-        .and_then(Json::as_f64)
-        .ok_or(format!("missing/mistyped field {key:?}"))
-}
-
-fn req_u64(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or(format!("missing/mistyped field {key:?}"))
-}
-
-fn req_usize(json: &Json, key: &str) -> Result<usize, String> {
-    json.get(key)
-        .and_then(Json::as_usize)
-        .ok_or(format!("missing/mistyped field {key:?}"))
-}
-
-fn req_arr<'a>(json: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    json.get(key)
-        .and_then(Json::as_arr)
-        .ok_or(format!("missing/mistyped field {key:?}"))
 }
 
 #[cfg(test)]
@@ -636,6 +614,64 @@ mod tests {
         let back = Artifact::parse(&text).expect("parse");
         assert_eq!(back, a);
         assert_eq!(back.to_json_string(), text);
+    }
+
+    /// Pins the writer and the decoder to ~3 400 lines of real output.
+    #[test]
+    fn committed_baselines_reprint_byte_identically() {
+        for text in [
+            include_str!("../../../baselines/BENCH_seed.json"),
+            include_str!("../../../baselines/BENCH_scenarios.json"),
+            include_str!("../../../baselines/BENCH_protocols.json"),
+            include_str!("../../../baselines/BENCH_delivery.json"),
+            include_str!("../../../baselines/BENCH_quorum.json"),
+        ] {
+            let a = Artifact::parse(text).expect("baseline parses");
+            assert!(a.to_json_string() == text, "{} re-prints differently", a.id);
+        }
+    }
+
+    #[test]
+    fn from_outcomes_folds_runs_errors_and_stats() {
+        let run = |rounds, completed| RunResult {
+            rounds,
+            completed,
+            total_bits: 10 * rounds as u64,
+            max_message_bits: 8,
+            adversary: "a".into(),
+            history: vec![],
+        };
+        let (fast, slow, capped) = (run(10, true), run(20, true), run(99, false));
+        let boom = CellError {
+            message: "boom".into(),
+        };
+        let outcomes = [
+            Ok(fast.clone()),
+            Err(boom),
+            Ok(slow.clone()),
+            Ok(capped.clone()),
+        ];
+        let cell = CellRecord::from_outcomes(
+            "c".into(),
+            vec![("n".into(), "8".into())],
+            (1..).zip(&outcomes),
+        );
+        assert_eq!(
+            cell.runs,
+            [
+                RunRecord::from_run(1, &fast),
+                RunRecord::from_run(3, &slow),
+                RunRecord::from_run(4, &capped),
+            ]
+        );
+        let boom = RunError {
+            seed: 2,
+            message: "boom".into(),
+        };
+        assert_eq!(cell.errors, [boom]);
+        assert_eq!(cell.stats, SeedStats::from_runs([&fast, &slow, &capped], 1));
+        assert_eq!((cell.stats.runs, cell.stats.failures), (4, 1));
+        assert_eq!(cell.runs[0].to_result("a".into()), fast);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! is a campaign grid key; each cell's label and metadata carry the
 //! canonical spec string into the artifact.
 
-use crate::aggregate::SeedStats;
-use crate::artifact::{Artifact, CellRecord, RunError, RunRecord};
+use crate::artifact::{Artifact, CellRecord};
 use crate::executor::Engine;
 use dyncode_core::params::{Instance, Params, Placement};
 use dyncode_core::runner::{fast_ineligibility, resolve_kernel, run_spec_kernel, Kernel};
@@ -791,9 +790,9 @@ impl CellSpec {
 /// Runs a campaign on the engine: shards `cells × seeds` across the
 /// workers, aggregates per cell, and returns the artifact.
 ///
-/// A panicking cell-seed run is contained: it becomes a [`RunError`] in
-/// that cell's `errors` list (and counts in `stats.errors`) while every
-/// other run completes normally.
+/// A panicking cell-seed run is contained: it becomes a
+/// [`RunError`](crate::RunError) in that cell's `errors` list (and counts
+/// in `stats.errors`) while every other run completes normally.
 pub fn run_campaign(engine: &Engine, campaign: &Campaign) -> Artifact {
     let cells = campaign.cells();
     // One instance per cell, generated up front and shared by the cell's
@@ -814,28 +813,11 @@ pub fn run_campaign(engine: &Engine, campaign: &Campaign) -> Artifact {
     let mut artifact = Artifact::new(campaign.id.clone(), campaign.title.clone());
     // Jobs were emitted cell-major, so the outcomes chunk per cell.
     for (cell, cell_outcomes) in cells.iter().zip(outcomes.chunks(campaign.seeds.len())) {
-        let mut runs = Vec::new();
-        let mut raw = Vec::new();
-        let mut errors = Vec::new();
-        for (&seed, outcome) in campaign.seeds.iter().zip(cell_outcomes) {
-            match outcome {
-                Ok(r) => {
-                    runs.push(RunRecord::from_run(seed, r));
-                    raw.push(r.clone());
-                }
-                Err(e) => errors.push(RunError {
-                    seed,
-                    message: e.message.clone(),
-                }),
-            }
-        }
-        artifact.cells.push(CellRecord {
-            label: cell.label(),
-            meta: cell.meta(),
-            stats: SeedStats::from_runs(&raw, errors.len()),
-            runs,
-            errors,
-        });
+        artifact.cells.push(CellRecord::from_outcomes(
+            cell.label(),
+            cell.meta(),
+            campaign.seeds.iter().copied().zip(cell_outcomes),
+        ));
     }
     artifact
 }

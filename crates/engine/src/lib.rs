@@ -36,8 +36,13 @@ pub mod artifact;
 pub mod campaign;
 pub mod compare;
 pub mod executor;
-pub mod json;
 pub mod shard;
+
+/// The workspace's JSON codec. It lives in `dyncode-obs` — the
+/// dependency-free crate under every JSON user, so the event stream and
+/// the artifacts share one dialect — and is re-exported here under the
+/// path artifact consumers have always imported it from.
+pub use dyncode_obs::json;
 
 pub use aggregate::SeedStats;
 pub use artifact::{Artifact, CellRecord, Fit, RunError, RunRecord, Scalar, TableData};

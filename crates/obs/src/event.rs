@@ -1,14 +1,21 @@
 //! The flat event record every sink receives, and its
 //! `dyncode-events/v1` JSONL wire form (one JSON object per line).
 //!
-//! The writer and parser are hand-rolled on purpose: obs sits *below*
-//! `dyncode-engine` in the crate graph, so it cannot use the engine's
-//! `Json` tree — and a flat, fixed-key record does not need one. The
+//! Lines are written and read in the workspace's one JSON dialect
+//! ([`crate::json`]): strings go out through [`write_str`] and come back
+//! through the shared [`Reader`], so what is a valid string, number or
+//! comma here is what [`Json::parse`](crate::json::Json::parse) accepts.
+//! The record does not go through the `Json` *tree*, though: that tree
+//! holds every number as an `f64`, and an event's `u64`s (nanosecond
+//! stamps, a histogram's `u64::MAX` bound) must round-trip exactly — so
+//! [`Event::parse_line`] walks the flat fixed-key object itself and
+//! keeps each number as text until the key decides `u64` or `f64`. The
 //! format is strict both ways: [`Event::to_jsonl`] emits keys in a fixed
 //! order and [`Event::parse_line`] rejects unknown keys, so
 //! `parse(emit(e)) == e` holds for every event (the round-trip contract
 //! locked by this module's tests and surfaced as `experiments obs check`).
 
+use crate::json::{write_str, Reader};
 use std::fmt::Write as _;
 
 /// The event-stream schema identifier; bump on incompatible change. The
@@ -249,62 +256,37 @@ impl Event {
 
     /// Parses one JSONL line; strict (unknown keys are errors).
     pub fn parse_line(line: &str) -> Result<Event, String> {
-        let mut p = Parser {
-            b: line.as_bytes(),
-            i: 0,
-        };
-        p.ws();
-        p.expect(b'{')?;
+        let mut r = Reader::new(line);
         let (mut kind, mut name) = (None, None);
         let (mut t_ns, mut thread) = (None, None);
         let (mut dur_ns, mut self_ns, mut value) = (None, None, None);
         let mut fields = Vec::new();
-        loop {
-            p.ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.ws();
-            p.expect(b':')?;
-            p.ws();
+        r.skip_ws();
+        r.members(|r, key| {
             match key.as_str() {
-                "event" => kind = Some(Kind::parse(&p.string()?)?),
-                "name" => name = Some(p.string()?),
-                "t_ns" => t_ns = Some(p.u64()?),
-                "thread" => thread = Some(p.u64()? as u32),
-                "dur_ns" => dur_ns = Some(p.u64()?),
-                "self_ns" => self_ns = Some(p.u64()?),
-                "value" => value = Some(p.u64()?),
-                "fields" => {
-                    p.expect(b'{')?;
-                    loop {
-                        p.ws();
-                        if p.eat(b'}') {
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.ws();
-                        p.expect(b':')?;
-                        p.ws();
-                        fields.push((k, p.value()?));
-                        p.ws();
-                        if !p.eat(b',') {
-                            p.expect(b'}')?;
-                            break;
-                        }
-                    }
+                "event" => kind = Some(Kind::parse(&r.string()?)?),
+                "name" => name = Some(r.string()?),
+                "t_ns" => t_ns = Some(read_u64(r)?),
+                "thread" => {
+                    let id = read_u64(r)?;
+                    thread = Some(
+                        u32::try_from(id)
+                            .map_err(|_| format!("\"thread\" {id} does not fit a u32"))?,
+                    );
                 }
+                "dur_ns" => dur_ns = Some(read_u64(r)?),
+                "self_ns" => self_ns = Some(read_u64(r)?),
+                "value" => value = Some(read_u64(r)?),
+                "fields" => r.members(|r, k| {
+                    fields.push((k, read_value(r)?));
+                    Ok(())
+                })?,
                 other => return Err(format!("unknown event key {other:?}")),
             }
-            p.ws();
-            if !p.eat(b',') {
-                p.expect(b'}')?;
-                break;
-            }
-        }
-        p.ws();
-        if p.i != p.b.len() {
+            Ok(())
+        })?;
+        r.skip_ws();
+        if r.peek().is_some() {
             return Err("trailing bytes after event object".to_string());
         }
         Ok(Event {
@@ -318,6 +300,29 @@ impl Event {
             fields,
         })
     }
+}
+
+/// A number the key requires to be a `u64`, read from its text so that
+/// values above 2^53 stay exact.
+fn read_u64(r: &mut Reader) -> Result<u64, String> {
+    let text = r.number_text()?;
+    text.parse()
+        .map_err(|_| format!("expected an unsigned integer, got {text:?}"))
+}
+
+/// A field value: a string, else a number that is a [`Value::U64`] when
+/// its text is one and a [`Value::F64`] otherwise.
+fn read_value(r: &mut Reader) -> Result<Value, String> {
+    if r.peek() == Some(b'"') {
+        return r.string().map(Value::Str);
+    }
+    let text = r.number_text()?;
+    if let Ok(v) = text.parse() {
+        return Ok(Value::U64(v));
+    }
+    text.parse()
+        .map(Value::F64)
+        .map_err(|_| format!("bad field value {text:?}"))
 }
 
 /// Parses a whole `dyncode-events/v1` stream: one event per non-empty
@@ -356,145 +361,6 @@ pub fn parse_events(text: &str) -> Result<Vec<Event>, String> {
     Ok(out)
 }
 
-/// Appends `text` as a JSON string literal (quoted, escaped).
-fn write_str(out: &mut String, text: &str) {
-    out.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A minimal single-line JSON reader for the fixed event shape.
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && (self.b[self.i] as char).is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}",
-                c as char,
-                self.i.min(self.b.len())
-            ))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        let bytes = self.b;
-        while self.i < bytes.len() {
-            match bytes[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    let esc = *bytes.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.i..self.i + 4)
-                                .ok_or("truncated \\u escape")?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
-                }
-                _ => {
-                    // Copy one UTF-8 scalar (multi-byte sequences intact).
-                    let rest = std::str::from_utf8(&bytes[self.i..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn number_text(&mut self) -> Result<&str, String> {
-        let start = self.i;
-        while self.i < self.b.len()
-            && matches!(
-                self.b[self.i],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i]).map_err(|_| "bad number".to_string())
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let text = self.number_text()?;
-        text.parse::<u64>()
-            .map_err(|_| format!("expected an unsigned integer, got {text:?}"))
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        if self.i < self.b.len() && self.b[self.i] == b'"' {
-            return Ok(Value::Str(self.string()?));
-        }
-        let text = self.number_text()?.to_string();
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Value::U64(v));
-        }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| format!("bad field value {text:?}"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,6 +382,11 @@ mod tests {
             ),
         ];
         let line = ev.to_jsonl();
+        // The wire bytes, recorded before the codec merge.
+        assert_eq!(
+            line,
+            r#"{"event":"span","name":"kernel.eliminate","t_ns":123456,"thread":3,"dur_ns":42000,"self_ns":40000,"fields":{"rounds":48,"ratio":0.625,"whole":2.0,"note":"quotes \" back\\slash\nnewline\ttab\u0001"}}"#
+        );
         let back = Event::parse_line(&line).expect("parse");
         assert_eq!(back, ev);
         assert_eq!(back.to_jsonl(), line);
@@ -526,6 +397,64 @@ mod tests {
         counter.value = Some(17);
         let back = Event::parse_line(&counter.to_jsonl()).expect("parse");
         assert_eq!(back, counter);
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_and_integral_floats_round_trip_exactly() {
+        // Why events bypass the `Json` tree: it would hold both as f64.
+        let mut ev = Event::new(Kind::Hist, "store.get_ns");
+        ev.t_ns = u64::MAX;
+        ev.value = Some(u64::MAX - 1);
+        ev.fields = vec![
+            ("max".to_string(), Value::U64(u64::MAX)),
+            ("whole".to_string(), Value::F64(2.0)),
+        ];
+        let line = ev.to_jsonl();
+        assert!(
+            line.contains(r#""max":18446744073709551615,"whole":2.0"#),
+            "{line}"
+        );
+        assert_eq!(Event::parse_line(&line).expect("parse"), ev);
+    }
+
+    /// One dialect: `Json::parse` and `Event::parse_line` accept and
+    /// reject the same strings, commas and nesting.
+    #[test]
+    fn event_lines_and_json_documents_share_one_dialect() {
+        let named = |name: &str| format!(r#"{{"event":"mark","name":{name},"t_ns":1,"thread":0}}"#);
+        let bomb = "[".repeat(100_000);
+        for (what, line, valid) in [
+            ("plain", named(r#""x""#), true),
+            ("surrogate pair", named(r#""\ud83d\ude00""#), true),
+            ("lone high surrogate", named(r#""\ud83d""#), false),
+            ("lone low surrogate", named(r#""\ude00""#), false),
+            ("signed \\u escape", named(r#""\u+041""#), false),
+            ("unterminated string", named(r#""x"#), false),
+            (
+                "trailing comma",
+                r#"{"event":"mark","name":"x","t_ns":1,"thread":0,}"#.to_string(),
+                false,
+            ),
+            (
+                "trailing comma in fields",
+                r#"{"event":"mark","name":"x","t_ns":1,"thread":0,"fields":{"a":1,}}"#.to_string(),
+                false,
+            ),
+            (
+                "100 KB of '[' in a field",
+                format!(
+                    r#"{{"event":"mark","name":"x","t_ns":1,"thread":0,"fields":{{"a":{bomb}}}}}"#
+                ),
+                false,
+            ),
+        ] {
+            let tree = crate::json::Json::parse(&line);
+            let event = Event::parse_line(&line);
+            assert_eq!(tree.is_ok(), valid, "{what}: Json::parse gave {tree:?}");
+            assert_eq!(event.is_ok(), valid, "{what}: parse_line gave {event:?}");
+        }
+        let smile = Event::parse_line(&named(r#""\ud83d\ude00""#)).unwrap();
+        assert_eq!(smile.name, "\u{1F600}");
     }
 
     #[test]
@@ -548,6 +477,11 @@ mod tests {
             (
                 r#"{"event":"span","name":"x","t_ns":-4,"thread":0}"#,
                 "unsigned integer",
+            ),
+            // 2^32 + 1 used to wrap to thread 1.
+            (
+                r#"{"event":"span","name":"x","t_ns":1,"thread":4294967297}"#,
+                "\"thread\" 4294967297",
             ),
         ] {
             let err = Event::parse_line(line).unwrap_err();

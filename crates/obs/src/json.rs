@@ -1,5 +1,14 @@
-//! A minimal, dependency-free JSON value with a deterministic writer and a
-//! strict recursive-descent parser.
+//! The workspace's one JSON dialect: a minimal, dependency-free value
+//! ([`Json`]) with a deterministic writer and a strict recursive-descent
+//! parser, and the pieces both are built from — the lexer ([`Reader`]),
+//! the pretty layout ([`Writer`]) and the string escaper ([`write_str`]).
+//!
+//! It lives in `dyncode-obs` because obs is the dependency-free crate
+//! under every JSON user (`dyncode_engine::{json, Json}` re-export it).
+//! Artifacts, store objects, sidecars, `dyncode-metrics/v1` files and
+//! `dyncode-events/v1` lines all go through this module, so the escape
+//! table, the `\u`/surrogate rules, the number grammar, comma strictness
+//! and [`MAX_DEPTH`] are decided here once.
 //!
 //! The artifact pipeline needs exactly three things from JSON: (1) a
 //! writer whose output is **byte-stable** — same value in, same bytes out,
@@ -95,59 +104,50 @@ impl Json {
         }
     }
 
+    /// A required object field read through one of the `as_*` accessors
+    /// (`json.req("seed", Json::as_u64)?`); an absent or mistyped field
+    /// is an error naming the key. Every schema decoder reads its fields
+    /// through this, so they all reject alike.
+    pub fn req<'a, T>(
+        &'a self,
+        key: &str,
+        as_t: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(as_t)
+            .ok_or_else(|| format!("missing/mistyped field {key:?}"))
+    }
+
     /// Pretty-prints with two-space indentation. The output is a pure
     /// function of the value: artifacts compared byte-for-byte rely on
     /// this.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+        let mut w = Writer::default();
+        self.write(&mut w);
+        w.finish()
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
+    fn write(&self, w: &mut Writer) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => write_num(out, *x),
-            Json::Str(s) => write_str(out, s),
+            Json::Null => w.out.push_str("null"),
+            Json::Bool(b) => w.out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(x) => write_num(&mut w.out, *x),
+            Json::Str(s) => w.str(s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                w.begin('[');
+                for item in items {
+                    w.item();
+                    item.write(w);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
+                w.end(']');
             }
             Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
+                w.begin('{');
+                for (k, v) in fields {
+                    w.key(k);
+                    v.write(w);
                 }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                w.end('}');
             }
         }
     }
@@ -156,11 +156,7 @@ impl Json {
     /// whitespace). Containers nested deeper than [`MAX_DEPTH`] are an
     /// error, so no input can overflow the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
+        let mut p = Reader::new(text);
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -168,6 +164,77 @@ impl Json {
             return Err(format!("trailing input at byte {}", p.pos));
         }
         Ok(v)
+    }
+}
+
+/// The pretty layout, streamed: two-space indentation, one entry per
+/// line, `"key": value`, and `[]` / `{}` for an empty container.
+/// [`Json::pretty`] is a walk over this; a caller whose numbers must not
+/// pass through `f64` (`dyncode-metrics/v1` counters are exact `u64`s)
+/// drives it directly.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    depth: usize,
+    /// Nothing has been written yet inside the innermost open container.
+    empty: bool,
+}
+
+impl Writer {
+    /// Opens a container with `'{'` or `'['`.
+    pub fn begin(&mut self, open: char) {
+        self.out.push(open);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    /// Closes the innermost container with `'}'` or `']'`.
+    pub fn end(&mut self, close: char) {
+        self.depth -= 1;
+        if !self.empty {
+            self.newline();
+        }
+        self.empty = false;
+        self.out.push(close);
+    }
+
+    /// Starts the next entry of the open container on a line of its own.
+    fn item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        self.newline();
+    }
+
+    /// Starts the next object member: `"key": `, the value follows.
+    pub fn key(&mut self, key: &str) {
+        self.item();
+        write_str(&mut self.out, key);
+        self.out.push_str(": ");
+    }
+
+    /// A string value.
+    pub fn str(&mut self, s: &str) {
+        write_str(&mut self.out, s);
+    }
+
+    /// An unsigned integer value, printed exactly.
+    pub fn u64(&mut self, v: u64) {
+        self.out.push_str(&v.to_string());
+    }
+
+    /// The finished document, newline-terminated.
+    pub fn finish(mut self) -> String {
+        self.out.push('\n');
+        self.out
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
 }
 
@@ -188,7 +255,9 @@ fn write_num(out: &mut String, x: f64) {
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (quoted, escaped) — the one
+/// escape table every writer in the workspace uses.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -210,26 +279,50 @@ fn write_str(out: &mut String, s: &str) {
 /// depth; the repo's own schemas nest fewer than 10 levels.
 pub const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
+/// The one lexer: a cursor over the text that knows the dialect's
+/// whitespace, string, number and object-member rules. [`Json::parse`]
+/// builds its tree over it; `Event::parse_line` walks its flat
+/// fixed-key record over it directly, because an event's numbers must
+/// stay text until the key decides `u64` or `f64`.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Skips ASCII whitespace.
+    pub fn skip_ws(&mut self) {
         while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
             self.pos += 1;
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The next byte, unconsumed; `None` at the end of the text.
+    pub fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Consumes the next byte if it is `b`.
+    pub fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += hit as usize;
+        hit
+    }
+
+    /// Consumes `b` or fails naming the byte offset.
+    pub fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.eat(b) {
             Ok(())
         } else {
             Err(format!(
@@ -281,7 +374,10 @@ impl Parser<'_> {
         v
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// Scans one number and returns its text unparsed — the caller
+    /// decides the type (`f64` for the tree, `u64` where an event key
+    /// demands exactness).
+    pub fn number_text(&mut self) -> Result<&'a str, String> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -290,24 +386,38 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if start == self.pos {
+            return Err(format!("expected a number at byte {start}"));
+        }
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number bytes"))
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        let text = self.number_text()?;
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
     }
 
+    /// The four hex digits of a `\u` escape. Digits only: the integer
+    /// parsers of std would also take a sign (`\u+041`).
     fn hex4(&mut self) -> Result<u32, String> {
         let hex = self
             .bytes
             .get(self.pos..self.pos + 4)
             .ok_or("truncated \\u escape")?;
-        let code = u32::from_str_radix(std::str::from_utf8(hex).map_err(|e| e.to_string())?, 16)
-            .map_err(|e| e.to_string())?;
+        let code = hex
+            .iter()
+            .try_fold(0, |acc, &b| Some(acc * 16 + (b as char).to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
         self.pos += 4;
         Ok(code)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Reads one string literal, unescaped (`\u` surrogate pairs joined,
+    /// lone surrogates rejected).
+    pub fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
@@ -366,52 +476,64 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
+        self.entries(b'[', b']', |r| {
+            items.push(r.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
         let mut fields = Vec::new();
+        self.members(|r, key| {
+            fields.push((key, r.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Walks one object: `{`, then `member(self, key)` with the reader
+    /// at each member's value, then `}`.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.entries(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.skip_ws();
+            r.expect(b':')?;
+            r.skip_ws();
+            member(r, key)
+        })
+    }
+
+    /// Walks one container, `entry` reading each of its entries — the one
+    /// comma rule: entries are comma-separated and a trailing comma is an
+    /// error.
+    fn entries(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut entry: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
+        if self.eat(close) {
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            entry(self)?;
             self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            if self.eat(close) {
+                return Ok(());
+            }
+            if !self.eat(b',') {
+                return Err(format!(
+                    "expected ',' or '{}' at byte {}",
+                    close as char, self.pos
+                ));
             }
         }
     }
@@ -475,12 +597,48 @@ mod tests {
 
     #[test]
     fn surrogate_pair_escapes_parse() {
-        let v = Json::parse(r#""😀 ok""#).unwrap();
+        let v = Json::parse(r#""\ud83d\ude00 ok""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600} ok"));
         // Unpaired or malformed surrogates are errors, not panics.
         assert!(Json::parse(r#""\ud83d""#).is_err());
         assert!(Json::parse(r#""\ud83dA""#).is_err());
         assert!(Json::parse(r#""\ude00""#).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_no_sign() {
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(
+            Json::parse(r#""\u00e9\u00E9""#).unwrap().as_str(),
+            Some("éé")
+        );
+        // `u32::from_str_radix` would read "+041" as 0x41.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004""#,
+            r#""\u00é""#,
+        ] {
+            let err = Json::parse(bad).unwrap_err();
+            assert!(err.contains("\\u escape"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn writer_prints_u64_exactly_in_the_pretty_layout() {
+        let mut w = Writer::default();
+        w.begin('{');
+        w.key("max");
+        w.u64(u64::MAX);
+        w.key("empty");
+        w.begin('{');
+        w.end('}');
+        w.end('}');
+        assert_eq!(
+            w.finish(),
+            "{\n  \"max\": 18446744073709551615,\n  \"empty\": {}\n}\n"
+        );
     }
 
     #[test]

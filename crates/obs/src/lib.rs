@@ -1,5 +1,7 @@
 //! `dyncode-obs` — zero-dependency structured telemetry for the dyncode
-//! workspace: spans, counters/gauges/histograms, and pluggable sinks.
+//! workspace: spans, counters/gauges/histograms, and pluggable sinks —
+//! and, because it is the one crate under every JSON user, the
+//! workspace's JSON codec ([`json`]).
 //!
 //! This crate sits *below* every other dyncode crate (kernel, core,
 //! engine, store, bench all depend on it) and therefore depends on
@@ -16,6 +18,10 @@
 //! - [`metrics`] — process-global counters, gauges, and log2-bucketed
 //!   fixed-memory histograms; always-on (recording is a relaxed atomic
 //!   op), so sidecars can render from them without any sink.
+//! - [`json`] — the one JSON dialect: [`json::Json`] (the tree the
+//!   artifacts, store objects and sidecars are written from),
+//!   [`json::Reader`] (the lexer the event parser walks directly) and
+//!   [`json::Writer`] (the pretty layout the metrics file streams).
 //! - [`sink`] — the [`Sink`] trait plus [`MemorySink`] (aggregation)
 //!   and [`JsonlSink`] (`dyncode-events/v1` stream for `--events`).
 //! - [`log`] — leveled progress logging behind [`obs_info!`],
@@ -29,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod session;

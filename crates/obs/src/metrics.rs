@@ -13,6 +13,7 @@
 //! from a [`HistogramSnapshot`] as bucket upper bounds.
 
 use crate::event::{Event, Kind, Value};
+use crate::json::Writer;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -302,66 +303,66 @@ pub fn snapshot_events() -> Vec<Event> {
     }
     for (name, h) in &snap.histograms {
         let mut ev = Event::new(Kind::Hist, name);
-        ev.fields = vec![
-            ("count".to_string(), Value::U64(h.count)),
-            ("sum".to_string(), Value::U64(h.sum)),
-            ("p50".to_string(), Value::U64(h.percentile(0.50))),
-            ("p90".to_string(), Value::U64(h.percentile(0.90))),
-            ("p99".to_string(), Value::U64(h.percentile(0.99))),
-            ("max".to_string(), Value::U64(h.max_bound())),
-        ];
+        ev.fields = hist_fields(h)
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Value::U64(v)))
+            .collect();
         out.push(ev);
     }
     out
+}
+
+/// The six numbers a histogram is reported as, in wire order: the fields
+/// of its `hist` event and its row in the metrics file.
+fn hist_fields(h: &HistogramSnapshot) -> [(&'static str, u64); 6] {
+    [
+        ("count", h.count),
+        ("sum", h.sum),
+        ("p50", h.percentile(0.50)),
+        ("p90", h.percentile(0.90)),
+        ("p99", h.percentile(0.99)),
+        ("max", h.max_bound()),
+    ]
 }
 
 /// The metrics-file schema identifier (`--metrics PATH` output).
 pub const METRICS_SCHEMA: &str = "dyncode-metrics/v1";
 
 /// Writes [`snapshot`] to `path` as a `dyncode-metrics/v1` JSON document.
+/// Values are streamed through [`Writer::u64`], not a `Json` tree: a
+/// counter above 2^53 must print exactly.
 pub fn write_metrics_file(path: &std::path::Path) -> std::io::Result<()> {
-    use std::fmt::Write as _;
     let snap = snapshot();
-    let mut s = String::new();
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "  \"schema\": \"{METRICS_SCHEMA}\",");
-    let _ = writeln!(s, "  \"counters\": {{");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        let comma = if i + 1 < snap.counters.len() { "," } else { "" };
-        let _ = writeln!(s, "    \"{name}\": {v}{comma}");
+    let mut w = Writer::default();
+    w.begin('{');
+    w.key("schema");
+    w.str(METRICS_SCHEMA);
+    for (section, entries) in [("counters", &snap.counters), ("gauges", &snap.gauges)] {
+        w.key(section);
+        w.begin('{');
+        for (name, v) in entries {
+            w.key(name);
+            w.u64(*v);
+        }
+        w.end('}');
     }
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"gauges\": {{");
-    for (i, (name, v)) in snap.gauges.iter().enumerate() {
-        let comma = if i + 1 < snap.gauges.len() { "," } else { "" };
-        let _ = writeln!(s, "    \"{name}\": {v}{comma}");
+    w.key("histograms");
+    w.begin('{');
+    for (name, h) in &snap.histograms {
+        w.key(name);
+        w.begin('{');
+        for (key, v) in hist_fields(h) {
+            w.key(key);
+            w.u64(v);
+        }
+        w.end('}');
     }
-    let _ = writeln!(s, "  }},");
-    let _ = writeln!(s, "  \"histograms\": {{");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        let comma = if i + 1 < snap.histograms.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            s,
-            "    \"{name}\": {{\"count\": {}, \"sum\": {}, \"p50\": {}, \"p90\": {}, \
-             \"p99\": {}, \"max\": {}}}{comma}",
-            h.count,
-            h.sum,
-            h.percentile(0.50),
-            h.percentile(0.90),
-            h.percentile(0.99),
-            h.max_bound()
-        );
-    }
-    let _ = writeln!(s, "  }}");
-    let _ = writeln!(s, "}}");
+    w.end('}');
+    w.end('}');
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(path, s)
+    std::fs::write(path, w.finish())
 }
 
 #[cfg(test)]
@@ -464,5 +465,24 @@ mod tests {
         assert!(text.contains(METRICS_SCHEMA), "{text}");
         assert!(text.contains("test.file.counter"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn metrics_file_is_valid_json_whatever_the_names() {
+        use crate::json::Json;
+        counter("evil\"name\\").add(3);
+        histogram("test.file.hist").record(u64::MAX);
+        let dir = std::env::temp_dir().join(format!("dyncode_obs_escape_{}", std::process::id()));
+        let path = dir.join("metrics.json");
+        write_metrics_file(&path).expect("write");
+        let text = std::fs::read_to_string(&path).expect("read");
+        std::fs::remove_dir_all(&dir).ok();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{e}:\n{text}"));
+        assert_eq!(doc.req("schema", Json::as_str), Ok(METRICS_SCHEMA));
+        let counters = doc.get("counters").expect("counters section");
+        assert_eq!(counters.req("evil\"name\\", Json::as_u64), Ok(3));
+        // u64 values print exactly, not through f64 (2^64 - 1 would
+        // come out as 18446744073709552000).
+        assert!(text.contains("\"max\": 18446744073709551615"), "{text}");
     }
 }

@@ -23,9 +23,9 @@
 
 use crate::key::{campaign_digest, CellKey};
 use crate::store::Store;
-use dyncode_dynet::simulator::{RoundRecord, RunResult};
-use dyncode_engine::artifact::{Artifact, CellRecord, HistoryRow, RunError, RunRecord};
-use dyncode_engine::{Campaign, CellSpec, Engine, SeedStats, Shard};
+use dyncode_dynet::simulator::RunResult;
+use dyncode_engine::artifact::{Artifact, CellRecord};
+use dyncode_engine::{Campaign, CellError, CellSpec, Engine, Shard};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
@@ -57,32 +57,6 @@ pub struct RunStats {
     /// Prior contained errors scheduled for re-execution (a subset of
     /// `computed`).
     pub retried: usize,
-}
-
-/// Reconstructs the raw [`RunResult`] a prior artifact recorded — exact,
-/// because every recorded field is integral — so resumed cells aggregate
-/// to byte-identical stats.
-fn record_to_result(rec: &RunRecord, adversary: String) -> RunResult {
-    RunResult {
-        rounds: rec.rounds,
-        completed: rec.completed,
-        total_bits: rec.total_bits,
-        max_message_bits: rec.max_message_bits,
-        adversary,
-        history: rec
-            .history
-            .iter()
-            .map(|h: &HistoryRow| RoundRecord {
-                round: h.round,
-                edges: h.edges,
-                bits: h.bits,
-                min_dim: h.min_dim,
-                max_dim: h.max_dim,
-                total_tokens: h.total_tokens,
-                done: h.done,
-            })
-            .collect(),
-    }
 }
 
 /// Runs `campaign` (or one shard of it) through the cache/resume
@@ -152,7 +126,7 @@ pub fn run_campaign_stored(
     // Resolve every cell-seed slot: prior artifact first, then the
     // store, leaving the rest as compute jobs. Prior *errors* are
     // deliberately not carried over — resume retries them.
-    let mut slots: Vec<Vec<Option<RunResult>>> = Vec::with_capacity(cells.len());
+    let mut slots: Vec<Vec<Result<RunResult, CellError>>> = Vec::with_capacity(cells.len());
     let mut jobs: Vec<(usize, usize)> = Vec::new(); // (cell idx, seed idx)
     let mut keys: Vec<Vec<Option<CellKey>>> = Vec::with_capacity(cells.len());
     for (ci, cell) in cells.iter().enumerate() {
@@ -163,7 +137,8 @@ pub fn run_campaign_stored(
             let mut slot = None;
             if let Some(p) = prior {
                 if let Some(rec) = p.runs.iter().find(|r| r.seed == seed) {
-                    slot = Some(record_to_result(rec, cell.adversary.name()));
+                    // Exact, so resumed cells aggregate to the same bytes.
+                    slot = Some(rec.to_result(cell.adversary.name()));
                     stats.resumed += 1;
                 } else if p.errors.iter().any(|e| e.seed == seed) {
                     stats.retried += 1;
@@ -183,7 +158,9 @@ pub fn run_campaign_stored(
             if slot.is_none() {
                 jobs.push((ci, si));
             }
-            cell_slots.push(slot);
+            cell_slots.push(slot.ok_or_else(|| CellError {
+                message: "run did not execute".into(),
+            }));
             cell_keys.push(key);
         }
         slots.push(cell_slots);
@@ -215,53 +192,26 @@ pub fn run_campaign_stored(
 
     // Fold the computed results back in (write-through to the store) and
     // assemble the artifact exactly as `run_campaign` does.
-    let mut errors_by_slot: HashMap<(usize, usize), String> = HashMap::new();
     for (&(ci, si), outcome) in jobs.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => {
-                if let Some(store) = opts.store {
-                    let key = keys[ci][si]
-                        .take()
-                        .unwrap_or_else(|| CellKey::new(&cells[ci], campaign.seeds[si]));
-                    // A failed write-back is not fatal: the result is in
-                    // hand, only the next run's cache warmth suffers.
-                    let _ = store.put(&key, &r);
-                }
-                slots[ci][si] = Some(r);
-            }
-            Err(e) => {
-                errors_by_slot.insert((ci, si), e.message);
-            }
+        if let (Ok(r), Some(store)) = (&outcome, opts.store) {
+            let key = keys[ci][si]
+                .take()
+                .unwrap_or_else(|| CellKey::new(&cells[ci], campaign.seeds[si]));
+            // A failed write-back is not fatal: the result is in hand,
+            // only the next run's cache warmth suffers.
+            let _ = store.put(&key, r);
         }
+        slots[ci][si] = outcome;
     }
 
     let mut artifact = Artifact::new(artifact_id, campaign.title.clone());
     artifact.campaign_digest = Some(digest);
-    for (ci, (cell, cell_slots)) in cells.iter().zip(&slots).enumerate() {
-        let mut runs = Vec::new();
-        let mut raw = Vec::new();
-        let mut errors = Vec::new();
-        for (si, (&seed, slot)) in campaign.seeds.iter().zip(cell_slots).enumerate() {
-            match slot {
-                Some(r) => {
-                    runs.push(RunRecord::from_run(seed, r));
-                    raw.push(r.clone());
-                }
-                None => errors.push(RunError {
-                    seed,
-                    message: errors_by_slot
-                        .remove(&(ci, si))
-                        .unwrap_or_else(|| "run did not execute".into()),
-                }),
-            }
-        }
-        artifact.cells.push(CellRecord {
-            label: cell.label(),
-            meta: cell.meta(),
-            stats: SeedStats::from_runs(&raw, errors.len()),
-            runs,
-            errors,
-        });
+    for (cell, cell_slots) in cells.iter().zip(&slots) {
+        artifact.cells.push(CellRecord::from_outcomes(
+            cell.label(),
+            cell.meta(),
+            campaign.seeds.iter().copied().zip(cell_slots),
+        ));
     }
     Ok((artifact, stats))
 }

@@ -26,7 +26,8 @@
 //! to a cache miss, never a wrong result.
 
 use crate::key::CellKey;
-use dyncode_dynet::simulator::{RoundRecord, RunResult};
+use dyncode_dynet::simulator::RunResult;
+use dyncode_engine::artifact::{history_from_json, history_to_json};
 use dyncode_engine::Json;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -393,8 +394,9 @@ impl Store {
     }
 }
 
-/// Serializes a cached result: the canonical key string plus the full
-/// [`RunResult`] (history rows in the artifact's 7-column form).
+/// Serializes a cached result: the artifact's run fields (history through
+/// the artifact's own 7-column codec) plus the canonical key string and
+/// the adversary name, which an artifact keeps in its cell metadata.
 fn encode_object(canonical_key: &str, r: &RunResult) -> String {
     Json::obj(vec![
         ("schema", Json::Str(CELL_SCHEMA.into())),
@@ -404,25 +406,7 @@ fn encode_object(canonical_key: &str, r: &RunResult) -> String {
         ("total_bits", Json::Num(r.total_bits as f64)),
         ("max_message_bits", Json::Num(r.max_message_bits as f64)),
         ("adversary", Json::Str(r.adversary.clone())),
-        (
-            "history",
-            Json::Arr(
-                r.history
-                    .iter()
-                    .map(|h| {
-                        Json::Arr(vec![
-                            Json::Num(h.round as f64),
-                            Json::Num(h.edges as f64),
-                            Json::Num(h.bits as f64),
-                            Json::Num(h.min_dim as f64),
-                            Json::Num(h.max_dim as f64),
-                            Json::Num(h.total_tokens as f64),
-                            Json::Num(h.done as f64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("history", history_to_json(&r.history)),
     ])
     .pretty()
 }
@@ -431,66 +415,26 @@ fn encode_object(canonical_key: &str, r: &RunResult) -> String {
 /// canonical key matches the one requested.
 fn decode_object(text: &str, expect_key: &str) -> Result<RunResult, String> {
     let json = Json::parse(text)?;
-    let str_field = |key: &str| -> Result<String, String> {
-        json.get(key)
-            .and_then(Json::as_str)
-            .map(String::from)
-            .ok_or(format!("missing/mistyped field {key:?}"))
-    };
-    if str_field("schema")? != CELL_SCHEMA {
+    if json.req("schema", Json::as_str)? != CELL_SCHEMA {
         return Err("unsupported object schema".into());
     }
-    if str_field("key")? != expect_key {
+    if json.req("key", Json::as_str)? != expect_key {
         return Err("stored key does not match the requested key".into());
     }
-    let num = |key: &str| -> Result<u64, String> {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .ok_or(format!("missing/mistyped field {key:?}"))
-    };
-    let history = json
-        .get("history")
-        .and_then(Json::as_arr)
-        .ok_or("missing/mistyped field \"history\"")?
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let cols = row
-                .as_arr()
-                .filter(|a| a.len() == 7)
-                .ok_or(format!("history[{i}] is not a 7-column row"))?;
-            let col = |j: usize| -> Result<usize, String> {
-                cols[j]
-                    .as_usize()
-                    .ok_or(format!("history[{i}][{j}] is not an integer"))
-            };
-            Ok(RoundRecord {
-                round: col(0)?,
-                edges: col(1)?,
-                bits: cols[2].as_u64().ok_or(format!("history[{i}][2] bad"))?,
-                min_dim: col(3)?,
-                max_dim: col(4)?,
-                total_tokens: col(5)?,
-                done: col(6)?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
     Ok(RunResult {
-        rounds: num("rounds")? as usize,
-        completed: json
-            .get("completed")
-            .and_then(Json::as_bool)
-            .ok_or("missing/mistyped field \"completed\"")?,
-        total_bits: num("total_bits")?,
-        max_message_bits: num("max_message_bits")?,
-        adversary: str_field("adversary")?,
-        history,
+        history: history_from_json(&json)?,
+        rounds: json.req("rounds", Json::as_usize)?,
+        completed: json.req("completed", Json::as_bool)?,
+        total_bits: json.req("total_bits", Json::as_u64)?,
+        max_message_bits: json.req("max_message_bits", Json::as_u64)?,
+        adversary: json.req("adversary", Json::as_str)?.into(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyncode_dynet::simulator::RoundRecord;
     use dyncode_engine::{AdversaryKind, Campaign};
 
     fn temp_store(name: &str) -> Store {
@@ -545,6 +489,54 @@ mod tests {
         assert_eq!((c.hits, c.misses, c.puts), (2, 2, 2));
         assert!(store.root().join("index.log").exists());
         std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    /// The object bytes existing stores hold, recorded before the history
+    /// codec was shared with the artifact.
+    #[test]
+    fn object_bytes_are_golden() {
+        let mut r = sample_result(true);
+        r.history.push(RoundRecord {
+            round: 1,
+            edges: 9,
+            bits: 1u64 << 40,
+            min_dim: 1,
+            max_dim: 3,
+            total_tokens: 20,
+            done: 2,
+        });
+        let text = r#"{
+  "schema": "dyncode-store-cell/v1",
+  "key": "the \"key\"",
+  "rounds": 17,
+  "completed": true,
+  "total_bits": 1234,
+  "max_message_bits": 16,
+  "adversary": "shuffled-path",
+  "history": [
+    [
+      0,
+      7,
+      160,
+      0,
+      1,
+      8,
+      0
+    ],
+    [
+      1,
+      9,
+      1099511627776,
+      1,
+      3,
+      20,
+      2
+    ]
+  ]
+}
+"#;
+        assert_eq!(encode_object("the \"key\"", &r), text);
+        assert_eq!(decode_object(text, "the \"key\""), Ok(r));
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub mod prelude {
         TokenForwarding,
     };
     pub use dyncode_core::runner::{
-        fully_disseminated, run_one, run_spec_kernel, summarize, sweep_seeds, Kernel,
+        fully_disseminated, run_one, run_spec_kernel, sweep_seeds, Kernel,
     };
     pub use dyncode_core::theory;
     pub use dyncode_dynet::adversaries;
