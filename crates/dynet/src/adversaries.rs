@@ -66,6 +66,10 @@ impl Adversary for StaticAdversary {
         );
         self.graph.clone()
     }
+
+    fn needs_view(&self) -> bool {
+        false
+    }
 }
 
 /// A fresh random connected graph (random spanning tree + `extra_edges`
@@ -90,6 +94,10 @@ impl Adversary for RandomConnectedAdversary {
     fn topology(&mut self, _round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         generators::random_connected(view.num_nodes(), self.extra_edges, rng)
     }
+
+    fn needs_view(&self) -> bool {
+        false
+    }
 }
 
 /// A path over a fresh uniformly random node permutation each round.
@@ -103,6 +111,10 @@ impl Adversary for ShuffledPathAdversary {
     fn topology(&mut self, _round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         let order = generators::random_permutation(view.num_nodes(), rng);
         generators::path_with_order(&order)
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 
@@ -118,6 +130,10 @@ impl Adversary for ShuffledStarAdversary {
         let n = view.num_nodes();
         let center = rng.random_range(0..n);
         generators::star(n, center)
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 
@@ -155,6 +171,10 @@ impl Adversary for KnowledgeAdaptiveAdversary {
         });
         generators::path_with_order(&order)
     }
+
+    fn needs_view(&self) -> bool {
+        true
+    }
 }
 
 /// Two cliques with a single bridge whose endpoints are re-drawn each
@@ -175,6 +195,10 @@ impl Adversary for BottleneckAdversary {
         let a = rng.random_range(0..half);
         let b = rng.random_range(half..n);
         generators::dumbbell(n, a, b)
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 
@@ -229,6 +253,10 @@ impl Adversary for TIntervalAdversary {
             attempts += 1;
         }
         g
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 

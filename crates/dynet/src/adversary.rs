@@ -8,6 +8,12 @@
 //! the adversary commits a connected topology, and only then do nodes draw
 //! their per-round randomness and messages.
 //!
+//! Most adversaries are *oblivious*: they read nothing of the view but
+//! its node count. Building the view costs the cell n token sets a
+//! round, so an adversary says whether it reads one
+//! ([`Adversary::needs_view`]) and the driver hands the oblivious ones a
+//! blank view of the right size instead.
+//!
 //! The *omniscient* adversary of Section 6 (which knows all future
 //! randomness) cannot be expressed through this interface by construction;
 //! it is realized separately in `dyncode-rlnc::determinize` as a
@@ -60,6 +66,17 @@ pub trait Adversary {
 
     /// Chooses the topology for `round`.
     fn topology(&mut self, round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph;
+
+    /// Does [`topology`](Adversary::topology) read anything of its view
+    /// besides [`KnowledgeView::num_nodes`]? Constant over a run. When
+    /// `false` the driver passes one blank view all run long and never
+    /// asks the cell for a real one, so answering `false` and then
+    /// reading knowledge is a bug; `true` is always safe. Every adversary
+    /// in this workspace answers explicitly (CI counts them) — the
+    /// default is for implementations elsewhere.
+    fn needs_view(&self) -> bool {
+        true
+    }
 }
 
 /// Wraps any adversary into a T-*stable* one: the inner adversary is
@@ -103,6 +120,10 @@ impl<A: Adversary> Adversary for TStable<A> {
         }
         self.current.clone().expect("just set")
     }
+
+    fn needs_view(&self) -> bool {
+        self.inner.needs_view()
+    }
 }
 
 /// A boxed adversary, for heterogeneous collections in experiment sweeps.
@@ -115,6 +136,10 @@ impl Adversary for BoxedAdversary {
 
     fn topology(&mut self, round: usize, view: &KnowledgeView, rng: &mut StdRng) -> Graph {
         (**self).topology(round, view, rng)
+    }
+
+    fn needs_view(&self) -> bool {
+        (**self).needs_view()
     }
 }
 

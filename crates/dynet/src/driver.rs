@@ -1,8 +1,10 @@
 //! The round driver: the model's round structure (Section 4.1) as one
 //! function. [`run_fast`] is the only round loop in the workspace —
-//! adversary view, topology validation, neighbor-blind compose, delivery
-//! planning, anonymous delivery, end-of-round hook, history row,
-//! termination test — and [`FastCell`] is the state layout it drives,
+//! adversary view (for adversaries that read one), topology, size check,
+//! CSR load, connectivity search of every topology the load found new,
+//! neighbor-blind compose, delivery planning, anonymous delivery,
+//! end-of-round hook, history row, termination test — and [`FastCell`]
+//! is the state layout it drives,
 //! batched per round instead of per node: an arena-backed cell of
 //! `dyncode-kernel`, or any per-node `Protocol` behind
 //! [`PerNode`](crate::simulator::PerNode), which is how `simulator::run`
@@ -118,12 +120,16 @@ pub fn run_fast(
     let mut csr = CsrTopology::new(n);
     // `None` for reliable delivery: no delivery coins are ever drawn.
     // Otherwise the planner's directed per-round plan is materialized
-    // into its own CSR snapshot, so the adversary snapshot's delta reuse
-    // is untouched.
+    // into its own CSR snapshot, so the adversary snapshot's reuse is
+    // untouched.
     let mut delivery = config
         .delivery
         .model(seed)
         .map(|m| (m, CsrTopology::new(n)));
+    // An oblivious adversary reads only the view's node count: it gets
+    // this one all run long and the cell is never asked to build its own.
+    let needs_view = adversary.needs_view();
+    let blank = KnowledgeView::blank(n, 0);
     let mut speaks: Vec<bool> = Vec::new();
     let mut total_bits = 0u64;
     let mut max_message_bits = 0u64;
@@ -136,21 +142,30 @@ pub fn run_fast(
     let mut completed = cell.all_done();
     while !completed && round < config.max_rounds {
         let t0 = Instant::now();
-        // 1. Adversary commits a topology from the current state.
-        let view = cell.view();
-        let graph = adversary.topology(round, &view, &mut adv_rng);
+        // 1. Adversary commits a topology from the current state. The
+        // model requires it connected; a graph equal to the one already
+        // loaded was searched when it was loaded, so only a rebuild is.
+        let cell_view;
+        let view = if needs_view {
+            cell_view = cell.view();
+            &cell_view
+        } else {
+            &blank
+        };
+        let graph = adversary.topology(round, view, &mut adv_rng);
         assert_eq!(
             graph.num_nodes(),
             n,
             "adversary {} produced a graph of the wrong size",
             adversary.name()
         );
-        assert!(
-            graph.is_connected(),
-            "adversary {} produced a disconnected graph at round {round}",
-            adversary.name()
-        );
-        csr.load(&graph);
+        if csr.load(&graph) {
+            assert!(
+                csr.is_connected(),
+                "adversary {} produced a disconnected graph at round {round}",
+                adversary.name()
+            );
+        }
 
         let t1 = Instant::now();
         // 2. Nodes speak, neighbor-blind.

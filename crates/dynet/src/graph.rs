@@ -42,6 +42,36 @@ impl Graph {
         g
     }
 
+    /// Bulk constructor: the graph on `n` nodes whose edges are `pairs`,
+    /// each `(lo, hi)` with `lo < hi < n`, strictly ascending by
+    /// `(hi, lo)` — the order of ascending [`edge_id`](crate::trace::edge_id)s,
+    /// which the caller has checked. The iterator is walked twice: once
+    /// to count degrees, once to fill exact-capacity lists with plain
+    /// pushes. That order already leaves every list sorted — node `u`
+    /// gets its lower neighbors (ascending) while `hi = u`, its higher
+    /// ones (ascending) afterwards — so the result equals the
+    /// [`add_edge`](Graph::add_edge) loop's, without its search and shift
+    /// per edge.
+    pub(crate) fn from_ascending_pairs(
+        n: usize,
+        pairs: impl Iterator<Item = (NodeId, NodeId)> + Clone,
+    ) -> Self {
+        let mut degree = vec![0usize; n];
+        let mut num_edges = 0;
+        for (lo, hi) in pairs.clone() {
+            degree[lo] += 1;
+            degree[hi] += 1;
+            num_edges += 1;
+        }
+        let mut adj: Vec<Vec<NodeId>> = degree.into_iter().map(Vec::with_capacity).collect();
+        for (lo, hi) in pairs {
+            adj[hi].push(lo);
+            adj[lo].push(hi);
+        }
+        debug_assert!(adj.iter().all(|ns| ns.windows(2).all(|w| w[0] < w[1])));
+        Graph { adj, num_edges }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.adj.len()

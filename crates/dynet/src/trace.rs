@@ -38,6 +38,13 @@ pub fn edge_id(u: NodeId, v: NodeId) -> u64 {
     hi * (hi - 1) / 2 + lo
 }
 
+/// How many edge ids a graph on `n` nodes can use: `n(n−1)/2`, the ids
+/// being `0..num_edge_ids(n)` (none for `n ≤ 1`).
+pub fn num_edge_ids(n: usize) -> u64 {
+    let n = n as u64;
+    n * n.saturating_sub(1) / 2
+}
+
 /// Inverse of [`edge_id`]: the `(min, max)` endpoints of an edge id.
 pub fn id_to_edge(id: u64) -> (NodeId, NodeId) {
     // hi is the largest v with v(v−1)/2 ≤ id; solve the quadratic and
@@ -90,13 +97,36 @@ pub fn symm_diff(a: &[u64], b: &[u64]) -> Vec<u64> {
 }
 
 /// Materializes a graph on `n` nodes from sorted edge ids.
+///
+/// Ascending ids walk the higher endpoint and then the lower one
+/// ascending, so one running `(hi, base = hi(hi−1)/2)` decodes the whole
+/// list without [`id_to_edge`]'s square root per id.
+///
+/// # Panics
+/// Panics unless `ids` is strictly ascending and below
+/// [`num_edge_ids`]`(n)`.
 pub fn graph_from_ids(n: usize, ids: &[u64]) -> Graph {
-    let mut g = Graph::empty(n);
-    for &id in ids {
-        let (u, v) = id_to_edge(id);
-        g.add_edge(u, v);
+    assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "edge ids must be strictly ascending"
+    );
+    if let Some(&last) = ids.last() {
+        assert!(
+            last < num_edge_ids(n),
+            "edge id {last} out of range for n={n}"
+        );
     }
-    g
+    let (mut hi, mut base) = (1u64, 0u64);
+    Graph::from_ascending_pairs(
+        n,
+        ids.iter().map(move |&id| {
+            while id >= base + hi {
+                base += hi;
+                hi += 1;
+            }
+            ((id - base) as NodeId, hi as NodeId)
+        }),
+    )
 }
 
 /// A delta-encoded topology trace: per round, the sorted list of edge ids
@@ -237,6 +267,10 @@ impl<A: Adversary> Adversary for RecordingAdversary<A> {
         self.trace.borrow_mut().push(&g);
         g
     }
+
+    fn needs_view(&self) -> bool {
+        self.inner.needs_view()
+    }
 }
 
 /// Replays a fixed topology sequence; past the end it cycles (so longer
@@ -328,6 +362,10 @@ impl Adversary for ReplayAdversary {
         let idx = round % self.trace.len();
         self.graph_at(idx)
     }
+
+    fn needs_view(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
@@ -350,6 +388,31 @@ mod tests {
         // Dense: 40 nodes have exactly 40·39/2 ids.
         assert_eq!(seen.len(), 40 * 39 / 2);
         assert_eq!(*seen.iter().max().unwrap(), 40 * 39 / 2 - 1);
+    }
+
+    #[test]
+    fn edge_id_count_saturates_at_no_nodes() {
+        assert_eq!([0, 1, 2, 3, 40].map(num_edge_ids), [0, 0, 1, 3, 780]);
+    }
+
+    // The bulk build relies on ascending, in-range ids and cannot put an
+    // unsorted list right, so `graph_from_ids` refuses all three.
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn graph_from_ids_rejects_unsorted_ids() {
+        graph_from_ids(5, &[0, 4, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn graph_from_ids_rejects_duplicate_ids() {
+        graph_from_ids(5, &[0, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge id 10 out of range for n=5")]
+    fn graph_from_ids_rejects_out_of_range_ids() {
+        graph_from_ids(5, &[0, 2, 10]);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use dyncode_dynet::adversaries::standard_suite;
 use dyncode_dynet::adversary::{Adversary, KnowledgeView, TStable};
 use dyncode_dynet::generators;
+use dyncode_dynet::graph::Graph;
 use dyncode_dynet::mis::{greedy_mis, is_valid_mis, luby_mis, patch_decomposition};
+use dyncode_dynet::trace::{graph_from_ids, id_to_edge, num_edge_ids};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -60,6 +62,29 @@ proptest! {
             }
             prev = Some(g);
         }
+    }
+
+    /// The two-pass bulk build is the `add_edge` loop it replaced, on any
+    /// sorted id set (isolated nodes, the empty set and the complete
+    /// graph included).
+    #[test]
+    fn graph_from_ids_is_the_add_edge_loop(
+        n in 0usize..24,
+        density_pm in 0u32..=1000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids: Vec<u64> = (0..num_edge_ids(n))
+            .filter(|_| rng.random_bool(density_pm as f64 / 1000.0))
+            .collect();
+        let mut want = Graph::empty(n);
+        for &id in &ids {
+            let (u, v) = id_to_edge(id);
+            want.add_edge(u, v);
+        }
+        let got = graph_from_ids(n, &ids);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(got.num_edges(), ids.len());
     }
 
     #[test]

@@ -113,6 +113,10 @@ impl<A: Adversary> Adversary for ChurnAdversary<A> {
         }
         g
     }
+
+    fn needs_view(&self) -> bool {
+        self.inner.needs_view()
+    }
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! density.
 
 use dyncode_dynet::graph::Graph;
-use dyncode_dynet::trace::{edge_ids, graph_from_ids, symm_diff, DeltaTrace};
+use dyncode_dynet::trace::{edge_ids, graph_from_ids, num_edge_ids, symm_diff, DeltaTrace};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
 /// The 4-byte magic prefix.
@@ -230,7 +230,7 @@ impl<R: Read> DctReader<R> {
             return Ok(None);
         }
         let count = read_varint(&mut self.r)?;
-        let max_id = (self.header.n as u64) * (self.header.n as u64).saturating_sub(1) / 2;
+        let max_id = num_edge_ids(self.header.n);
         let mut flips = Vec::with_capacity(count.min(1 << 20) as usize);
         let mut prev = 0u64;
         for i in 0..count {
@@ -252,12 +252,16 @@ impl<R: Read> DctReader<R> {
         Ok(Some(flips))
     }
 
+    /// Materializes the most recently decoded round's graph (the empty
+    /// graph before the first round).
+    pub fn graph(&self) -> Graph {
+        graph_from_ids(self.header.n, &self.edges)
+    }
+
     /// Decodes the next round and materializes its graph, or `None` at
     /// the end of the trace.
     pub fn next_graph(&mut self) -> io::Result<Option<Graph>> {
-        Ok(self
-            .next_flips()?
-            .map(|_| graph_from_ids(self.header.n, &self.edges)))
+        Ok(self.next_flips()?.map(|_| self.graph()))
     }
 }
 

@@ -12,49 +12,76 @@
 //! (edge-Markov) do **not** fold them back into their chain state, so the
 //! underlying process stays the pure model and the repair is a per-round
 //! overlay.
+//!
+//! Components are *labels*, not lists: scanning start nodes in ascending
+//! order numbers each component at its smallest member, which is the
+//! chain order ([`component_labels`]); a counting sort over the labels
+//! then lays the members out component by component, ascending within
+//! each, which is the order the endpoint draws index. Four flat arrays a
+//! call, however many components there are.
 
-use dyncode_dynet::graph::{Graph, NodeId};
+use dyncode_dynet::graph::Graph;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// The connected components of `g`, each sorted ascending, ordered by
-/// smallest member.
-pub fn components(g: &Graph) -> Vec<Vec<NodeId>> {
-    let n = g.num_nodes();
-    let mut seen = vec![false; n];
-    let mut out = Vec::new();
-    for start in 0..n {
-        if seen[start] {
+/// Labels every node with the index of its connected component,
+/// components numbered in order of their smallest member; returns the
+/// labels and the component count.
+pub fn component_labels(g: &Graph) -> (Vec<usize>, usize) {
+    const UNSEEN: usize = usize::MAX;
+    let mut label = vec![UNSEEN; g.num_nodes()];
+    let mut stack = Vec::with_capacity(g.num_nodes());
+    let mut count = 0;
+    for start in 0..g.num_nodes() {
+        if label[start] != UNSEEN {
             continue;
         }
-        let mut comp = Vec::new();
-        let mut queue = std::collections::VecDeque::from([start]);
-        seen[start] = true;
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
+        label[start] = count;
+        stack.push(start);
+        while let Some(u) = stack.pop() {
             for &v in g.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    queue.push_back(v);
+                if label[v] == UNSEEN {
+                    label[v] = count;
+                    stack.push(v);
                 }
             }
         }
-        comp.sort_unstable();
-        out.push(comp);
+        count += 1;
     }
-    out
+    (label, count)
 }
 
 /// Makes `g` connected by chaining its components with uniformly random
 /// endpoint pairs; returns the number of edges added (`components − 1`).
 pub fn connect_components(g: &mut Graph, rng: &mut StdRng) -> usize {
-    let comps = components(g);
-    for pair in comps.windows(2) {
-        let u = pair[0][rng.random_range(0..pair[0].len())];
-        let v = pair[1][rng.random_range(0..pair[1].len())];
+    let (label, count) = component_labels(g);
+    if count <= 1 {
+        return 0;
+    }
+    // Counting sort by label: `members[end[c − 1]..end[c]]` is component
+    // `c`, ascending because nodes are placed in ascending order.
+    let mut end = vec![0usize; count];
+    for &c in &label {
+        end[c] += 1;
+    }
+    let mut first = 0;
+    for e in &mut end {
+        first += std::mem::replace(e, first);
+    }
+    let mut members = vec![0; label.len()];
+    for (u, &c) in label.iter().enumerate() {
+        members[end[c]] = u;
+        end[c] += 1;
+    }
+    let mut pick = |c: usize| {
+        let comp = &members[if c == 0 { 0 } else { end[c - 1] }..end[c]];
+        comp[rng.random_range(0..comp.len())]
+    };
+    for c in 1..count {
+        let (u, v) = (pick(c - 1), pick(c));
         g.add_edge(u, v);
     }
-    comps.len().saturating_sub(1)
+    count - 1
 }
 
 #[cfg(test)]
@@ -67,11 +94,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         // 3 islands: {0,1}, {2}, {3,4,5}.
         let mut g = Graph::from_edges(6, &[(0, 1), (3, 4), (4, 5)]);
-        assert_eq!(components(&g).len(), 3);
+        assert_eq!(component_labels(&g), (vec![0, 0, 1, 2, 2, 2], 3));
         let added = connect_components(&mut g, &mut rng);
         assert_eq!(added, 2);
         assert!(g.is_connected());
         assert_eq!(g.num_edges(), 5);
+    }
+
+    #[test]
+    fn labels_number_components_by_smallest_member() {
+        // {0, 4}, {1, 3, 5}, {2}: numbered where the scan first meets them,
+        // whichever way the search inside a component runs.
+        let g = Graph::from_edges(6, &[(0, 4), (3, 5), (1, 5)]);
+        assert_eq!(component_labels(&g), (vec![0, 1, 2, 1, 0, 1], 3));
+        assert_eq!(component_labels(&Graph::empty(0)), (vec![], 0));
     }
 
     #[test]

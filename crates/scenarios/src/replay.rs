@@ -74,16 +74,17 @@ impl<R: Read + Seek> DctReplay<R> {
         if self.reader.consumed() > idx {
             self.reader.rewind()?;
         }
-        let mut g = None;
+        // Skipped rounds (all but one per window under `TStable`) are
+        // decoded as flips only; just the round asked for is built.
         while self.reader.consumed() <= idx {
-            g = self.reader.next_graph()?;
+            if self.reader.next_flips()?.is_none() {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "trace ended before its header said",
+                ));
+            }
         }
-        let g = g.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "trace ended before its header said",
-            )
-        })?;
+        let g = self.reader.graph();
         self.current = Some((idx, g.clone()));
         Ok(g)
     }
@@ -106,6 +107,10 @@ impl<R: Read + Seek> Adversary for DctReplay<R> {
         let idx = (round as u64) % header.rounds;
         self.graph_at(idx)
             .unwrap_or_else(|e| panic!("trace replay failed at round {round}: {e}"))
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 
@@ -151,6 +156,10 @@ impl<A: Adversary, W: Write + Seek> Adversary for DctRecording<A, W> {
             .push(&g)
             .unwrap_or_else(|e| panic!("trace write failed at round {round}: {e}"));
         g
+    }
+
+    fn needs_view(&self) -> bool {
+        self.inner.needs_view()
     }
 }
 
@@ -220,16 +229,22 @@ mod tests {
         rec.finish().unwrap().1.into_inner()
     }
 
+    /// Every graph of a trace, decoded straight from its bytes.
+    fn decode_all(bytes: &[u8]) -> Vec<Graph> {
+        let mut direct = DctReader::new(Cursor::new(bytes)).unwrap();
+        let mut graphs = Vec::new();
+        while let Some(g) = direct.next_graph().unwrap() {
+            graphs.push(g);
+        }
+        graphs
+    }
+
     #[test]
     fn recorded_trace_replays_identically_and_cycles() {
         let bytes = record_in_memory(7, 3);
 
         // Decode the originals straight from the bytes…
-        let mut direct = DctReader::new(Cursor::new(bytes.clone())).unwrap();
-        let mut originals = Vec::new();
-        while let Some(g) = direct.next_graph().unwrap() {
-            originals.push(g);
-        }
+        let originals = decode_all(&bytes);
         assert_eq!(originals.len(), 7);
 
         // …and through the replay adversary, in order and cycling.
@@ -245,6 +260,23 @@ mod tests {
         // the cache, and a backward jump rewinds cleanly.
         assert_eq!(&replay.topology(8, &view, &mut rng), &originals[1]);
         assert_eq!(&replay.topology(2, &view, &mut rng), &originals[2]);
+    }
+
+    #[test]
+    fn t_stable_replay_serves_each_window_start_across_wrap_arounds() {
+        // TStable(3) consults the replay at rounds 0, 3, 6, …: every call
+        // skips two recorded rounds, and over 20 rounds the 5-round trace
+        // wraps twice (rewinding the stream mid-window).
+        let bytes = record_in_memory(5, 11);
+        let originals = decode_all(&bytes);
+        let replay = DctReplay::new(Cursor::new(bytes)).unwrap();
+        let mut stable = dyncode_dynet::adversary::TStable::new(replay, 3);
+        let view = KnowledgeView::blank(9, 2);
+        let mut rng = StdRng::seed_from_u64(0);
+        for r in 0..20 {
+            let want = &originals[(r / 3 * 3) % 5];
+            assert_eq!(&stable.topology(r, &view, &mut rng), want, "round {r}");
+        }
     }
 
     #[test]

@@ -69,16 +69,9 @@ impl WaypointAdversary {
     /// pair until the graph is connected.
     fn geometric_repair(&self, g: &mut Graph) {
         loop {
-            let comps = crate::repair::components(g);
-            if comps.len() <= 1 {
+            let (comp_of, count) = crate::repair::component_labels(g);
+            if count <= 1 {
                 return;
-            }
-            // Component index per node.
-            let mut comp_of = vec![0usize; g.num_nodes()];
-            for (ci, comp) in comps.iter().enumerate() {
-                for &u in comp {
-                    comp_of[u] = ci;
-                }
             }
             let mut best: Option<(f64, usize, usize)> = None;
             for u in 0..g.num_nodes() {
@@ -126,6 +119,10 @@ impl Adversary for WaypointAdversary {
         }
         self.geometric_repair(&mut g);
         g
+    }
+
+    fn needs_view(&self) -> bool {
+        false
     }
 }
 

@@ -7,7 +7,9 @@ use dyncode_dynet::adversary::{Adversary, KnowledgeView};
 use dyncode_dynet::graph::Graph;
 use dyncode_dynet::trace::DeltaTrace;
 use dyncode_scenarios::dct::{decode_trace, encode_trace, DctReader, DctWriter};
-use dyncode_scenarios::{ChurnAdversary, EdgeMarkovAdversary, ScenarioKind, WaypointAdversary};
+use dyncode_scenarios::{
+    repair, ChurnAdversary, EdgeMarkovAdversary, ScenarioKind, WaypointAdversary,
+};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 
@@ -42,7 +44,72 @@ fn induced_connected(g: &Graph, active: &[bool]) -> bool {
     sub.is_connected()
 }
 
+/// The repair's reference, as it was before components became labels:
+/// each component a sorted list found by BFS, ordered by smallest member.
+fn components(g: &Graph) -> Vec<Vec<usize>> {
+    let n = g.num_nodes();
+    let mut seen = vec![false; n];
+    let mut out = Vec::new();
+    for start in 0..n {
+        if seen[start] {
+            continue;
+        }
+        let mut comp = Vec::new();
+        let mut queue = std::collections::VecDeque::from([start]);
+        seen[start] = true;
+        while let Some(u) = queue.pop_front() {
+            comp.push(u);
+            for &v in g.neighbors(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        comp.sort_unstable();
+        out.push(comp);
+    }
+    out
+}
+
 proptest! {
+    /// `connect_components` is the chain over `components()`: the same
+    /// edges from the same draws, so the same RNG state afterwards — on
+    /// random forests from all-isolated (`keep_pm = 0`) to one tree.
+    #[test]
+    fn repair_is_the_chain_over_component_lists(
+        n in 0usize..40,
+        keep_pm in 0u32..=1000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = dyncode_dynet::generators::random_tree(n, &mut rng);
+        let kept: Vec<_> = tree
+            .edges()
+            .into_iter()
+            .filter(|_| rng.random_bool(keep_pm as f64 / 1000.0))
+            .collect();
+        let forest = Graph::from_edges(n, &kept);
+
+        let mut want = forest.clone();
+        let mut want_rng = rng.clone();
+        let comps = components(&want);
+        for pair in comps.windows(2) {
+            let u = pair[0][want_rng.random_range(0..pair[0].len())];
+            let v = pair[1][want_rng.random_range(0..pair[1].len())];
+            want.add_edge(u, v);
+        }
+
+        let mut got = forest;
+        let added = repair::connect_components(&mut got, &mut rng);
+        prop_assert_eq!(added, comps.len().saturating_sub(1));
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(&rng, &want_rng);
+        prop_assert!(got.is_connected());
+        let (label, count) = repair::component_labels(&want);
+        prop_assert!(count <= 1 && label.iter().all(|&c| c == 0));
+    }
+
     #[test]
     fn edge_markov_stays_connected(
         n in 1usize..28,

@@ -154,6 +154,159 @@ fn simulator_rejects_disconnected_topologies() {
     );
 }
 
+/// One connected path for rounds 0–4, then the empty graph. Oblivious, so
+/// the driver hands it the blank view.
+struct LateDisconnect;
+
+impl Adversary for LateDisconnect {
+    fn name(&self) -> String {
+        "late-disconnect".into()
+    }
+    fn topology(&mut self, round: usize, view: &KnowledgeView, _g: &mut StdRng) -> Graph {
+        if round < 5 {
+            dyncode_dynet::generators::path(view.num_nodes())
+        } else {
+            Graph::empty(view.num_nodes())
+        }
+    }
+    fn needs_view(&self) -> bool {
+        false
+    }
+}
+
+#[test]
+#[should_panic(expected = "produced a disconnected graph at round 5")]
+fn simulator_rejects_a_topology_that_disconnects_after_repeating() {
+    // Rounds 1–4 repeat round 0's graph, which the driver searched when
+    // it first loaded it and does not search again; the first *new* graph
+    // must still be searched, and named by its own round.
+    let params = Params::new(6, 6, 4, 8);
+    let inst = Instance::generate(params, Placement::OneTokenPerNode, 1);
+    let config = SimConfig::with_max_rounds(10);
+    let msg = panic_message(|| {
+        let mut p = TokenForwarding::baseline(&inst);
+        run(&mut p, &mut LateDisconnect, &config, 1);
+    });
+    assert!(msg.contains("disconnected graph at round 5"), "{msg}");
+    run_arena_cell("token-forwarding", &inst, || LateDisconnect, &config, 1);
+}
+
+/// Every adversary that says it reads no view gets the same blank one all
+/// run long; that is sound only if a view full of knowledge would not
+/// have changed a graph or a coin. Checked for every name the campaign
+/// grammar registers (bare and `TStable`-wrapped, which is how `t > 1`
+/// builds them) and for the adversaries only code constructs.
+#[test]
+fn oblivious_adversaries_ignore_the_view_and_adaptive_ones_say_so() {
+    use dyncode::engine::campaign::AdversaryKind;
+    use dyncode::scenarios::replay::{record_scenario_to_file, DctRecording};
+    use dyncode::scenarios::{DctWriter, ScenarioKind};
+    use dyncode_dynet::adversaries::{StaticAdversary, TIntervalAdversary};
+    use dyncode_dynet::trace::{RecordingAdversary, ReplayAdversary};
+    use rand::{RngExt, SeedableRng};
+
+    const N: usize = 12;
+    let dct = std::env::temp_dir().join(format!("dyncode-oblivious-{}.dct", std::process::id()));
+    let scenario = ScenarioKind::parse("edge-markov(0.1,0.3)").unwrap();
+    record_scenario_to_file(&scenario, N, 7, 5, &dct).unwrap();
+
+    type Build = Box<dyn Fn() -> Box<dyn Adversary>>;
+    let mut builds: Vec<(String, Build)> = Vec::new();
+    for name in [
+        "shuffled-path".to_string(),
+        "shuffled-star".into(),
+        "bottleneck".into(),
+        "knowledge-adaptive".into(),
+        "random-connected".into(),
+        "edge-markov(0.05,0.2)".into(),
+        "waypoint(0.35,0.05)".into(),
+        "churn(0.2,random-connected)".into(),
+        "churn(0.2,edge-markov(0.05,0.2))".into(),
+        "churn(0.2,knowledge-adaptive)".into(),
+        format!("trace({})", dct.display()),
+    ] {
+        for t in [1, 3] {
+            let kind = AdversaryKind::parse(&name).expect(&name);
+            builds.push((format!("{name} t={t}"), Box::new(move || kind.build(t))));
+        }
+    }
+    let in_code: Vec<(&str, Build)> = vec![
+        (
+            "static-path",
+            Box::new(|| Box::new(StaticAdversary::path(N))),
+        ),
+        (
+            "t-interval",
+            Box::new(|| Box::new(TIntervalAdversary::new(4, 2))),
+        ),
+        (
+            "replay",
+            Box::new(|| {
+                let path = dyncode_dynet::generators::path(N);
+                let star = dyncode_dynet::generators::star(N, 3);
+                Box::new(ReplayAdversary::from_graphs(&[path, star]))
+            }),
+        ),
+        (
+            "recorded(shuffled-star)",
+            Box::new(|| Box::new(RecordingAdversary::new(adversaries::ShuffledStarAdversary).0)),
+        ),
+        (
+            "recorded(knowledge-adaptive)",
+            Box::new(|| {
+                Box::new(RecordingAdversary::new(adversaries::KnowledgeAdaptiveAdversary).0)
+            }),
+        ),
+        (
+            "dct-recorded(bottleneck)",
+            Box::new(|| {
+                let sink = DctWriter::new(std::io::Cursor::new(Vec::new()), N, 0).unwrap();
+                Box::new(DctRecording::new(adversaries::BottleneckAdversary, sink))
+            }),
+        ),
+    ];
+    builds.extend(in_code.into_iter().map(|(name, b)| (name.to_string(), b)));
+
+    let blank = KnowledgeView::blank(N, 0);
+    let mut fill = StdRng::seed_from_u64(77);
+    let mut full = KnowledgeView::blank(N, 8);
+    for u in 0..N {
+        for i in 0..8 {
+            if fill.random() {
+                full.tokens[u].insert(i);
+            }
+        }
+        full.dims[u] = full.tokens[u].len();
+        full.done[u] = fill.random();
+    }
+
+    let mut oblivious = 0;
+    for (name, build) in &builds {
+        let needs = build().needs_view();
+        assert_eq!(
+            needs,
+            name.contains("knowledge-adaptive"),
+            "{name}: needs_view() must be true exactly where knowledge is read"
+        );
+        if needs {
+            continue;
+        }
+        oblivious += 1;
+        let (mut on_blank, mut on_full) = (build(), build());
+        let (mut rng_blank, mut rng_full) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+        for round in 0..32 {
+            assert_eq!(
+                on_blank.topology(round, &blank, &mut rng_blank),
+                on_full.topology(round, &full, &mut rng_full),
+                "{name}: round {round} depends on the view"
+            );
+        }
+        assert_eq!(rng_blank, rng_full, "{name}: coins depend on the view");
+    }
+    assert_eq!(oblivious, builds.len() - 5);
+    std::fs::remove_file(&dct).unwrap();
+}
+
 #[test]
 #[should_panic(expected = "exceeded the message budget")]
 fn strict_accounting_rejects_over_budget_forwarding_messages() {
