@@ -340,21 +340,38 @@ fn termination_column(protocols: &str) -> String {
 
 /// The machine-friendlier registry listing on stdout (`--list`): one line
 /// per experiment with its protocol column and the termination
-/// predicate(s) those protocols run under, then the delivery-model
-/// registry (the `delivery =` campaign axis applies to every experiment
-/// that routes through the engine).
+/// predicate(s) those protocols run under, then the delivery-model and
+/// adversary registries (campaign axes that apply to every experiment
+/// routed through the engine).
 pub fn print_registry_listing() {
     for (id, desc, protocols, _) in &registry() {
         let term = termination_column(protocols);
         println!("{id:<5} {desc}  [{protocols}]  term: {term}");
     }
-    for (grammar, desc) in delivery_registry() {
-        println!("delivery {grammar}  {desc}");
+    let axes = [
+        ("delivery", delivery_registry()),
+        ("adversary", dyncode_scenarios::registry()),
+    ];
+    for (axis, rows) in axes {
+        for (grammar, desc) in rows {
+            println!("{axis} {grammar}  {desc}");
+        }
+    }
+}
+
+/// One `(grammar, description)` registry section of `experiments protocols`.
+fn print_axis_registry(title: &str, usage: &str, rows: &[(&str, &str)]) {
+    println!("\n{title} registry ({} entries)\n", rows.len());
+    println!("campaign usage:  {usage}   (grid axis, cross product)");
+    for (grammar, desc) in rows {
+        println!("{grammar}");
+        println!("    {desc}");
     }
 }
 
 /// The `protocols` subcommand: the protocol registry — spec grammar,
-/// parameters, defaults — plus the delivery-model registry, on stdout.
+/// parameters, defaults — plus the delivery-model and adversary
+/// registries, on stdout.
 pub fn print_protocol_registry() {
     println!("protocol registry ({} entries)\n", spec::registry().len());
     println!("campaign usage:  protocol = <spec>[, <spec>...]   (grid axis, cross product)");
@@ -367,17 +384,14 @@ pub fn print_protocol_registry() {
     }
     println!("\nconfigured variants round-trip: a spec's canonical string parses back");
     println!("to the same protocol (e.g. greedy-forward(gather=2,bcast=3)).");
-    println!(
-        "\ndelivery model registry ({} entries)\n",
-        delivery_registry().len()
-    );
-    println!("campaign usage:  delivery = <model>[, <model>...]   (grid axis, cross product)");
-    for (grammar, desc) in delivery_registry() {
-        println!("{grammar}");
-        println!("    {desc}");
-    }
+    let usage = "delivery = <model>[, <model>...]";
+    print_axis_registry("delivery model", usage, &delivery_registry());
     println!("\nthe default (reliable) is elided from labels, artifact meta, and cache");
     println!("keys, so campaigns without a delivery axis are byte-identical to older runs.");
+    let usage = "adversaries = <spec>[, <spec>...]";
+    print_axis_registry("adversary", usage, &dyncode_scenarios::registry());
+    println!("\n`scenario =` is a second spelling of the same axis (the two accumulate);");
+    println!("a cell's `t` > 1 wraps its adversary T-stable.");
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ fn paired_cell(
         cap,
         &ProtocolSpec::TokenForwarding,
         &inst,
-        || scenario.build(),
+        || scenario.build(1),
     );
     let coded = ctx.mean_rounds_spec(
         &format!("{tag} coding"),
@@ -56,7 +56,7 @@ fn paired_cell(
         cap,
         &ProtocolSpec::IndexedBroadcast,
         &inst,
-        || scenario.build(),
+        || scenario.build(1),
     );
     (fwd, coded)
 }
@@ -185,7 +185,7 @@ pub fn e20(ctx: &mut ExpCtx) {
             60 * n * n,
             &ProtocolSpec::TokenForwarding,
             &inst,
-            || replay.build(),
+            || replay.build(1),
         );
         let coded = ctx.mean_rounds_spec(
             &format!("E20 n={n} coding"),
@@ -194,7 +194,7 @@ pub fn e20(ctx: &mut ExpCtx) {
             60 * n * n,
             &ProtocolSpec::IndexedBroadcast,
             &inst,
-            || replay.build(),
+            || replay.build(1),
         );
         t.row(vec![
             n.to_string(),

@@ -23,9 +23,7 @@ use dyncode_bench::orchestrate;
 use dyncode_bench::registry;
 use dyncode_core::params::{Params, Placement};
 use dyncode_core::spec::ProtocolSpec;
-use dyncode_engine::{
-    compare, AdversaryKind, Artifact, CellSpec, CompareConfig, DeliverySpec, Kernel,
-};
+use dyncode_engine::{compare, Artifact, CellSpec, CompareConfig, DeliverySpec, Kernel};
 use dyncode_obs::{obs_error, obs_info};
 use dyncode_scenarios::{record_scenario_to_file, DctHeader, DctReader, ScenarioKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -292,8 +290,7 @@ fn replayable(path: &str, scan: &TraceScan) -> Result<DctHeader, String> {
 fn cmd_trace(raw_args: &[String]) -> i32 {
     let usage = || -> i32 {
         print_usage(&TRACE);
-        eprintln!("\nscenarios: edge-markov(p_up,p_down) | waypoint(radius,speed)");
-        eprintln!("           | churn(rate,base) | shuffled-path | … | random-connected");
+        eprintln!("\nscenarios: any adversary spec (see `experiments protocols`)");
         eprintln!("protocols: any registry spec (see `experiments protocols`)");
         eprintln!("kernels:   reference (default) | fast | auto");
         2
@@ -437,7 +434,7 @@ fn cmd_trace(raw_args: &[String]) -> i32 {
             let cell = CellSpec {
                 params: Params::new(n, n, d, 2 * d),
                 t: 1,
-                adversary: AdversaryKind::Scenario(ScenarioKind::Trace { path: path.clone() }),
+                adversary: ScenarioKind::Trace { path: path.clone() },
                 placement: Placement::OneTokenPerNode,
                 protocol: protocol.clone(),
                 cap: 60 * n * n,

@@ -69,12 +69,18 @@ fn list_flag_prints_sorted_registry_with_protocol_column() {
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    // e1..e23 in numeric order, then one row per delivery model.
+    // e1..e23 in numeric order, then one row per delivery model, then
+    // one per adversary spec form.
     let mut expected: Vec<String> = (1..=23).map(|i| format!("e{i}")).collect();
     expected.extend(std::iter::repeat_n("delivery".to_string(), 3));
+    expected.extend(std::iter::repeat_n("adversary".to_string(), 9));
     assert_eq!(
         ids, expected,
-        "--list must print e1..e23 then the delivery registry"
+        "--list must print e1..e23, the delivery registry, the adversary registry"
+    );
+    assert!(
+        text.contains("adversary edge-markov(p_up,p_down)  "),
+        "{text}"
     );
     // Every experiment line carries its protocol column in brackets and a
     // termination-predicate column.
@@ -127,9 +133,24 @@ fn protocols_subcommand_prints_the_registry_grammar() {
         "quorum-decide(f=F,q=Q)",
         "termination: all-tokens-decoded",
         "termination: quorum-threshold",
+        "delivery model registry (3 entries)",
+        "adversary registry (9 entries)",
+        "edge-markov(p_up,p_down)",
+        "knowledge-adaptive",
     ] {
         assert!(text.contains(needle), "missing {needle:?}:\n{text}");
     }
+}
+
+#[test]
+fn trace_record_rejects_unknown_scenarios_with_the_registry() {
+    let out = experiments(&["trace", "record", "/nonexistent.dct", "mystery", "8", "4"]);
+    assert_eq!(out.status.code(), Some(2), "usage error, not runtime");
+    let err = stderr(&out);
+    assert!(
+        err.contains("unknown adversary") && err.contains("churn(rate,base)"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -581,6 +602,46 @@ fn campaign_usage_errors_exit_2() {
     let out = experiments(&["campaign", bad.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("key = value"), "{}", stderr(&out));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spec that parses line by line but names a grid that cannot exist is
+/// a usage error like any other parse failure: exit 2 with one `error:`
+/// line — not a panic (exit 101) out of grid expansion on the main
+/// thread.
+#[test]
+fn campaign_with_an_impossible_grid_exits_2_without_panicking() {
+    let dir = temp_dir("hostile");
+    for (name, text, names) in [
+        ("k0", "id = a\nk = 0\n", "at least one token"),
+        (
+            "place",
+            "id = b\nplacement = all-at-node:99\n",
+            "all-at-node:99",
+        ),
+        ("muld", "id = c\nd = 2d\n", "`d`"),
+        ("quick", "id = d\nquick_n = 0\n", "n = 0"),
+    ] {
+        let spec = dir.join(format!("{name}.camp"));
+        std::fs::write(&spec, text).unwrap();
+        let out_dir = dir.join("out");
+        let args = [
+            "campaign",
+            spec.to_str().unwrap(),
+            "--out",
+            out_dir.to_str().unwrap(),
+        ];
+        for args in [&args[..], &[&args[..], &["--quick"]].concat()] {
+            let out = experiments(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+            assert!(!err.contains("panicked at"), "{name}: {err}");
+            let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+            assert_eq!(errors.len(), 1, "{name}: {err}");
+            assert!(errors[0].contains(names), "{name}: {err}");
+        }
+        assert!(!out_dir.exists(), "{name}: nothing may have run");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -17,6 +17,8 @@
 use dyncode_gf::Gf2Vec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt;
+use std::str::FromStr;
 
 /// The public parameters of a dissemination problem. All four are known to
 /// every node (n is known per the model; k, d and b are protocol
@@ -38,22 +40,35 @@ impl Params {
     /// Creates and validates parameters.
     ///
     /// # Panics
-    /// Panics unless `n ≥ 1`, `k ≥ 1`, `log₂ n ≤ b`, `d ≤ b`, and tokens
-    /// are distinguishable (`2^d ≥ 2k`, needed for distinct token values).
+    /// Panics with [`Params::check`]'s message unless it passes.
     pub fn new(n: usize, k: usize, d: usize, b: usize) -> Self {
-        assert!(n >= 1, "need at least one node");
-        assert!(k >= 1, "need at least one token");
-        assert!(d <= b, "token size d={d} exceeds message size b={b}");
-        let log_n = usize::BITS - n.leading_zeros().max(1);
-        assert!(
-            b >= log_n as usize,
-            "message size b={b} below log2(n)={log_n}"
-        );
-        assert!(
-            d >= 63 || (1usize << d) >= 2 * k,
-            "d={d} bits cannot hold {k} distinct token values"
-        );
+        Params::check(n, k, d, b).unwrap_or_else(|why| panic!("{why}"));
         Params { n, k, d, b }
+    }
+
+    /// The conditions on a parameter set, as an error instead of a
+    /// panic: `n ≥ 1`, `k ≥ 1`, `log₂ n ≤ b`, `d ≤ b`, and tokens are
+    /// distinguishable (`2^d ≥ 2k`, needed for distinct token values).
+    /// Campaign validation calls this per grid point; [`Params::new`]
+    /// panics with the same message.
+    pub fn check(n: usize, k: usize, d: usize, b: usize) -> Result<(), String> {
+        if n < 1 {
+            return Err("need at least one node".into());
+        }
+        if k < 1 {
+            return Err("need at least one token".into());
+        }
+        if d > b {
+            return Err(format!("token size d={d} exceeds message size b={b}"));
+        }
+        let log_n = usize::BITS - n.leading_zeros().max(1);
+        if b < log_n as usize {
+            return Err(format!("message size b={b} below log2(n)={log_n}"));
+        }
+        if d < 63 && k.checked_mul(2).is_none_or(|twice| (1usize << d) < twice) {
+            return Err(format!("d={d} bits cannot hold {k} distinct token values"));
+        }
+        Ok(())
     }
 
     /// ⌈log₂ n⌉, the size of a node UID.
@@ -81,6 +96,50 @@ pub enum Placement {
     /// Tokens are crammed into the first `m` nodes round-robin — an
     /// adversarial clustering that stresses gathering.
     Clustered(usize),
+}
+
+impl Placement {
+    /// Does this placement fit a problem of `n` nodes and `k` tokens?
+    /// Campaign validation calls this per grid point;
+    /// [`Instance::generate`] panics with the same message.
+    pub fn fits(&self, n: usize, k: usize) -> Result<(), String> {
+        match *self {
+            Placement::OneTokenPerNode if k > n => Err("OneTokenPerNode needs k <= n".into()),
+            Placement::AllAtNode(u) if u >= n => Err("holder node out of range".into()),
+            Placement::Clustered(m) if m < 1 || m > n => Err("bad cluster size".into()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The spec-text form: `one-token-per-node`, `round-robin`,
+/// `all-at-node:<node>`, `clustered:<m>` — what `.camp` files say and
+/// store keys record.
+impl fmt::Display for Placement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Placement::OneTokenPerNode => write!(f, "one-token-per-node"),
+            Placement::RoundRobin => write!(f, "round-robin"),
+            Placement::AllAtNode(node) => write!(f, "all-at-node:{node}"),
+            Placement::Clustered(m) => write!(f, "clustered:{m}"),
+        }
+    }
+}
+
+/// Inverse of the `Display` form.
+impl FromStr for Placement {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Placement, String> {
+        let number = |raw: &str| raw.parse().map_err(|_| format!("bad placement {s:?}"));
+        match s.split_once(':') {
+            None if s == "one-token-per-node" => Ok(Placement::OneTokenPerNode),
+            None if s == "round-robin" => Ok(Placement::RoundRobin),
+            Some(("all-at-node", node)) => number(node).map(Placement::AllAtNode),
+            Some(("clustered", m)) => number(m).map(Placement::Clustered),
+            _ => Err(format!("unknown placement {s:?}")),
+        }
+    }
 }
 
 /// A concrete problem instance: parameters, token values (sorted
@@ -118,10 +177,13 @@ impl Instance {
     /// Panics if the placement is inconsistent with the parameters
     /// (e.g. [`Placement::OneTokenPerNode`] with k > n).
     pub fn generate(params: Params, placement: Placement, seed: u64) -> Self {
+        placement
+            .fits(params.n, params.k)
+            .unwrap_or_else(|why| panic!("{why}"));
         let mut rng = StdRng::seed_from_u64(seed);
         // Distinct random d-bit values via rejection (2^d ≥ 2k makes the
         // expected number of retries < 2k).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::HashSet::with_capacity(params.k);
         let mut tokens = Vec::with_capacity(params.k);
         while tokens.len() < params.k {
             let t = Gf2Vec::random(params.d, &mut rng);
@@ -133,19 +195,10 @@ impl Instance {
 
         let holders: Vec<Vec<usize>> = (0..params.k)
             .map(|i| match placement {
-                Placement::OneTokenPerNode => {
-                    assert!(params.k <= params.n, "OneTokenPerNode needs k <= n");
-                    vec![i]
-                }
+                Placement::OneTokenPerNode => vec![i],
                 Placement::RoundRobin => vec![i % params.n],
-                Placement::AllAtNode(u) => {
-                    assert!(u < params.n, "holder node out of range");
-                    vec![u]
-                }
-                Placement::Clustered(m) => {
-                    assert!(m >= 1 && m <= params.n, "bad cluster size");
-                    vec![i % m]
-                }
+                Placement::AllAtNode(u) => vec![u],
+                Placement::Clustered(m) => vec![i % m],
             })
             .collect();
 
@@ -190,6 +243,58 @@ mod tests {
     #[should_panic(expected = "distinct token values")]
     fn too_small_token_space_rejected() {
         Params::new(8, 8, 3, 8);
+    }
+
+    #[test]
+    fn check_is_new_without_the_panic() {
+        assert_eq!(Params::check(16, 16, 8, 16), Ok(()));
+        for (n, k, d, b, why) in [
+            (0, 1, 8, 8, "at least one node"),
+            (8, 0, 8, 8, "at least one token"),
+            (8, 4, 16, 8, "exceeds message size"),
+            (16, 4, 3, 3, "below log2(n)"),
+            (8, 8, 3, 8, "distinct token values"),
+            (8, usize::MAX, 8, 8, "distinct token values"),
+        ] {
+            let err = Params::check(n, k, d, b).unwrap_err();
+            assert!(err.contains(why), "({n},{k},{d},{b}): {err}");
+        }
+        // Past 62 bits every k is distinguishable (and 2k may not fit).
+        assert_eq!(Params::check(8, usize::MAX, 64, 64), Ok(()));
+    }
+
+    #[test]
+    fn parse_placement_forms() {
+        assert_eq!("all-at-node:3".parse(), Ok(Placement::AllAtNode(3)));
+        assert_eq!("clustered:4".parse(), Ok(Placement::Clustered(4)));
+        assert!("scattered".parse::<Placement>().is_err());
+        assert!("clustered:x".parse::<Placement>().is_err());
+        assert!("clustered".parse::<Placement>().is_err());
+        for p in [
+            Placement::OneTokenPerNode,
+            Placement::RoundRobin,
+            Placement::AllAtNode(7),
+            Placement::Clustered(2),
+        ] {
+            assert_eq!(p.to_string().parse(), Ok(p));
+        }
+    }
+
+    #[test]
+    fn placements_fit_or_say_why() {
+        assert_eq!(Placement::OneTokenPerNode.fits(8, 8), Ok(()));
+        assert!(Placement::OneTokenPerNode.fits(8, 9).is_err());
+        assert_eq!(Placement::RoundRobin.fits(3, 8), Ok(()));
+        assert!(Placement::AllAtNode(8).fits(8, 1).is_err());
+        assert!(Placement::Clustered(0).fits(8, 8).is_err());
+        assert!(Placement::Clustered(9).fits(8, 8).is_err());
+        assert_eq!(Placement::Clustered(8).fits(8, 8), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "holder node out of range")]
+    fn generate_panics_on_a_placement_that_does_not_fit() {
+        Instance::generate(Params::new(8, 8, 8, 16), Placement::AllAtNode(8), 1);
     }
 
     #[test]

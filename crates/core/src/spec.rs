@@ -9,11 +9,11 @@
 //! they name scenarios (`protocol = greedy-forward, field-broadcast(gf256)`),
 //! and the engine sweeps the full cross product.
 //!
-//! # Grammar
+//! # Specs
 //!
-//! A spec is `name` or `name(args)`, with comma-separated `key=value`
-//! args (commas inside parentheses do not split list contexts — the same
-//! paren-aware rule as scenario specs):
+//! A spec is `name` or `name(args)` under the workspace grammar
+//! ([`dyncode_obs::spec`]); this module holds the protocol axis's table —
+//! which names exist and which arguments each reads:
 //!
 //! ```text
 //! token-forwarding                      Thm 2.1 baseline schedule
@@ -47,8 +47,8 @@ use crate::protocols::{
 };
 use crate::term::{TerminationPredicate, QUORUM_DECISION, TOKEN_COMPLETION};
 use dyncode_dynet::simulator::{Erased, ErasedProtocol};
-use dyncode_dynet::split_top_level as split_args;
 use dyncode_gf::{Gf2, Gf256, Gf257, Mersenne61};
+use dyncode_obs::spec::{list, value, write_call, Call};
 use dyncode_quorum::{QuorumConfig, QuorumGoal, QuorumProtocol, DEFAULT_WATERMARK_ROUNDS};
 use std::fmt;
 
@@ -164,9 +164,8 @@ pub enum ProtocolSpec {
 /// what `experiments protocols` prints and error messages enumerate.
 #[derive(Clone, Copy, Debug)]
 pub struct SpecInfo {
-    /// The bare spec name.
-    pub name: &'static str,
-    /// The full grammar with optional parameters.
+    /// The full grammar with optional parameters; it starts with the
+    /// bare spec name.
     pub grammar: &'static str,
     /// Parameter meanings and defaults.
     pub params: &'static str,
@@ -182,84 +181,72 @@ pub fn registry() -> &'static [SpecInfo] {
     const TOKENS: &str = "all-tokens-decoded";
     &[
         SpecInfo {
-            name: "token-forwarding",
             grammar: "token-forwarding",
             params: "none",
             summary: "KLO batched smallest-first flooding (Thm 2.1 baseline)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "pipelined-forwarding",
             grammar: "pipelined-forwarding[(T)]",
             params: "T = pipelining interval (default: the cell's T)",
             summary: "T-stable pipelined forwarding schedule (Thm 2.1)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "greedy-forward",
             grammar: "greedy-forward[(gather=G,bcast=B)]",
             params: "G = gather phase mult of n (default 1), B = broadcast mult (default 2)",
             summary: "gather-then-code, O(nkd/b² + nb) (Thm 7.3)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "priority-forward",
             grammar: "priority-forward[(warmup=W,bcast=B)]",
             params: "W = warmup mult of n (default 2), B = broadcast mult (default 3)",
             summary: "random block priorities, O(log n/b · nkd/b + n log n) (Thm 7.5)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "random-forward",
             grammar: "random-forward[(rounds=auto|R)]",
             params: "R = forwarding rounds (default auto = 2n)",
             summary: "the gathering primitive; reaches √(bk/d) tokens (Lem 7.2)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "naive-coded",
             grammar: "naive-coded",
             params: "none",
             summary: "flooded-ID indexing + coding, O(nk·log n/b) (Cor 7.1)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "indexed-broadcast",
             grammar: "indexed-broadcast",
             params: "none",
             summary: "packed-GF(2) RLNC k-indexed broadcast, O(n + k) (Lem 5.3)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "field-broadcast",
             grammar: "field-broadcast(gf2|gf256|gf257|m61[,det=S])",
             params: "field = coding field; det=S = deterministic advice seed (Cor 6.2)",
             summary: "indexed broadcast over any field; header k·lg q (Lem 5.3, q ≥ 2)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "centralized",
             grammar: "centralized",
             params: "none",
             summary: "header-free coding under central control, Θ(n) (Cor 2.6)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "patch-indexed",
             grammar: "patch-indexed",
             params: "none (uses the cell's T and b; charged-rounds model)",
             summary: "T-stable share-pass-share patch dissemination (§8.3, Thm 2.4)",
             termination: TOKENS,
         },
         SpecInfo {
-            name: "quorum-watermark",
             grammar: "quorum-watermark(f=F[,rounds=R])",
             params: "F = fault bound (needs n ≥ 5f+1); R = max_round⁺ target (default 8)",
             summary: "latest-round-per-peer gossip to the f+1 watermark (FaB sketch)",
             termination: "quorum-threshold",
         },
         SpecInfo {
-            name: "quorum-decide",
             grammar: "quorum-decide(f=F,q=Q)",
             params: "F = fault bound (needs n ≥ 5f+1); Q = decision round (4f+1 quorum)",
             summary: "consensus gossip: decide when a 4f+1 quorum prevotes round ≥ Q",
@@ -268,26 +255,27 @@ pub fn registry() -> &'static [SpecInfo] {
     ]
 }
 
-/// The comma-separated list of valid spec grammars, for error messages.
-fn valid_names() -> String {
-    registry()
-        .iter()
-        .map(|i| i.grammar)
-        .collect::<Vec<_>>()
-        .join(", ")
+/// Rejects an explicit zero: every count a spec names is ≥ 1.
+fn at_least_one(v: Option<usize>, what: &str, src: &str) -> Result<Option<usize>, String> {
+    match v {
+        Some(0) => Err(format!("{what} must be ≥ 1 in {src:?}")),
+        v => Ok(v),
+    }
 }
 
-/// Parses a `key=value` argument, accepting an optional `n` suffix on the
-/// value (`gather=2n` ≡ `gather=2`: the multipliers are "per n" already).
-fn keyed_usize<'a>(arg: &'a str, spec: &str) -> Result<(&'a str, usize), String> {
-    let (key, raw) = arg
-        .split_once('=')
-        .ok_or(format!("expected key=value, got {arg:?} in {spec:?}"))?;
-    let digits = raw.trim().strip_suffix('n').unwrap_or(raw.trim());
-    let v = digits
-        .parse::<usize>()
-        .map_err(|_| format!("bad value {raw:?} for {} in {spec:?}", key.trim()))?;
-    Ok((key.trim(), v))
+/// Reads the optional `key=V` argument, V ≥ 1.
+fn count(call: &mut Call<'_>, key: &str) -> Result<Option<usize>, String> {
+    at_least_one(call.named(key)?, key, call.src)
+}
+
+/// [`count`] for the four per-n phase multipliers, which accept an `n`
+/// suffix as sugar (`gather=2n` ≡ `gather=2`: they are "per n" already).
+fn per_n(call: &mut Call<'_>, key: &str) -> Result<Option<usize>, String> {
+    let digits = call
+        .raw(key)
+        .map(|raw| raw.strip_suffix('n').unwrap_or(raw).trim_end());
+    let v = digits.map(|d| value(d, key, call.src)).transpose()?;
+    at_least_one(v, key, call.src)
 }
 
 impl ProtocolSpec {
@@ -299,188 +287,79 @@ impl ProtocolSpec {
     }
 
     /// Parses a protocol spec; see the [module docs](self) for the
-    /// grammar. Unknown names enumerate the registry.
+    /// forms. Unknown names enumerate the registry.
     pub fn parse(s: &str) -> Result<ProtocolSpec, String> {
-        let s = s.trim();
-        let (head, args) = match s.find('(') {
-            None => (s, Vec::new()),
-            Some(open) => {
-                if !s.ends_with(')') {
-                    return Err(format!("protocol spec {s:?} is missing its closing paren"));
-                }
-                (s[..open].trim(), split_args(&s[open + 1..s.len() - 1]))
+        const NONE: &str = "no arguments";
+        let mut call = Call::parse(s)?;
+        let (head, src) = (call.head, call.src);
+        let (spec, valid) = match head {
+            "token-forwarding" => (ProtocolSpec::TokenForwarding, NONE),
+            "naive-coded" => (ProtocolSpec::NaiveCoded, NONE),
+            "indexed-broadcast" => (ProtocolSpec::IndexedBroadcast, NONE),
+            "centralized" => (ProtocolSpec::Centralized, NONE),
+            "patch-indexed" => (ProtocolSpec::PatchIndexed, NONE),
+            "pipelined-forwarding" => {
+                let t = at_least_one(call.next("T")?, "T", src)?;
+                (ProtocolSpec::PipelinedForwarding { t }, "T")
             }
-        };
-        let no_args = |spec: ProtocolSpec| -> Result<ProtocolSpec, String> {
-            if args.is_empty() {
-                Ok(spec)
-            } else {
-                Err(format!("{head} takes no arguments, got {s:?}"))
-            }
-        };
-        match head {
-            "token-forwarding" => no_args(ProtocolSpec::TokenForwarding),
-            "naive-coded" => no_args(ProtocolSpec::NaiveCoded),
-            "indexed-broadcast" => no_args(ProtocolSpec::IndexedBroadcast),
-            "centralized" => no_args(ProtocolSpec::Centralized),
-            "patch-indexed" => no_args(ProtocolSpec::PatchIndexed),
-            "pipelined-forwarding" => match args.as_slice() {
-                [] => Ok(ProtocolSpec::PipelinedForwarding { t: None }),
-                [one] => {
-                    let t = one
-                        .parse::<usize>()
-                        .map_err(|_| format!("bad T {one:?} in {s:?}"))?;
-                    if t == 0 {
-                        return Err(format!("T must be ≥ 1 in {s:?}"));
-                    }
-                    Ok(ProtocolSpec::PipelinedForwarding { t: Some(t) })
-                }
-                _ => Err(format!("{head} takes at most one argument, got {s:?}")),
-            },
             "greedy-forward" => {
-                let mut cfg = GreedyConfig::default();
-                for arg in &args {
-                    match keyed_usize(arg, s)? {
-                        ("gather", v) if v > 0 => cfg.gather_mult = v,
-                        ("bcast", v) if v > 0 => cfg.broadcast_mult = v,
-                        (k @ ("gather" | "bcast"), _) => {
-                            return Err(format!("{k} must be ≥ 1 in {s:?}"))
-                        }
-                        (k, _) => {
-                            return Err(format!(
-                                "unknown {head} parameter {k:?} in {s:?} (valid: gather, bcast)"
-                            ))
-                        }
-                    }
-                }
-                Ok(ProtocolSpec::GreedyForward { cfg })
+                let default = GreedyConfig::default();
+                let cfg = GreedyConfig {
+                    gather_mult: per_n(&mut call, "gather")?.unwrap_or(default.gather_mult),
+                    broadcast_mult: per_n(&mut call, "bcast")?.unwrap_or(default.broadcast_mult),
+                };
+                (ProtocolSpec::GreedyForward { cfg }, "gather, bcast")
             }
             "priority-forward" => {
-                let mut cfg = PriorityConfig::default();
-                for arg in &args {
-                    match keyed_usize(arg, s)? {
-                        ("warmup", v) if v > 0 => cfg.warmup_mult = v,
-                        ("bcast", v) if v > 0 => cfg.broadcast_mult = v,
-                        (k @ ("warmup" | "bcast"), _) => {
-                            return Err(format!("{k} must be ≥ 1 in {s:?}"))
-                        }
-                        (k, _) => {
-                            return Err(format!(
-                                "unknown {head} parameter {k:?} in {s:?} (valid: warmup, bcast)"
-                            ))
-                        }
-                    }
-                }
-                Ok(ProtocolSpec::PriorityForward { cfg })
+                let default = PriorityConfig::default();
+                let cfg = PriorityConfig {
+                    warmup_mult: per_n(&mut call, "warmup")?.unwrap_or(default.warmup_mult),
+                    broadcast_mult: per_n(&mut call, "bcast")?.unwrap_or(default.broadcast_mult),
+                };
+                (ProtocolSpec::PriorityForward { cfg }, "warmup, bcast")
             }
-            "random-forward" => match args.as_slice() {
-                [] => Ok(ProtocolSpec::RandomForward { rounds: None }),
-                [one] => {
-                    let (key, raw) = one
-                        .split_once('=')
-                        .ok_or(format!("expected rounds=auto|R in {s:?}"))?;
-                    if key.trim() != "rounds" {
-                        return Err(format!(
-                            "unknown {head} parameter {:?} in {s:?} (valid: rounds)",
-                            key.trim()
-                        ));
-                    }
-                    match raw.trim() {
-                        "auto" => Ok(ProtocolSpec::RandomForward { rounds: None }),
-                        r => {
-                            let rounds = r
-                                .parse::<usize>()
-                                .map_err(|_| format!("bad rounds {r:?} in {s:?}"))?;
-                            if rounds == 0 {
-                                return Err(format!("rounds must be ≥ 1 in {s:?}"));
-                            }
-                            Ok(ProtocolSpec::RandomForward {
-                                rounds: Some(rounds),
-                            })
-                        }
-                    }
-                }
-                _ => Err(format!("{head} takes at most one argument, got {s:?}")),
-            },
+            "random-forward" => {
+                let rounds = match call.raw("rounds") {
+                    None | Some("auto") => None,
+                    Some(raw) => at_least_one(Some(value(raw, "rounds", src)?), "rounds", src)?,
+                };
+                (ProtocolSpec::RandomForward { rounds }, "rounds=auto|R")
+            }
             "field-broadcast" => {
-                let [field_raw, rest @ ..] = args.as_slice() else {
-                    return Err(format!(
-                        "field-broadcast needs a field argument \
-                         (gf2|gf256|gf257|m61), got {s:?}"
-                    ));
-                };
-                let field = FieldKind::parse(field_raw)?;
-                let det = match rest {
-                    [] => None,
-                    [one] => {
-                        let (key, raw) = one
-                            .split_once('=')
-                            .ok_or(format!("expected det=SEED in {s:?}"))?;
-                        if key.trim() != "det" {
-                            return Err(format!(
-                                "unknown {head} parameter {:?} in {s:?} (valid: det)",
-                                key.trim()
-                            ));
-                        }
-                        Some(
-                            raw.trim()
-                                .parse::<u64>()
-                                .map_err(|_| format!("bad det seed {raw:?} in {s:?}"))?,
-                        )
-                    }
-                    _ => return Err(format!("{head} takes at most two arguments, got {s:?}")),
-                };
-                Ok(ProtocolSpec::FieldBroadcast { field, det })
+                let field = call.next_raw().ok_or_else(|| {
+                    format!(
+                        "field-broadcast needs a field argument (gf2|gf256|gf257|m61), got {src:?}"
+                    )
+                })?;
+                let field = FieldKind::parse(field)?;
+                let det = call.named("det")?;
+                (ProtocolSpec::FieldBroadcast { field, det }, "FIELD, det")
             }
             "quorum-watermark" => {
-                let mut f = None;
-                let mut rounds = DEFAULT_WATERMARK_ROUNDS;
-                for arg in &args {
-                    match keyed_usize(arg, s)? {
-                        ("f", v) if v > 0 => f = Some(v),
-                        ("rounds", v) if v > 0 => rounds = v,
-                        (k @ ("f" | "rounds"), _) => {
-                            return Err(format!("{k} must be ≥ 1 in {s:?}"))
-                        }
-                        (k, _) => {
-                            return Err(format!(
-                                "unknown {head} parameter {k:?} in {s:?} (valid: f, rounds)"
-                            ))
-                        }
-                    }
-                }
-                let f = f.ok_or(format!(
-                    "{head} needs its fault bound (e.g. {head}(f=1)), got {s:?}"
-                ))?;
-                Ok(ProtocolSpec::QuorumWatermark { f, rounds })
+                let f = count(&mut call, "f")?.ok_or_else(|| {
+                    format!("{head} needs its fault bound (e.g. {head}(f=1)), got {src:?}")
+                })?;
+                let rounds = count(&mut call, "rounds")?.unwrap_or(DEFAULT_WATERMARK_ROUNDS);
+                (ProtocolSpec::QuorumWatermark { f, rounds }, "f, rounds")
             }
-            "quorum-decide" => {
-                let (mut f, mut q) = (None, None);
-                for arg in &args {
-                    match keyed_usize(arg, s)? {
-                        ("f", v) if v > 0 => f = Some(v),
-                        ("q", v) if v > 0 => q = Some(v),
-                        (k @ ("f" | "q"), _) => return Err(format!("{k} must be ≥ 1 in {s:?}")),
-                        (k, _) => {
-                            return Err(format!(
-                                "unknown {head} parameter {k:?} in {s:?} (valid: f, q)"
-                            ))
-                        }
-                    }
-                }
-                match (f, q) {
-                    (Some(f), Some(q)) => Ok(ProtocolSpec::QuorumDecide { f, q }),
-                    _ => Err(format!(
+            "quorum-decide" => match (count(&mut call, "f")?, count(&mut call, "q")?) {
+                (Some(f), Some(q)) => (ProtocolSpec::QuorumDecide { f, q }, "f, q"),
+                _ => {
+                    return Err(format!(
                         "{head} needs both its fault bound and decision round \
-                         (e.g. {head}(f=1,q=4)), got {s:?}"
-                    )),
+                         (e.g. {head}(f=1,q=4)), got {src:?}"
+                    ))
                 }
+            },
+            other => {
+                return Err(format!(
+                    "unknown protocol {other:?}; valid protocols: {}",
+                    list(registry().iter().map(|info| info.grammar))
+                ))
             }
-            other => Err(format!(
-                "unknown protocol {other:?}; valid protocols: {}",
-                valid_names()
-            )),
-        }
+        };
+        call.finish(valid)?;
+        Ok(spec)
     }
 
     /// Does this spec run on the round-synchronous simulator? The one
@@ -605,56 +484,55 @@ impl ProtocolSpec {
 impl fmt::Display for ProtocolSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ProtocolSpec::TokenForwarding => write!(f, "token-forwarding"),
-            ProtocolSpec::PipelinedForwarding { t: None } => write!(f, "pipelined-forwarding"),
+            ProtocolSpec::TokenForwarding => write_call(f, "token-forwarding", &[]),
+            ProtocolSpec::PipelinedForwarding { t: None } => {
+                write_call(f, "pipelined-forwarding", &[])
+            }
             ProtocolSpec::PipelinedForwarding { t: Some(t) } => {
-                write!(f, "pipelined-forwarding({t})")
+                write_call(f, "pipelined-forwarding", &[("", t)])
             }
-            ProtocolSpec::GreedyForward { cfg } => {
-                if *cfg == GreedyConfig::default() {
-                    write!(f, "greedy-forward")
-                } else {
-                    write!(
-                        f,
-                        "greedy-forward(gather={},bcast={})",
-                        cfg.gather_mult, cfg.broadcast_mult
-                    )
-                }
+            ProtocolSpec::GreedyForward { cfg } if *cfg == GreedyConfig::default() => {
+                write_call(f, "greedy-forward", &[])
             }
-            ProtocolSpec::PriorityForward { cfg } => {
-                if *cfg == PriorityConfig::default() {
-                    write!(f, "priority-forward")
-                } else {
-                    write!(
-                        f,
-                        "priority-forward(warmup={},bcast={})",
-                        cfg.warmup_mult, cfg.broadcast_mult
-                    )
-                }
+            ProtocolSpec::GreedyForward { cfg } => write_call(
+                f,
+                "greedy-forward",
+                &[("gather", &cfg.gather_mult), ("bcast", &cfg.broadcast_mult)],
+            ),
+            ProtocolSpec::PriorityForward { cfg } if *cfg == PriorityConfig::default() => {
+                write_call(f, "priority-forward", &[])
             }
-            ProtocolSpec::RandomForward { rounds: None } => write!(f, "random-forward"),
+            ProtocolSpec::PriorityForward { cfg } => write_call(
+                f,
+                "priority-forward",
+                &[("warmup", &cfg.warmup_mult), ("bcast", &cfg.broadcast_mult)],
+            ),
+            ProtocolSpec::RandomForward { rounds: None } => write_call(f, "random-forward", &[]),
             ProtocolSpec::RandomForward { rounds: Some(r) } => {
-                write!(f, "random-forward(rounds={r})")
+                write_call(f, "random-forward", &[("rounds", r)])
             }
-            ProtocolSpec::NaiveCoded => write!(f, "naive-coded"),
-            ProtocolSpec::IndexedBroadcast => write!(f, "indexed-broadcast"),
+            ProtocolSpec::NaiveCoded => write_call(f, "naive-coded", &[]),
+            ProtocolSpec::IndexedBroadcast => write_call(f, "indexed-broadcast", &[]),
             ProtocolSpec::FieldBroadcast { field, det: None } => {
-                write!(f, "field-broadcast({})", field.name())
+                write_call(f, "field-broadcast", &[("", &field.name())])
             }
             ProtocolSpec::FieldBroadcast {
                 field,
                 det: Some(s),
-            } => write!(f, "field-broadcast({},det={s})", field.name()),
-            ProtocolSpec::Centralized => write!(f, "centralized"),
-            ProtocolSpec::PatchIndexed => write!(f, "patch-indexed"),
-            ProtocolSpec::QuorumWatermark { f: fb, rounds } => {
-                if *rounds == DEFAULT_WATERMARK_ROUNDS {
-                    write!(f, "quorum-watermark(f={fb})")
-                } else {
-                    write!(f, "quorum-watermark(f={fb},rounds={rounds})")
-                }
+            } => write_call(f, "field-broadcast", &[("", &field.name()), ("det", s)]),
+            ProtocolSpec::Centralized => write_call(f, "centralized", &[]),
+            ProtocolSpec::PatchIndexed => write_call(f, "patch-indexed", &[]),
+            ProtocolSpec::QuorumWatermark { f: fb, rounds }
+                if *rounds == DEFAULT_WATERMARK_ROUNDS =>
+            {
+                write_call(f, "quorum-watermark", &[("f", fb)])
             }
-            ProtocolSpec::QuorumDecide { f: fb, q } => write!(f, "quorum-decide(f={fb},q={q})"),
+            ProtocolSpec::QuorumWatermark { f: fb, rounds } => {
+                write_call(f, "quorum-watermark", &[("f", fb), ("rounds", rounds)])
+            }
+            ProtocolSpec::QuorumDecide { f: fb, q } => {
+                write_call(f, "quorum-decide", &[("f", fb), ("q", q)])
+            }
         }
     }
 }
@@ -760,19 +638,109 @@ mod tests {
         );
     }
 
+    /// The shared grammar's rules, seen from this axis: `Ok(canonical)`
+    /// or `Err` naming the offending piece.
+    #[test]
+    fn grammar_rules_hold_on_the_protocol_axis() {
+        for (input, want) in [
+            ("token-forwarding()", Ok("token-forwarding")),
+            ("greedy-forward ( )", Ok("greedy-forward")),
+            (
+                "greedy-forward (gather=2)",
+                Ok("greedy-forward(gather=2,bcast=2)"),
+            ),
+            (
+                "greedy-forward(gather=2n)",
+                Ok("greedy-forward(gather=2,bcast=2)"),
+            ),
+            (
+                "priority-forward(warmup=3n,bcast=4n)",
+                Ok("priority-forward(warmup=3,bcast=4)"),
+            ),
+            (
+                "field-broadcast( m61 , det = 7 )",
+                Ok("field-broadcast(m61,det=7)"),
+            ),
+            (
+                "greedy-forward(gather=2,gather=3)",
+                Err("duplicate key \"gather\""),
+            ),
+            ("quorum-watermark(f=1,f=2)", Err("duplicate key \"f\"")),
+            ("token-forwarding(,)", Err("empty argument")),
+            ("greedy-forward(gather=2,)", Err("empty argument")),
+            ("greedy-forward(gather=2,,bcast=3)", Err("empty argument")),
+            ("greedy-forward(gather=2) x", Err("closing paren")),
+            ("pipelined-forwarding(8)(9)", Err("unbalanced")),
+            ("quorum-decide(f=1n,q=4)", Err("bad f \"1n\"")),
+            ("quorum-watermark(f=1,rounds=8n)", Err("bad rounds \"8n\"")),
+            ("pipelined-forwarding(8n)", Err("bad T \"8n\"")),
+            (
+                "greedy-forward(cap=2)",
+                Err("unknown greedy-forward parameter \"cap\""),
+            ),
+            (
+                "token-forwarding(1)",
+                Err("unexpected token-forwarding argument \"1\""),
+            ),
+        ] {
+            let got = ProtocolSpec::parse(input).map(|s| s.name());
+            match (got, want) {
+                (Ok(name), Ok(canonical)) => assert_eq!(name, canonical, "{input:?}"),
+                (Err(e), Err(part)) => assert!(e.contains(part), "{input:?}: {e}"),
+                (got, want) => panic!("{input:?}: got {got:?}, want {want:?}"),
+            }
+        }
+    }
+
+    /// Hostile input: arbitrary bytes, and canonical strings with a few
+    /// bytes overwritten, never panic the parser — and whatever parses
+    /// prints a string that parses back to itself.
+    #[test]
+    fn parse_never_panics() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let corpus = [
+            "pipelined-forwarding(8)",
+            "greedy-forward(gather=2,bcast=3)",
+            "priority-forward(warmup=3,bcast=4)",
+            "random-forward(rounds=96)",
+            "field-broadcast(m61,det=7)",
+            "quorum-watermark(f=2,rounds=16)",
+            "quorum-decide(f=1,q=4)",
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EC);
+        for case in 0..512 {
+            let bytes: Vec<u8> = if case % 2 == 0 {
+                let len = rng.random_range(0..48usize);
+                (0..len).map(|_| rng.random::<u8>()).collect()
+            } else {
+                let mut bytes = corpus[case / 2 % corpus.len()].as_bytes().to_vec();
+                for _ in 0..rng.random_range(1..5usize) {
+                    let at = rng.random_range(0..bytes.len());
+                    bytes[at] = rng.random::<u8>();
+                }
+                bytes
+            };
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(spec) = ProtocolSpec::parse(&text) {
+                assert_eq!(ProtocolSpec::parse(&spec.name()), Ok(spec), "{text:?}");
+            }
+        }
+    }
+
     #[test]
     fn registry_names_parse_and_cover_the_enum() {
         for info in registry() {
             // Every bare registry name parses, except the families whose
             // required arguments have no default.
-            let probe = match info.name {
+            let name = info.grammar.split(['(', '[']).next().unwrap();
+            let probe = match name {
                 "field-broadcast" => "field-broadcast(gf256)".to_string(),
                 "quorum-watermark" => "quorum-watermark(f=1)".to_string(),
                 "quorum-decide" => "quorum-decide(f=1,q=4)".to_string(),
                 name => name.to_string(),
             };
-            let spec = ProtocolSpec::parse(&probe).expect(info.name);
-            assert!(spec.to_string().starts_with(info.name), "{probe}");
+            let spec = ProtocolSpec::parse(&probe).expect(name);
+            assert!(spec.to_string().starts_with(name), "{probe}");
             assert_eq!(
                 spec.termination().name(),
                 info.termination,

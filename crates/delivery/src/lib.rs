@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 use dyncode_obs::metrics::{counter, histogram, Counter, Histogram};
+use dyncode_obs::spec::{list, write_call, Call};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
@@ -90,12 +91,9 @@ pub enum DeliverySpec {
     },
 }
 
-/// The one-line grammar summary used by parse errors and the CLI
-/// registry listing.
-pub const VALID_MODELS: &str = "reliable, radio(p=..[,spont=..]), lossy(eps=..)";
-
 /// The delivery-model registry rows: `(grammar, description)`, for the
-/// CLI registry listings alongside protocols and adversaries.
+/// CLI registry listings alongside protocols and adversaries — and the
+/// "valid: …" text of an unknown-model error.
 pub fn registry() -> Vec<(&'static str, &'static str)> {
     vec![
         (
@@ -113,72 +111,41 @@ pub fn registry() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-fn parse_prob(model: &str, key: &str, val: &str) -> Result<f64, String> {
-    let x: f64 = val
-        .parse()
-        .map_err(|_| format!("{model}: {key} must be a number, got {val:?}"))?;
-    if !x.is_finite() {
-        return Err(format!("{model}: {key} must be finite, got {val:?}"));
-    }
-    Ok(x)
-}
-
-/// Splits `radio(p=0.5,spont=0.1)`-style args into `(key, value)` pairs.
-fn named_args<'a>(model: &str, inner: &'a str) -> Result<Vec<(&'a str, &'a str)>, String> {
-    inner
-        .split(',')
-        .map(|part| {
-            part.split_once('=')
-                .map(|(k, v)| (k.trim(), v.trim()))
-                .ok_or_else(|| format!("{model}: expected key=value, got {:?}", part.trim()))
-        })
-        .collect()
-}
-
 impl DeliverySpec {
-    /// Parses a delivery-model spec string. Unknown model names
-    /// enumerate the registry, matching the campaign parser's error
-    /// style.
+    /// Parses a delivery-model spec string (the workspace grammar,
+    /// [`dyncode_obs::spec`]). Unknown model names enumerate the
+    /// registry, matching the campaign parser's error style.
     pub fn parse(s: &str) -> Result<DeliverySpec, String> {
-        let s = s.trim();
-        if s == "reliable" {
-            return Ok(DeliverySpec::Reliable);
-        }
-        if let Some(inner) = s.strip_prefix("radio(").and_then(|r| r.strip_suffix(')')) {
-            let (mut p, mut spont) = (None, 0.0);
-            for (k, v) in named_args("radio", inner)? {
-                match k {
-                    "p" => p = Some(parse_prob("radio", "p", v)?),
-                    "spont" => spont = parse_prob("radio", "spont", v)?,
-                    _ => return Err(format!("radio: unknown parameter {k:?} (valid: p, spont)")),
+        let mut call = Call::parse(s)?;
+        let (spec, valid) = match call.head {
+            "reliable" => (DeliverySpec::Reliable, "no arguments"),
+            "radio" => {
+                let p: f64 = call.named("p")?.ok_or_else(|| call.missing("p"))?;
+                let spont = call.named("spont")?.unwrap_or(0.0);
+                if !(p > 0.0 && p <= 1.0) {
+                    return Err(format!("radio: p must be in (0, 1], got {p}"));
                 }
-            }
-            let p = p.ok_or("radio: missing required parameter p".to_string())?;
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(format!("radio: p must be in (0, 1], got {p}"));
-            }
-            if !(0.0..1.0).contains(&spont) {
-                return Err(format!("radio: spont must be in [0, 1), got {spont}"));
-            }
-            return Ok(DeliverySpec::Radio { p, spont });
-        }
-        if let Some(inner) = s.strip_prefix("lossy(").and_then(|r| r.strip_suffix(')')) {
-            let mut eps = None;
-            for (k, v) in named_args("lossy", inner)? {
-                match k {
-                    "eps" => eps = Some(parse_prob("lossy", "eps", v)?),
-                    _ => return Err(format!("lossy: unknown parameter {k:?} (valid: eps)")),
+                if !(0.0..1.0).contains(&spont) {
+                    return Err(format!("radio: spont must be in [0, 1), got {spont}"));
                 }
+                (DeliverySpec::Radio { p, spont }, "p, spont")
             }
-            let eps = eps.ok_or("lossy: missing required parameter eps".to_string())?;
-            if !(0.0..1.0).contains(&eps) {
-                return Err(format!("lossy: eps must be in [0, 1), got {eps}"));
+            "lossy" => {
+                let eps: f64 = call.named("eps")?.ok_or_else(|| call.missing("eps"))?;
+                if !(0.0..1.0).contains(&eps) {
+                    return Err(format!("lossy: eps must be in [0, 1), got {eps}"));
+                }
+                (DeliverySpec::Lossy { eps }, "eps")
             }
-            return Ok(DeliverySpec::Lossy { eps });
-        }
-        Err(format!(
-            "unknown delivery model {s:?} (valid: {VALID_MODELS})"
-        ))
+            other => {
+                return Err(format!(
+                    "unknown delivery model {other:?} (valid: {})",
+                    list(registry().iter().map(|row| row.0))
+                ))
+            }
+        };
+        call.finish(valid)?;
+        Ok(spec)
     }
 
     /// The canonical spec string ([`DeliverySpec::parse`] inverts it).
@@ -207,10 +174,14 @@ impl DeliverySpec {
 impl fmt::Display for DeliverySpec {
     fn fmt(&self, fm: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DeliverySpec::Reliable => write!(fm, "reliable"),
-            DeliverySpec::Radio { p, spont } if *spont == 0.0 => write!(fm, "radio(p={p})"),
-            DeliverySpec::Radio { p, spont } => write!(fm, "radio(p={p},spont={spont})"),
-            DeliverySpec::Lossy { eps } => write!(fm, "lossy(eps={eps})"),
+            DeliverySpec::Reliable => write_call(fm, "reliable", &[]),
+            DeliverySpec::Radio { p, spont } if *spont == 0.0 => {
+                write_call(fm, "radio", &[("p", p)])
+            }
+            DeliverySpec::Radio { p, spont } => {
+                write_call(fm, "radio", &[("p", p), ("spont", spont)])
+            }
+            DeliverySpec::Lossy { eps } => write_call(fm, "lossy", &[("eps", eps)]),
         }
     }
 }
@@ -447,7 +418,9 @@ mod tests {
     fn parse_rejects_bad_specs_with_registry_errors() {
         let err = DeliverySpec::parse("carrier-pigeon").unwrap_err();
         assert!(err.contains("unknown delivery model"), "{err}");
-        assert!(err.contains(VALID_MODELS), "{err}");
+        for (grammar, _) in registry() {
+            assert!(err.contains(grammar), "{err} must list {grammar}");
+        }
         assert!(DeliverySpec::parse("radio(p=0)").is_err());
         assert!(DeliverySpec::parse("radio(p=1.5)").is_err());
         assert!(
@@ -458,6 +431,42 @@ mod tests {
         assert!(DeliverySpec::parse("lossy(eps=1)").is_err());
         assert!(DeliverySpec::parse("lossy(eps=nope)").is_err());
         assert!(DeliverySpec::parse("lossy(0.1)").is_err(), "named only");
+    }
+
+    /// The shared grammar's rules, seen from this axis: `Ok(canonical)`
+    /// or `Err` naming the offending piece.
+    #[test]
+    fn grammar_rules_hold_on_the_delivery_axis() {
+        for (input, want) in [
+            ("reliable()", Ok("reliable")),
+            (" reliable ( ) ", Ok("reliable")),
+            ("radio (p=0.5)", Ok("radio(p=0.5)")),
+            (
+                "radio( p = 0.5 , spont = 0.1 )",
+                Ok("radio(p=0.5,spont=0.1)"),
+            ),
+            ("lossy(eps=-0.0)", Ok("lossy(eps=0)")),
+            ("radio(p=0.5,spont=-0.0)", Ok("radio(p=0.5)")),
+            ("radio(p=0.5,p=0.7)", Err("duplicate key \"p\"")),
+            ("radio(p=0.5,)", Err("empty argument")),
+            ("radio(p=0.5,,spont=0.1)", Err("empty argument")),
+            ("radio(,)", Err("empty argument")),
+            ("radio(p=0.5) x", Err("closing paren")),
+            ("radio(p=0.5", Err("closing paren")),
+            ("reliable(1)", Err("unexpected reliable argument")),
+            ("radio(p=nan)", Err("bad p")),
+            ("radio(p=inf)", Err("bad p")),
+            ("radio(p=0.5,spont=NaN)", Err("bad spont")),
+            ("lossy(eps=nan)", Err("bad eps")),
+            ("lossy(eps=-inf)", Err("bad eps")),
+        ] {
+            let got = DeliverySpec::parse(input).map(|s| s.name());
+            match (got, want) {
+                (Ok(name), Ok(canonical)) => assert_eq!(name, canonical, "{input:?}"),
+                (Err(e), Err(part)) => assert!(e.contains(part), "{input:?}: {e}"),
+                (got, want) => panic!("{input:?}: got {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for the delivery-spec grammar: `parse ∘ Display = id`
 //! over the whole model registry, so campaign text, CLI flags, store
-//! keys, and artifact meta all agree on one canonical string per model.
+//! keys, and artifact meta all agree on one canonical string per model —
+//! and hostile input is an `Err`, never a panic.
 
 use dyncode_delivery::DeliverySpec;
 use proptest::prelude::*;
@@ -44,5 +45,27 @@ proptest! {
     fn padded_strings_parse_to_the_same_spec(s in spec()) {
         let text = format!("  {}  ", s);
         prop_assert_eq!(DeliverySpec::parse(&text).expect("padded"), s);
+    }
+
+    /// Hostile input: arbitrary bytes, and a canonical string with a few
+    /// bytes overwritten, never panic the parser — and whatever parses
+    /// prints a string that parses back to itself.
+    #[test]
+    fn parse_never_panics(
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        s in spec(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let mut mutated = s.to_string().into_bytes();
+        for (at, byte) in edits {
+            let at = at % mutated.len();
+            mutated[at] = byte;
+        }
+        for bytes in [junk, mutated] {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(parsed) = DeliverySpec::parse(&text) {
+                prop_assert_eq!(DeliverySpec::parse(&parsed.name()), Ok(parsed));
+            }
+        }
     }
 }

@@ -84,44 +84,3 @@ pub use graph::{Graph, NodeId};
 pub use simulator::{
     run, run_erased, DeliverySpec, Erased, ErasedProtocol, Protocol, RunResult, SimConfig,
 };
-
-/// Splits `s` on commas at parenthesis depth 0 — the shared list rule of
-/// every spec grammar layered above this crate (scenario specs like
-/// `churn(0.1,edge-markov(0.05,0.2))` and protocol specs like
-/// `field-broadcast(m61,det=7)` survive list contexts intact). Empty
-/// pieces are dropped.
-pub fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let (mut depth, mut start) = (0usize, 0usize);
-    for (i, c) in s.char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(s[start..i].trim());
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(s[start..].trim());
-    out.retain(|p| !p.is_empty());
-    out
-}
-
-#[cfg(test)]
-mod split_tests {
-    use super::split_top_level;
-
-    #[test]
-    fn splits_only_at_depth_zero() {
-        assert_eq!(
-            split_top_level("a(1,2), b, c(d(3,4),5)"),
-            vec!["a(1,2)", "b", "c(d(3,4),5)"]
-        );
-        assert_eq!(split_top_level("x, ,y"), vec!["x", "y"]);
-        assert_eq!(split_top_level(""), Vec::<&str>::new());
-        // Unbalanced closers saturate rather than underflow.
-        assert_eq!(split_top_level("a),b"), vec!["a)", "b"]);
-    }
-}

@@ -13,93 +13,25 @@
 //! so every algorithm the repo implements — configured variants included —
 //! is a campaign grid key; each cell's label and metadata carry the
 //! canonical spec string into the artifact.
+//!
+//! Every spec and list in the text format follows the workspace grammar
+//! (`dyncode_obs::spec`); this module holds the `.camp` key table and the
+//! one validation gate, [`CampaignBuilder::build`]: a campaign that
+//! exists expands, labels and instantiates without panicking.
 
 use crate::artifact::{Artifact, CellRecord};
 use crate::executor::Engine;
 use dyncode_core::params::{Instance, Params, Placement};
 use dyncode_core::runner::{fast_ineligibility, resolve_kernel, run_spec_kernel, Kernel};
 use dyncode_core::spec::ProtocolSpec;
-use dyncode_dynet::adversaries::{
-    BottleneckAdversary, KnowledgeAdaptiveAdversary, RandomConnectedAdversary,
-    ShuffledPathAdversary, ShuffledStarAdversary,
-};
-use dyncode_dynet::adversary::{Adversary, TStable};
 use dyncode_dynet::simulator::{DeliverySpec, RunResult, SimConfig};
-use dyncode_scenarios::{split_top_level, ScenarioKind};
+use dyncode_obs::spec::{list, split_list, value, Value};
+use dyncode_scenarios::{ClassicKind, ScenarioKind};
 
-/// Which adversary family a cell runs against: one of the classic
-/// worst-case families, or a `dyncode-scenarios` workload model (the
-/// `scenario = …` spec key).
-#[derive(Clone, Debug, PartialEq)]
-pub enum AdversaryKind {
-    /// A fresh random path order every round.
-    ShuffledPath,
-    /// A fresh random star center every round.
-    ShuffledStar,
-    /// Two cliques joined by one bridge.
-    Bottleneck,
-    /// Adaptive: isolates the most knowledgeable nodes.
-    KnowledgeAdaptive,
-    /// A random connected graph with two extra edges.
-    RandomConnected,
-    /// A workload scenario (edge-Markov, waypoint, churn, trace replay).
-    Scenario(ScenarioKind),
-}
-
-impl AdversaryKind {
-    /// The spec-file name of this adversary family.
-    pub fn name(&self) -> String {
-        match self {
-            AdversaryKind::ShuffledPath => "shuffled-path".into(),
-            AdversaryKind::ShuffledStar => "shuffled-star".into(),
-            AdversaryKind::Bottleneck => "bottleneck".into(),
-            AdversaryKind::KnowledgeAdaptive => "knowledge-adaptive".into(),
-            AdversaryKind::RandomConnected => "random-connected".into(),
-            AdversaryKind::Scenario(s) => s.name(),
-        }
-    }
-
-    /// Parses a spec-file adversary name: the classic family names, or
-    /// any scenario spec (`edge-markov(p_up,p_down)`,
-    /// `waypoint(radius,speed)`, `churn(rate,base)`, `trace(path)`).
-    /// Unknown names enumerate the valid families.
-    pub fn parse(s: &str) -> Result<AdversaryKind, String> {
-        match s {
-            "shuffled-path" => Ok(AdversaryKind::ShuffledPath),
-            "shuffled-star" => Ok(AdversaryKind::ShuffledStar),
-            "bottleneck" => Ok(AdversaryKind::Bottleneck),
-            "knowledge-adaptive" => Ok(AdversaryKind::KnowledgeAdaptive),
-            "random-connected" => Ok(AdversaryKind::RandomConnected),
-            other => ScenarioKind::parse(other)
-                .map(AdversaryKind::Scenario)
-                .map_err(|e| {
-                    format!(
-                        "unknown adversary {other:?} ({e}); valid: shuffled-path, \
-                         shuffled-star, bottleneck, knowledge-adaptive, random-connected, \
-                         edge-markov(p_up,p_down), waypoint(radius,speed), \
-                         churn(rate,base), trace(path)"
-                    )
-                }),
-        }
-    }
-
-    /// Builds a fresh adversary, wrapped [`TStable`] when `t > 1`.
-    pub fn build(&self, t: usize) -> Box<dyn Adversary> {
-        let inner: Box<dyn Adversary> = match self {
-            AdversaryKind::ShuffledPath => Box::new(ShuffledPathAdversary),
-            AdversaryKind::ShuffledStar => Box::new(ShuffledStarAdversary),
-            AdversaryKind::Bottleneck => Box::new(BottleneckAdversary),
-            AdversaryKind::KnowledgeAdaptive => Box::new(KnowledgeAdaptiveAdversary),
-            AdversaryKind::RandomConnected => Box::new(RandomConnectedAdversary::new(2)),
-            AdversaryKind::Scenario(s) => s.build(),
-        };
-        if t > 1 {
-            Box::new(TStable::new(inner, t))
-        } else {
-            inner
-        }
-    }
-}
+/// Which adversary a cell runs against — the engine's name for
+/// [`ScenarioKind`], the one type that names one: a classic worst-case
+/// family (`adversaries = …`) or a workload model (`scenario = …`).
+pub type AdversaryKind = ScenarioKind;
 
 /// A grid dimension: either a constant or a small expression over the
 /// cell's `n` (and, for `b`, its `d`).
@@ -116,36 +48,31 @@ pub enum Dim {
 }
 
 impl Dim {
-    /// Evaluates at `n` with the already-evaluated `d` (pass 0 when
-    /// evaluating `d` itself; [`Dim::MulD`] then panics by construction).
-    pub fn eval(&self, n: usize, d: usize) -> usize {
-        match self {
-            Dim::Const(x) => *x,
-            Dim::N => n,
-            Dim::LgN1 => ((usize::BITS - (n.max(2) - 1).leading_zeros()) as usize).max(1) + 1,
-            Dim::MulD(m) => {
-                assert!(d > 0, "MulD used where no d is in scope");
-                m * d
+    /// Evaluates at `n` with the already-evaluated `d` (`None` when
+    /// evaluating `d` itself). A multiple of `d` with no `d` in scope, or
+    /// one that overflows, is an error.
+    pub fn eval(&self, n: usize, d: Option<usize>) -> Result<usize, String> {
+        match (*self, d) {
+            (Dim::Const(x), _) => Ok(x),
+            (Dim::N, _) => Ok(n),
+            (Dim::LgN1, _) => {
+                Ok(((usize::BITS - (n.max(2) - 1).leading_zeros()) as usize).max(1) + 1)
             }
+            (Dim::MulD(m), None) => Err(format!("`{m}d` is a multiple of d, and no d is in scope")),
+            (Dim::MulD(m), Some(d)) => m
+                .checked_mul(d)
+                .ok_or_else(|| format!("`{m}d` overflows at d = {d}")),
         }
     }
 
     /// Parses `"n"`, `"lgn+1"`, `"<int>"`, or `"<int>d"`.
     pub fn parse(s: &str) -> Result<Dim, String> {
-        match s {
-            "n" => Ok(Dim::N),
-            "lgn+1" => Ok(Dim::LgN1),
-            _ => {
-                if let Some(mult) = s.strip_suffix('d') {
-                    mult.parse::<usize>()
-                        .map(Dim::MulD)
-                        .map_err(|_| format!("bad dimension {s:?}"))
-                } else {
-                    s.parse::<usize>()
-                        .map(Dim::Const)
-                        .map_err(|_| format!("bad dimension {s:?}"))
-                }
-            }
+        let number = |raw: &str| raw.parse().map_err(|_| format!("bad dimension {s:?}"));
+        match (s, s.strip_suffix('d')) {
+            ("n", _) => Ok(Dim::N),
+            ("lgn+1", _) => Ok(Dim::LgN1),
+            (_, Some(mult)) => number(mult).map(Dim::MulD),
+            (_, None) => number(s).map(Dim::Const),
         }
     }
 }
@@ -163,12 +90,12 @@ pub enum CapRule {
 }
 
 impl CapRule {
-    /// Evaluates the cap at `(n, k)`.
-    pub fn eval(&self, n: usize, k: usize) -> usize {
-        match self {
-            CapRule::MulNN(c) => c * n * n,
-            CapRule::MulN(c) => c * n,
-            CapRule::MulNPlusK(c) => c * (n + k),
+    /// Evaluates the cap at `(n, k)`; `None` on overflow.
+    pub fn eval(&self, n: usize, k: usize) -> Option<usize> {
+        match *self {
+            CapRule::MulNN(c) => c.checked_mul(n)?.checked_mul(n),
+            CapRule::MulN(c) => c.checked_mul(n),
+            CapRule::MulNPlusK(c) => c.checked_mul(n.checked_add(k)?),
         }
     }
 
@@ -250,7 +177,7 @@ impl Campaign {
                 id: id.into(),
                 title: title.into(),
                 protocols: vec![ProtocolSpec::TokenForwarding],
-                adversaries: vec![AdversaryKind::ShuffledPath],
+                adversaries: vec![AdversaryKind::Classic(ClassicKind::ShuffledPath)],
                 placement: Placement::OneTokenPerNode,
                 ns: vec![16, 32],
                 k: Dim::N,
@@ -285,29 +212,54 @@ impl Campaign {
         c
     }
 
+    /// The grid point at `n`: `d`, `k`, `b` and the round cap evaluated
+    /// with checked arithmetic, the parameters checked
+    /// ([`Params::check`]) and the placement fitted
+    /// ([`Placement::fits`]). [`CampaignBuilder::build`] calls this for
+    /// every `n` of both profiles, which is what lets
+    /// [`Campaign::cells`] — its other caller — stay infallible.
+    fn point(&self, n: usize) -> Result<(Params, usize), String> {
+        let dim = |key: &str, why: String| format!("grid point n = {n}: `{key}`: {why}");
+        let d = self.d.eval(n, None).map_err(|why| dim("d", why))?;
+        let k = self.k.eval(n, Some(d)).map_err(|why| dim("k", why))?;
+        let b = self.b.eval(n, Some(d)).map_err(|why| dim("b", why))?;
+        let at = |why: String| format!("grid point n = {n} (k = {k}, d = {d}, b = {b}): {why}");
+        let cap = self
+            .cap
+            .eval(n, k)
+            .ok_or_else(|| at("the round cap `cap` overflows".into()))?;
+        Params::check(n, k, d, b).map_err(at)?;
+        self.placement
+            .fits(n, k)
+            .map_err(|why| at(format!("placement {}: {why}", self.placement)))?;
+        Ok((Params { n, k, d, b }, cap))
+    }
+
     /// Expands the grid into cells: `n × T × delivery × protocol ×
     /// adversary`, in that (deterministic) nesting order — adversaries
     /// vary fastest, so a protocol's row across the workload suite is
     /// contiguous in the artifact, and each delivery model carries a full
     /// contiguous protocol × adversary matrix (single-delivery campaigns
     /// — the default — are laid out exactly as before the axis existed).
+    ///
+    /// # Panics
+    /// Panics at a grid point [`CampaignBuilder::build`] would have
+    /// rejected (reachable only by editing a built campaign's fields).
     pub fn cells(&self) -> Vec<CellSpec> {
         let mut out = Vec::new();
         for &n in &self.ns {
-            let d = self.d.eval(n, 0);
-            let k = self.k.eval(n, d);
-            let b = self.b.eval(n, d);
+            let (params, cap) = self.point(n).unwrap_or_else(|why| panic!("{why}"));
             for &t in &self.ts {
                 for delivery in &self.deliveries {
                     for proto in &self.protocols {
                         for adv in &self.adversaries {
                             out.push(CellSpec {
-                                params: Params::new(n, k, d, b),
+                                params,
                                 t,
                                 adversary: adv.clone(),
                                 placement: self.placement,
                                 protocol: proto.clone(),
-                                cap: self.cap.eval(n, k),
+                                cap,
                                 instance_seed: self.instance_seed,
                                 kernel: self.kernel,
                                 delivery: delivery.clone(),
@@ -340,172 +292,143 @@ impl Campaign {
     /// cap = 10nn
     /// ```
     ///
-    /// `protocol` names registry specs (`dyncode_core::spec`); commas
-    /// inside parentheses do not split the list, so configured variants
+    /// List values split under the workspace grammar
+    /// (`dyncode_obs::spec::split_list`), so configured specs
     /// (`greedy-forward(gather=2,bcast=3)`) work in list position. The
-    /// first `protocol` line replaces the default (`token-forwarding`);
-    /// later lines accumulate.
+    /// three spec-list axes accumulate: the first `protocol` line
+    /// replaces the default (`token-forwarding`) and later lines extend
+    /// it; likewise `delivery`; `adversaries` and `scenario` are two
+    /// spellings of one axis (any adversary spec is valid under either),
+    /// so a campaign can sweep worst-case and stochastic dynamics side by
+    /// side. The grid is the full cross product
+    /// `n × T × delivery × protocol × adversary`.
     ///
-    /// `adversaries` names classic worst-case families; `scenario` adds
-    /// `dyncode-scenarios` workload models (`edge-markov(p_up,p_down)`,
-    /// `waypoint(radius,speed)`, `churn(rate,base)`, `trace(path)`). The
-    /// first of either key replaces the default suite; the two keys then
-    /// accumulate, so a campaign can sweep worst-case and stochastic
-    /// dynamics side by side. The grid is the full cross product
-    /// `n × T × protocol × adversary`.
-    ///
-    /// Unknown keys are errors; everything except `id` has a default.
-    /// Errors carry the line number and key, and enumerate the valid
-    /// names for the offending position.
+    /// Unknown keys are errors; everything except `id` has a default
+    /// (`title` defaults to the id). Errors carry the line number and
+    /// key, and enumerate the valid names for the offending position.
+    /// An `Ok` has passed [`CampaignBuilder::build`]'s gate: every grid
+    /// point of both profiles is valid, so `cells()`, `quick().cells()`
+    /// and each cell's `instance()`, `label()` and `meta()` cannot panic.
     pub fn parse(text: &str) -> Result<Campaign, String> {
-        let mut b = Campaign::builder("", "");
-        let mut saw_id = false;
+        let mut c = Campaign::builder("", "").campaign;
+        // The spec-list axes start empty so every line extends; one left
+        // empty gets its library default back below.
+        let defaults = (
+            std::mem::take(&mut c.protocols),
+            std::mem::take(&mut c.adversaries),
+            std::mem::take(&mut c.deliveries),
+        );
         let mut saw_title = false;
-        let mut saw_adversaries = false;
-        let mut saw_protocols = false;
-        let mut saw_deliveries = false;
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.split('#').next().unwrap_or("").trim();
             if line.is_empty() {
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or(format!(
-                "line {}: expected `key = value`, got {line:?}",
-                lineno + 1
-            ))?;
+            let lineno = lineno + 1;
+            let (key, value) = line
+                .split_once('=')
+                .ok_or_else(|| format!("line {lineno}: expected `key = value`, got {line:?}"))?;
             let (key, value) = (key.trim(), value.trim());
-            let list = || -> Vec<&str> {
-                value
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .collect()
-            };
-            let usizes = |items: Vec<&str>| -> Result<Vec<usize>, String> {
-                items
-                    .iter()
-                    .map(|s| s.parse::<usize>().map_err(|_| format!("bad number {s:?}")))
-                    .collect()
-            };
-            let u64s = |items: Vec<&str>| -> Result<Vec<u64>, String> {
-                items
-                    .iter()
-                    .map(|s| s.parse::<u64>().map_err(|_| format!("bad seed {s:?}")))
-                    .collect()
-            };
-            let err = |e: String| format!("line {} (`{key}`): {e}", lineno + 1);
-            match key {
-                "id" => {
-                    b.campaign.id = value.to_string();
-                    saw_id = true;
-                }
-                "title" => {
-                    b.campaign.title = value.to_string();
-                    saw_title = true;
-                }
-                "protocol" => {
-                    let parsed: Vec<ProtocolSpec> = split_top_level(value)
-                        .iter()
-                        .map(|s| ProtocolSpec::parse(s))
-                        .collect::<Result<_, _>>()
-                        .map_err(err)?;
-                    if !saw_protocols {
-                        b.campaign.protocols = parsed;
-                        saw_protocols = true;
-                    } else {
-                        b.campaign.protocols.extend(parsed);
-                    }
-                }
-                "adversaries" | "scenario" => {
-                    let parsed: Vec<AdversaryKind> = split_top_level(value)
-                        .iter()
-                        .map(|s| AdversaryKind::parse(s))
-                        .collect::<Result<_, _>>()
-                        .map_err(err)?;
-                    if !saw_adversaries {
-                        b.campaign.adversaries = parsed;
-                        saw_adversaries = true;
-                    } else {
-                        b.campaign.adversaries.extend(parsed);
-                    }
-                }
-                "placement" => b.campaign.placement = parse_placement(value).map_err(err)?,
-                "n" => b.campaign.ns = usizes(list()).map_err(err)?,
-                "k" => b.campaign.k = Dim::parse(value).map_err(err)?,
-                "d" => b.campaign.d = Dim::parse(value).map_err(err)?,
-                "b" => b.campaign.b = Dim::parse(value).map_err(err)?,
-                "t" => b.campaign.ts = usizes(list()).map_err(err)?,
-                "seeds" => b.campaign.seeds = u64s(list()).map_err(err)?,
-                "instance_seed" => {
-                    b.campaign.instance_seed = value
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("bad seed {value:?}")))?;
-                }
-                "cap" => b.campaign.cap = CapRule::parse(value).map_err(err)?,
-                "kernel" => b.campaign.kernel = Kernel::parse(value).map_err(err)?,
-                "delivery" => {
-                    let parsed: Vec<DeliverySpec> = split_top_level(value)
-                        .iter()
-                        .map(|s| DeliverySpec::parse(s))
-                        .collect::<Result<_, _>>()
-                        .map_err(err)?;
-                    if !saw_deliveries {
-                        b.campaign.deliveries = parsed;
-                        saw_deliveries = true;
-                    } else {
-                        b.campaign.deliveries.extend(parsed);
-                    }
-                }
-                "record_history" => {
-                    b.campaign.record_history = match value {
-                        "true" => true,
-                        "false" => false,
-                        _ => return Err(err(format!("bad bool {value:?}"))),
-                    };
-                }
-                "quick_n" => b.campaign.quick_ns = Some(usizes(list()).map_err(err)?),
-                "quick_seeds" => b.campaign.quick_seeds = Some(u64s(list()).map_err(err)?),
-                other => {
-                    return Err(format!(
-                        "line {}: unknown key {other:?}; valid keys: id, title, protocol, \
-                         adversaries, scenario, placement, n, k, d, b, t, seeds, \
-                         instance_seed, cap, kernel, delivery, record_history, quick_n, \
-                         quick_seeds",
-                        lineno + 1
-                    ))
-                }
-            }
+            let (_, set) = KEYS.iter().find(|row| row.0 == key).ok_or_else(|| {
+                format!(
+                    "line {lineno}: unknown key {key:?}; valid keys: {}",
+                    list(KEYS.iter().map(|row| row.0))
+                )
+            })?;
+            set(&mut c, value).map_err(|why| format!("line {lineno} (`{key}`): {why}"))?;
+            saw_title |= key == "title";
         }
-        if !saw_id {
+        if c.id.is_empty() {
             return Err("campaign spec is missing `id`".into());
         }
         if !saw_title {
-            b.campaign.title = b.campaign.id.clone();
+            c.title = c.id.clone();
         }
-        b.build()
+        if c.protocols.is_empty() {
+            c.protocols = defaults.0;
+        }
+        if c.adversaries.is_empty() {
+            c.adversaries = defaults.1;
+        }
+        if c.deliveries.is_empty() {
+            c.deliveries = defaults.2;
+        }
+        CampaignBuilder { campaign: c }.build()
     }
 }
 
-fn parse_placement(s: &str) -> Result<Placement, String> {
-    if s == "one-token-per-node" {
-        return Ok(Placement::OneTokenPerNode);
+/// How one `.camp` key's value lands in the campaign being parsed.
+type SetKey = fn(&mut Campaign, &str) -> Result<(), String>;
+
+/// The `.camp` key table: [`Campaign::parse`] dispatches on it and joins
+/// its "valid keys" text from it.
+const KEYS: &[(&str, SetKey)] = &[
+    ("id", |c, v| set(&mut c.id, Ok(v.to_string()))),
+    ("title", |c, v| set(&mut c.title, Ok(v.to_string()))),
+    ("protocol", |c, v| {
+        extend(&mut c.protocols, v, ProtocolSpec::parse)
+    }),
+    ("adversaries", |c, v| {
+        extend(&mut c.adversaries, v, AdversaryKind::parse)
+    }),
+    ("scenario", |c, v| {
+        extend(&mut c.adversaries, v, AdversaryKind::parse)
+    }),
+    ("placement", |c, v| set(&mut c.placement, v.parse())),
+    ("n", |c, v| set(&mut c.ns, numbers(v, "n"))),
+    ("k", |c, v| set(&mut c.k, Dim::parse(v))),
+    ("d", |c, v| set(&mut c.d, Dim::parse(v))),
+    ("b", |c, v| set(&mut c.b, Dim::parse(v))),
+    ("t", |c, v| set(&mut c.ts, numbers(v, "t"))),
+    ("seeds", |c, v| set(&mut c.seeds, numbers(v, "seed"))),
+    ("instance_seed", |c, v| {
+        set(&mut c.instance_seed, value(v, "seed", v))
+    }),
+    ("cap", |c, v| set(&mut c.cap, CapRule::parse(v))),
+    ("kernel", |c, v| set(&mut c.kernel, Kernel::parse(v))),
+    ("delivery", |c, v| {
+        extend(&mut c.deliveries, v, DeliverySpec::parse)
+    }),
+    ("record_history", |c, v| {
+        let on = v.parse().map_err(|_| format!("bad bool {v:?}"));
+        set(&mut c.record_history, on)
+    }),
+    ("quick_n", |c, v| {
+        set(&mut c.quick_ns, numbers(v, "n").map(Some))
+    }),
+    ("quick_seeds", |c, v| {
+        set(&mut c.quick_seeds, numbers(v, "seed").map(Some))
+    }),
+];
+
+/// A scalar key: the last line wins.
+fn set<T>(slot: &mut T, parsed: Result<T, String>) -> Result<(), String> {
+    *slot = parsed?;
+    Ok(())
+}
+
+/// A number-list key (`n = 8, 16`).
+fn numbers<T: Value>(v: &str, what: &str) -> Result<Vec<T>, String> {
+    split_list(v)?
+        .into_iter()
+        .map(|s| value(s, what, v))
+        .collect()
+}
+
+/// A spec-list axis key: every line extends the axis.
+fn extend<T>(
+    axis: &mut Vec<T>,
+    v: &str,
+    parse: fn(&str) -> Result<T, String>,
+) -> Result<(), String> {
+    let specs = split_list(v)?;
+    if specs.is_empty() {
+        return Err("expected at least one spec".into());
     }
-    if s == "round-robin" {
-        return Ok(Placement::RoundRobin);
+    for spec in specs {
+        axis.push(parse(spec)?);
     }
-    if let Some(node) = s.strip_prefix("all-at-node:") {
-        return node
-            .parse::<usize>()
-            .map(Placement::AllAtNode)
-            .map_err(|_| format!("bad placement {s:?}"));
-    }
-    if let Some(m) = s.strip_prefix("clustered:") {
-        return m
-            .parse::<usize>()
-            .map(Placement::Clustered)
-            .map_err(|_| format!("bad placement {s:?}"));
-    }
-    Err(format!("unknown placement {s:?}"))
+    Ok(())
 }
 
 /// Builder for [`Campaign`] (see [`Campaign::builder`] for the defaults).
@@ -623,29 +546,27 @@ impl CampaignBuilder {
         self
     }
 
-    /// Validates and returns the campaign.
+    /// Validates and returns the campaign — the one gate between a
+    /// description and a grid: whatever passes expands and generates its
+    /// instances without panicking (see [`Campaign::parse`]).
     pub fn build(self) -> Result<Campaign, String> {
         let c = self.campaign;
         if c.id.is_empty() {
             return Err("campaign id must be nonempty".into());
         }
-        if c.ns.is_empty() {
-            return Err("campaign needs at least one n".into());
-        }
-        if c.seeds.is_empty() {
-            return Err("campaign needs at least one seed".into());
-        }
-        if c.adversaries.is_empty() {
-            return Err("campaign needs at least one adversary".into());
-        }
-        if c.protocols.is_empty() {
-            return Err("campaign needs at least one protocol".into());
+        for (empty, what) in [
+            (c.ns.is_empty(), "n"),
+            (c.seeds.is_empty(), "seed"),
+            (c.adversaries.is_empty(), "adversary"),
+            (c.protocols.is_empty(), "protocol"),
+            (c.deliveries.is_empty(), "delivery model"),
+        ] {
+            if empty {
+                return Err(format!("campaign needs at least one {what}"));
+            }
         }
         if c.ts.is_empty() || c.ts.contains(&0) {
             return Err("stability intervals must be nonempty and ≥ 1".into());
-        }
-        if c.deliveries.is_empty() {
-            return Err("campaign needs at least one delivery model".into());
         }
         // An explicit `kernel = fast` must cover every protocol in the
         // grid — catch the mismatch here, at campaign-build time, instead
@@ -657,10 +578,13 @@ impl CampaignBuilder {
                 }
             }
         }
-        // Instance-size constraints (the quorum families need n ≥ 5f+1)
-        // must hold at every grid point, quick profile included.
-        for spec in &c.protocols {
-            for &n in c.ns.iter().chain(c.quick_ns.iter().flatten()) {
+        // Every n of both profiles must be a valid grid point and meet
+        // each protocol's size constraint (quorum: n ≥ 5f+1) — here, not
+        // as a panic when `cells()` or `instance()` runs on the caller's
+        // thread, outside the executor's per-cell containment.
+        for &n in c.ns.iter().chain(c.quick_ns.iter().flatten()) {
+            c.point(n)?;
+            for spec in &c.protocols {
                 if let Err(why) = spec.validate_for_n(n) {
                     return Err(format!("protocol {spec} cannot run at n = {n}: {why}"));
                 }
@@ -830,7 +754,10 @@ mod tests {
         Campaign::builder("tiny", "tiny token-forwarding sweep")
             .ns(&[8, 16])
             .seeds(&[1, 2])
-            .adversaries(vec![AdversaryKind::ShuffledPath, AdversaryKind::Bottleneck])
+            .adversaries(vec![
+                AdversaryKind::Classic(ClassicKind::ShuffledPath),
+                AdversaryKind::Classic(ClassicKind::Bottleneck),
+            ])
             .build()
             .unwrap()
     }
@@ -999,17 +926,206 @@ mod tests {
         assert!(Campaign::parse("id = x\nno_equals_here").is_err());
     }
 
+    /// Texts that parse line by line but name a grid that cannot exist:
+    /// `build` is the gate, so each is an `Err` naming the offending key
+    /// or grid point — not a panic when `cells()` or `instance()` runs.
     #[test]
-    fn parse_placement_forms() {
-        assert_eq!(
-            parse_placement("all-at-node:3").unwrap(),
-            Placement::AllAtNode(3)
+    fn the_gate_rejects_grids_that_would_panic_at_expansion() {
+        for (text, names) in [
+            ("d = 2d", &["`d`", "n = 16"][..]),
+            ("n = 0", &["n = 0", "at least one node"]),
+            ("k = 0", &["k = 0", "n = 16", "at least one token"]),
+            (
+                "d = 20\nb = 4",
+                &["n = 16", "d=20 exceeds message size b=4"],
+            ),
+            ("d = 1", &["n = 16", "d = 1", "below log2(n)"]),
+            ("d = 3\nb = 8", &["n = 16", "d=3 bits cannot hold 16"]),
+            (
+                "n = 16\nd = 3\nb = 3\nk = 4",
+                &["n = 16", "b=3 below log2(n)"],
+            ),
+            ("k = 18446744073709551615d", &["`k`", "n = 16", "overflows"]),
+            (
+                "cap = 18446744073709551615nn",
+                &["`cap`", "n = 16", "overflows"],
+            ),
+            ("quick_n = 0", &["n = 0", "at least one node"]),
+            (
+                "placement = all-at-node:99",
+                &["placement all-at-node:99", "n = 16"],
+            ),
+            (
+                "placement = clustered:0",
+                &["placement clustered:0", "n = 16"],
+            ),
+            (
+                "placement = clustered:99",
+                &["placement clustered:99", "n = 16"],
+            ),
+            (
+                "n = 16\nk = 32\nd = 8",
+                &["placement one-token-per-node", "n = 16 (k = 32"],
+            ),
+        ] {
+            let err = Campaign::parse(&format!("id = x\n{text}")).expect_err(text);
+            for part in names {
+                assert!(err.contains(part), "{text:?}: {err:?} must name {part:?}");
+            }
+        }
+        // The builder is the same gate.
+        let err = Campaign::builder("x", "x").k(Dim::Const(0)).build();
+        assert!(err.unwrap_err().contains("at least one token"));
+        // What passes it expands in both profiles.
+        let ok = Campaign::parse("id = x\nn = 16, 40\nplacement = clustered:16").unwrap();
+        assert_eq!(ok.cells().len(), 2);
+        assert_eq!(ok.quick().cells().len(), 2);
+    }
+
+    /// List values follow the shared grammar: depth-0 commas, no empty
+    /// pieces, each axis line extending its axis.
+    #[test]
+    fn list_values_follow_the_shared_grammar() {
+        for bad in [
+            "n = 8,,16",
+            "n = 8,",
+            "seeds = ,1",
+            "protocol = token-forwarding,,centralized",
+            "protocol = ",
+            "adversaries = shuffled-path,",
+            "delivery = radio(p=0.5),,reliable",
+            "scenario = churn(0.1,bottleneck",
+        ] {
+            let err = Campaign::parse(&format!("id = x\n{bad}")).expect_err(bad);
+            assert!(err.contains("line 2"), "{bad:?}: {err}");
+        }
+        let c = Campaign::parse(
+            "id = x\nscenario =  shuffled-path \nadversaries = shuffled-path()\n\
+             delivery = radio (p=0.5)\ndelivery = reliable()",
+        )
+        .unwrap();
+        assert_eq!(c.adversaries[0], c.adversaries[1]);
+        assert_eq!(c.adversaries[0].name(), "shuffled-path");
+        assert_eq!(c.deliveries.len(), 2, "delivery lines accumulate too");
+    }
+
+    /// A small corpus of valid texts: the committed campaign, the seven
+    /// benchmark workload shapes at smoke size, and this module's own.
+    const CORPUS: &[&str] = &[
+        include_str!("../../../campaigns/e21.camp"),
+        "id = cb-gf2\nkernel = auto\nplacement = one-token-per-node\nd = 16\ncap = 100nn\nn = 64\n\
+         protocol = field-broadcast(gf2)\nscenario = edge-markov(0.002,0.25)\nk = 32\nb = 128\n\
+         seeds = 771\ninstance_seed = 5\n",
+        "id = cp\nkernel = auto\nd = 16\ncap = 100nn\nn = 24\n\
+         protocol = field-broadcast(m61), field-broadcast(gf257)\n\
+         scenario = edge-markov(0.015,0.25)\nk = n\nb = 128\nseeds = 3\n",
+        "id = ft-t8\nkernel = auto\nd = 16\ncap = 100nn\nn = 32\n\
+         protocol = pipelined-forwarding(8)\nscenario = edge-markov(0.01,0.25)\n\
+         k = n\nb = 128\nt = 8\nseeds = 9, 10\n",
+        "id = dr\nkernel = auto\nd = 16\ncap = 100nn\nn = 16\n\
+         protocol = field-broadcast(gf257,det=7), field-broadcast(m61,det=7)\n\
+         adversaries = shuffled-path\nscenario = edge-markov(0.015,0.25)\nk = n\nb = 128\n",
+        "id = lq\nkernel = auto\nd = 16\ncap = 100nn\nn = 64\n\
+         protocol = field-broadcast(gf2), quorum-decide(f=8,q=4)\n\
+         scenario = edge-markov(0.004,0.25)\ndelivery = radio(p=0.25), lossy(eps=0.3)\n\
+         k = 16\nb = 128\nseeds = 4\n",
+        "id = m0\nkernel = auto\nd = 16\ncap = 100nn\nn = 8\n\
+         protocol = token-forwarding, pipelined-forwarding(8), greedy-forward\n\
+         protocol = priority-forward, naive-coded, indexed-broadcast\n\
+         protocol = field-broadcast(gf256), centralized\nadversaries = shuffled-path\n\
+         scenario = edge-markov(0.1,0.3), churn(0.2,random-connected)\nk = n\nb = 32\n\
+         record_history = true\n",
+        "id = tf-nsweep\ntitle = Token forwarding n sweep  # trailing comment\n\
+         protocol = token-forwarding\nadversaries = shuffled-path, bottleneck\n\
+         placement = round-robin\nn = 8, 16\nk = n\nd = lgn+1\nb = 4d\nt = 1, 2\n\
+         seeds = 1, 2, 3\ninstance_seed = 9\ncap = 20nn\nrecord_history = true\n\
+         quick_n = 8\nquick_seeds = 1\n",
+        "id = fastlane\nprotocol = field-broadcast(gf2), indexed-broadcast\n\
+         adversaries = shuffled-path\nn = 10\nseeds = 1, 2\ncap = 50nn\nkernel = auto\n",
+        "id = cross\nprotocol = token-forwarding, greedy-forward(gather=2,bcast=3)\n\
+         protocol = field-broadcast(m61,det=3), patch-indexed\nplacement = all-at-node:3\n\
+         n = 8\nt = 4\nseeds = 1\ncap = 500(n+k)\n",
+    ];
+
+    /// Everything `parse` promises about an `Ok`: both profiles expand,
+    /// and every cell labels, describes and instantiates itself.
+    fn exercise(c: &Campaign) {
+        for profile in [c.clone(), c.quick()] {
+            for cell in profile.cells() {
+                let (label, meta) = (cell.label(), cell.meta());
+                assert!(!label.is_empty() && !meta.is_empty());
+                // Mutated digits can name astronomically large grids;
+                // generating those is a memory question, not a panic one.
+                if cell.params.n <= 64 && cell.params.k <= 64 && cell.params.d <= 4096 {
+                    assert_eq!(cell.instance().tokens.len(), cell.params.k);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_corpus_parses_and_expands() {
+        for text in CORPUS {
+            exercise(&Campaign::parse(text).unwrap_or_else(|e| panic!("{e}\n{text}")));
+        }
+    }
+
+    /// Hostile input (ROADMAP "Hostile inputs (a)" for `.camp`): `parse`
+    /// never panics — on arbitrary bytes, on a valid text with a few
+    /// bytes overwritten, or on a valid text with grid keys overridden
+    /// by small random values (the gate's own territory) — and whenever
+    /// it returns `Ok`, neither does anything `exercise` runs.
+    #[test]
+    fn parse_never_panics_and_ok_means_expandable() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xCA4F);
+        let (mut accepted, mut gated) = (0, 0);
+        let mut probe = |text: &[u8]| match Campaign::parse(&String::from_utf8_lossy(text)) {
+            Ok(c) => {
+                accepted += 1;
+                exercise(&c);
+            }
+            Err(why) => gated += usize::from(why.starts_with("grid point")),
+        };
+        for case in 0..256 {
+            let len = rng.random_range(0..96usize);
+            probe(&(0..len).map(|_| rng.random::<u8>()).collect::<Vec<u8>>());
+
+            let valid = CORPUS[case % CORPUS.len()];
+            let mut bytes = valid.as_bytes().to_vec();
+            for _ in 0..rng.random_range(1..5usize) {
+                // Half the edits stay in the grammar's own alphabet.
+                const ALPHABET: &[u8] = b"0123456789,()=dn#\n -.";
+                let at = rng.random_range(0..bytes.len());
+                bytes[at] = if rng.random::<bool>() {
+                    ALPHABET[rng.random_range(0..ALPHABET.len())]
+                } else {
+                    rng.random::<u8>()
+                };
+            }
+            probe(&bytes);
+
+            let mut text = valid.to_string();
+            for _ in 0..rng.random_range(1..4usize) {
+                let x = rng.random_range(0..72usize);
+                text.push_str(&match rng.random_range(0..9usize) {
+                    0 => format!("\nn = {x}"),
+                    1 => format!("\nquick_n = {x}"),
+                    2 => format!("\nk = {x}"),
+                    3 => format!("\nd = {x}"),
+                    4 => format!("\nb = {x}"),
+                    5 => format!("\nd = {x}d"),
+                    6 => format!("\nplacement = clustered:{x}"),
+                    7 => format!("\nplacement = all-at-node:{x}"),
+                    _ => format!("\ncap = {}(n+k)", usize::MAX / (x + 1)),
+                });
+            }
+            probe(text.as_bytes());
+        }
+        assert!(
+            accepted >= 32 && gated >= 32,
+            "both sides of the gate must be reached: {accepted} accepted, {gated} gated"
         );
-        assert_eq!(
-            parse_placement("clustered:4").unwrap(),
-            Placement::Clustered(4)
-        );
-        assert!(parse_placement("scattered").is_err());
     }
 
     #[test]
@@ -1019,13 +1135,16 @@ mod tests {
         assert_eq!(Dim::parse("12").unwrap(), Dim::Const(12));
         assert_eq!(Dim::parse("8d").unwrap(), Dim::MulD(8));
         assert!(Dim::parse("d8").is_err());
-        assert_eq!(Dim::LgN1.eval(16, 0), 5);
-        assert_eq!(Dim::MulD(3).eval(16, 7), 21);
+        assert_eq!(Dim::LgN1.eval(16, None), Ok(5));
+        assert_eq!(Dim::MulD(3).eval(16, Some(7)), Ok(21));
+        assert!(Dim::MulD(3).eval(16, None).is_err());
+        assert!(Dim::MulD(usize::MAX).eval(16, Some(2)).is_err());
 
         assert_eq!(CapRule::parse("10nn").unwrap(), CapRule::MulNN(10));
         assert_eq!(CapRule::parse("100n").unwrap(), CapRule::MulN(100));
         assert_eq!(CapRule::parse("50(n+k)").unwrap(), CapRule::MulNPlusK(50));
-        assert_eq!(CapRule::MulNPlusK(50).eval(16, 8), 50 * 24);
+        assert_eq!(CapRule::MulNPlusK(50).eval(16, 8), Some(50 * 24));
+        assert_eq!(CapRule::MulNN(usize::MAX).eval(16, 8), None);
         assert!(CapRule::parse("nn10").is_err());
     }
 

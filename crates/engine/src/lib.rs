@@ -53,6 +53,7 @@ pub use compare::{compare, CompareConfig, CompareReport};
 pub use dyncode_core::runner::Kernel;
 pub use dyncode_core::spec::{FieldKind, ProtocolSpec};
 pub use dyncode_dynet::simulator::{delivery_registry, DeliverySpec};
+pub use dyncode_scenarios::ClassicKind;
 pub use executor::{CellError, Engine};
 pub use json::Json;
 pub use shard::{merge_shards, Shard};

@@ -1,7 +1,7 @@
 //! `dyncode-obs` — zero-dependency structured telemetry for the dyncode
 //! workspace: spans, counters/gauges/histograms, and pluggable sinks —
-//! and, because it is the one crate under every JSON user, the
-//! workspace's JSON codec ([`json`]).
+//! and, because it is the one crate under every user of either, the
+//! workspace's JSON codec ([`json`]) and its spec grammar ([`spec`]).
 //!
 //! This crate sits *below* every other dyncode crate (kernel, core,
 //! engine, store, bench all depend on it) and therefore depends on
@@ -22,6 +22,10 @@
 //!   artifacts, store objects and sidecars are written from),
 //!   [`json::Reader`] (the lexer the event parser walks directly) and
 //!   [`json::Writer`] (the pretty layout the metrics file streams).
+//! - [`spec`] — the one `name(args)` grammar: the [`spec::Call`] lexer
+//!   every protocol, delivery and adversary spec parser reads through,
+//!   [`spec::split_list`] for `.camp` list values, and
+//!   [`spec::write_call`], which prints every canonical string.
 //! - [`sink`] — the [`Sink`] trait plus [`MemorySink`] (aggregation)
 //!   and [`JsonlSink`] (`dyncode-events/v1` stream for `--events`).
 //! - [`log`] — leveled progress logging behind [`obs_info!`],
@@ -41,6 +45,7 @@ pub mod metrics;
 pub mod session;
 pub mod sink;
 pub mod span;
+pub mod spec;
 pub mod summary;
 
 pub use event::{parse_events, Event, Kind, Value, EVENTS_SCHEMA};

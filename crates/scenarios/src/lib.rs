@@ -20,8 +20,10 @@
 //!   round, varint-coded, with an n/rounds/seed header — recorded and
 //!   replayed *streaming* ([`replay`]), so million-round traces never
 //!   materialize in memory.
-//! * **The factory** ([`ScenarioKind`]): one parse/build enum behind the
-//!   campaign engine's `scenario = …` spec key.
+//! * **The factory** ([`ScenarioKind`]): the one type that names an
+//!   adversary — the classic worst-case families and the models above —
+//!   behind the campaign engine's `adversaries = …` / `scenario = …`
+//!   keys, with its [`registry`] of spec forms.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,11 +45,23 @@ use dyncode_dynet::adversaries::{
     BottleneckAdversary, KnowledgeAdaptiveAdversary, RandomConnectedAdversary,
     ShuffledPathAdversary, ShuffledStarAdversary,
 };
-use dyncode_dynet::adversary::Adversary;
+use dyncode_dynet::adversary::{Adversary, TStable};
+use dyncode_obs::spec::{list, write_call, Call};
+use std::fmt;
 
-/// The scenario factory: every workload model as data, with a textual
-/// form used by campaign specs (`scenario = edge-markov(0.05,0.2)`) and
-/// the bench CLI's `trace record`.
+/// The scenario factory — the one type that names an adversary: every
+/// topology model as data, with a textual form (the workspace grammar,
+/// [`dyncode_obs::spec`]) used by campaign specs
+/// (`scenario = edge-markov(0.05,0.2)`, `adversaries = shuffled-path`),
+/// cell labels, store keys and the bench CLI's `trace record`:
+///
+/// ```text
+/// edge-markov(0.05,0.2)          per-edge birth/death probabilities
+/// waypoint(0.35,0.05)            radius, speed on the unit square
+/// churn(0.1,random-connected)    rate, base model (nesting allowed)
+/// trace(path/to.dct)             replay a recorded trace
+/// shuffled-path | … | bottleneck classic families, by name
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioKind {
     /// Per-edge birth/death Markov chains: `edge-markov(p_up,p_down)`.
@@ -77,8 +91,7 @@ pub enum ScenarioKind {
         path: String,
     },
     /// One of the classic worst-case families from
-    /// `dyncode_dynet::adversaries`, usable as a churn base (and parsed
-    /// by plain name).
+    /// `dyncode_dynet::adversaries`, named by its bare spec name.
     Classic(ClassicKind),
 }
 
@@ -97,6 +110,24 @@ pub enum ClassicKind {
     RandomConnected,
 }
 
+/// Every classic family with its registry description.
+const CLASSIC: [(ClassicKind, &str); 5] = [
+    (ClassicKind::ShuffledPath, "a fresh random path every round"),
+    (ClassicKind::ShuffledStar, "a fresh random star every round"),
+    (
+        ClassicKind::Bottleneck,
+        "two cliques joined by one moving bridge",
+    ),
+    (
+        ClassicKind::KnowledgeAdaptive,
+        "adaptive: clusters nodes by knowledge similarity",
+    ),
+    (
+        ClassicKind::RandomConnected,
+        "a random spanning tree plus two extra edges",
+    ),
+];
+
 impl ClassicKind {
     /// The spec name.
     pub fn name(&self) -> &'static str {
@@ -111,17 +142,11 @@ impl ClassicKind {
 
     /// Parses a spec name.
     pub fn parse(s: &str) -> Option<ClassicKind> {
-        Some(match s {
-            "shuffled-path" => ClassicKind::ShuffledPath,
-            "shuffled-star" => ClassicKind::ShuffledStar,
-            "bottleneck" => ClassicKind::Bottleneck,
-            "knowledge-adaptive" => ClassicKind::KnowledgeAdaptive,
-            "random-connected" => ClassicKind::RandomConnected,
-            _ => return None,
-        })
+        CLASSIC.iter().map(|row| row.0).find(|c| c.name() == s)
     }
 
-    /// Builds a fresh adversary of this family.
+    /// Builds a fresh adversary of this family — the one name ↔
+    /// constructor table of the classic families.
     pub fn build(&self) -> Box<dyn Adversary> {
         match self {
             ClassicKind::ShuffledPath => Box::new(ShuffledPathAdversary),
@@ -133,111 +158,107 @@ impl ClassicKind {
     }
 }
 
-pub use dyncode_dynet::split_top_level;
+/// The parameterised models' registry rows: `(grammar, description)`.
+const MODELS: [(&str, &str); 4] = [
+    (
+        "edge-markov(p_up,p_down)",
+        "per-edge birth/death chains, repaired to connectivity",
+    ),
+    (
+        "waypoint(radius,speed)",
+        "random-waypoint mobility with radius-limited links",
+    ),
+    (
+        "churn(rate,base)",
+        "activity flapping over any base model but trace",
+    ),
+    ("trace(path)", "replay of a recorded .dct schedule, cycling"),
+];
+
+/// The adversary/scenario registry rows: `(grammar, description)`, the
+/// classic families then the parameterised models — what the CLI
+/// listings print and what an unknown-name error enumerates.
+pub fn registry() -> Vec<(&'static str, &'static str)> {
+    let classic = CLASSIC.iter().map(|(family, text)| (family.name(), *text));
+    classic.chain(MODELS).collect()
+}
+
+/// Reads the next positional argument as a required `f64`.
+fn number(call: &mut Call<'_>, what: &str) -> Result<f64, String> {
+    call.next(what)?.ok_or_else(|| call.missing(what))
+}
 
 impl ScenarioKind {
-    /// The spec-text name (parses back via [`ScenarioKind::parse`]).
+    /// The canonical spec string (parses back via [`ScenarioKind::parse`]).
     pub fn name(&self) -> String {
-        match self {
-            ScenarioKind::EdgeMarkov { p_up, p_down } => format!("edge-markov({p_up},{p_down})"),
-            ScenarioKind::Waypoint { radius, speed } => format!("waypoint({radius},{speed})"),
-            ScenarioKind::Churn { rate, base } => format!("churn({rate},{})", base.name()),
-            ScenarioKind::Trace { path } => format!("trace({path})"),
-            ScenarioKind::Classic(c) => c.name().to_string(),
-        }
+        self.to_string()
     }
 
-    /// Parses a scenario spec:
-    ///
-    /// ```text
-    /// edge-markov(0.05,0.2)          per-edge birth/death probabilities
-    /// waypoint(0.35,0.05)            radius, speed on the unit square
-    /// churn(0.1,random-connected)    rate, base model (nesting allowed)
-    /// trace(path/to.dct)             replay a recorded trace
-    /// shuffled-path | … | bottleneck classic families, by name
-    /// ```
+    /// Parses an adversary/scenario spec; see the type docs for the
+    /// forms. Unknown names enumerate the [`registry`].
     pub fn parse(s: &str) -> Result<ScenarioKind, String> {
-        let s = s.trim();
-        if let Some(c) = ClassicKind::parse(s) {
-            return Ok(ScenarioKind::Classic(c));
-        }
-        let open = s
-            .find('(')
-            .ok_or(format!("unknown scenario {s:?} (expected name(args))"))?;
-        if !s.ends_with(')') {
-            return Err(format!("scenario {s:?} is missing its closing paren"));
-        }
-        let head = s[..open].trim();
-        let args = split_top_level(&s[open + 1..s.len() - 1]);
-        let prob = |i: usize, what: &str| -> Result<f64, String> {
-            let raw = *args
-                .get(i)
-                .ok_or(format!("{head} is missing its {what} argument"))?;
-            raw.parse::<f64>()
-                .map_err(|_| format!("bad {what} {raw:?} in {s:?}"))
-        };
-        let arity = |want: usize| -> Result<(), String> {
-            if args.len() == want {
-                Ok(())
-            } else {
-                Err(format!("{head} takes {want} arguments, got {}", args.len()))
-            }
-        };
-        match head {
+        let mut call = Call::parse(s)?;
+        let (kind, valid) = match call.head {
             "edge-markov" => {
-                arity(2)?;
-                let (p_up, p_down) = (prob(0, "p_up")?, prob(1, "p_down")?);
+                let (p_up, p_down) = (number(&mut call, "p_up")?, number(&mut call, "p_down")?);
                 if !(p_up > 0.0 && p_up <= 1.0) {
                     return Err(format!("p_up must be in (0, 1], got {p_up}"));
                 }
                 if !(0.0..=1.0).contains(&p_down) {
                     return Err(format!("p_down must be in [0, 1], got {p_down}"));
                 }
-                Ok(ScenarioKind::EdgeMarkov { p_up, p_down })
+                (ScenarioKind::EdgeMarkov { p_up, p_down }, "p_up, p_down")
             }
             "waypoint" => {
-                arity(2)?;
-                let (radius, speed) = (prob(0, "radius")?, prob(1, "speed")?);
-                let positive = |x: f64| x.is_finite() && x > 0.0;
-                if !positive(radius) || !positive(speed) {
+                let (radius, speed) = (number(&mut call, "radius")?, number(&mut call, "speed")?);
+                if !(radius > 0.0 && speed > 0.0) {
                     return Err(format!(
                         "waypoint radius and speed must be positive, got ({radius},{speed})"
                     ));
                 }
-                Ok(ScenarioKind::Waypoint { radius, speed })
+                (ScenarioKind::Waypoint { radius, speed }, "radius, speed")
             }
             "churn" => {
-                arity(2)?;
-                let rate = prob(0, "rate")?;
+                let rate = number(&mut call, "rate")?;
                 if !(0.0..1.0).contains(&rate) {
                     return Err(format!("churn rate must be in [0, 1), got {rate}"));
                 }
-                let base = Box::new(ScenarioKind::parse(args[1])?);
+                let base = call.next_raw().ok_or_else(|| call.missing("base"))?;
+                let base = Box::new(ScenarioKind::parse(base)?);
                 if matches!(*base, ScenarioKind::Trace { .. }) {
                     return Err("churn over a trace is not supported (the trace already \
                                 fixes the full topology)"
                         .into());
                 }
-                Ok(ScenarioKind::Churn { rate, base })
+                (ScenarioKind::Churn { rate, base }, "rate, base")
             }
             "trace" => {
-                arity(1)?;
-                Ok(ScenarioKind::Trace {
-                    path: args[0].to_string(),
-                })
+                let path = call.next_raw().ok_or_else(|| call.missing("path"))?;
+                (ScenarioKind::Trace { path: path.into() }, "path")
             }
-            other => Err(format!("unknown scenario {other:?}")),
-        }
+            head => match ClassicKind::parse(head) {
+                Some(classic) => (ScenarioKind::Classic(classic), "no arguments"),
+                None => {
+                    return Err(format!(
+                        "unknown adversary {head:?}; valid: {}",
+                        list(registry().iter().map(|row| row.0))
+                    ))
+                }
+            },
+        };
+        call.finish(valid)?;
+        Ok(kind)
     }
 
-    /// Builds a fresh adversary for this scenario.
+    /// Builds a fresh adversary for this scenario, wrapped [`TStable`]
+    /// when the stability interval `t` exceeds 1.
     ///
     /// # Panics
     /// [`ScenarioKind::Trace`] panics if the file cannot be opened or is
     /// not a valid trace (inside an engine cell this is contained as a
     /// recorded `CellError`).
-    pub fn build(&self) -> Box<dyn Adversary> {
-        match self {
+    pub fn build(&self, t: usize) -> Box<dyn Adversary> {
+        let inner: Box<dyn Adversary> = match self {
             ScenarioKind::EdgeMarkov { p_up, p_down } => {
                 Box::new(EdgeMarkovAdversary::new(*p_up, *p_down))
             }
@@ -245,13 +266,34 @@ impl ScenarioKind {
                 Box::new(WaypointAdversary::new(*radius, *speed))
             }
             ScenarioKind::Churn { rate, base } => {
-                Box::new(ChurnAdversary::new(base.build(), *rate))
+                Box::new(ChurnAdversary::new(base.build(1), *rate))
             }
             ScenarioKind::Trace { path } => Box::new(
                 DctReplayAdversary::open(path)
                     .unwrap_or_else(|e| panic!("cannot open trace {path:?}: {e}")),
             ),
             ScenarioKind::Classic(c) => c.build(),
+        };
+        if t > 1 {
+            Box::new(TStable::new(inner, t))
+        } else {
+            inner
+        }
+    }
+}
+
+impl fmt::Display for ScenarioKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioKind::EdgeMarkov { p_up, p_down } => {
+                write_call(f, "edge-markov", &[("", p_up), ("", p_down)])
+            }
+            ScenarioKind::Waypoint { radius, speed } => {
+                write_call(f, "waypoint", &[("", radius), ("", speed)])
+            }
+            ScenarioKind::Churn { rate, base } => write_call(f, "churn", &[("", rate), ("", base)]),
+            ScenarioKind::Trace { path } => write_call(f, "trace", &[("", path)]),
+            ScenarioKind::Classic(c) => write_call(f, c.name(), &[]),
         }
     }
 }
@@ -296,14 +338,73 @@ mod tests {
         }
     }
 
+    /// The shared grammar's rules, seen from this axis: `Ok(canonical)`
+    /// or `Err` naming the offending piece.
     #[test]
-    fn split_top_level_respects_parens() {
+    fn grammar_rules_hold_on_the_adversary_axis() {
+        for (input, want) in [
+            ("shuffled-path()", Ok("shuffled-path")),
+            (" shuffled-path ", Ok("shuffled-path")),
+            ("bottleneck ( )", Ok("bottleneck")),
+            ("edge-markov (0.05, 0.2)", Ok("edge-markov(0.05,0.2)")),
+            ("edge-markov(0.5,-0.0)", Ok("edge-markov(0.5,0)")),
+            (
+                "churn(-0.0,waypoint( 0.3 ,0.1))",
+                Ok("churn(0,waypoint(0.3,0.1))"),
+            ),
+            ("trace(runs/seed=3.dct)", Ok("trace(runs/seed=3.dct)")),
+            ("edge-markov(0.05,,0.2)", Err("empty argument")),
+            ("edge-markov(0.05,0.2,)", Err("empty argument")),
+            ("waypoint(,)", Err("empty argument")),
+            (
+                "edge-markov(0.05,0.2,0.3)",
+                Err("unexpected edge-markov argument \"0.3\""),
+            ),
+            ("edge-markov(0.05)", Err("missing its p_down")),
+            ("shuffled-path(1)", Err("unexpected shuffled-path argument")),
+            ("waypoint(0.3,0.1) x", Err("closing paren")),
+            ("churn(0.1,edge-markov(0.05,0.2)", Err("unclosed")),
+            ("edge-markov(nan,0.2)", Err("bad p_up")),
+            ("edge-markov(0.05,inf)", Err("bad p_down")),
+            ("waypoint(0.3,NaN)", Err("bad speed")),
+            ("waypoint(-inf,0.1)", Err("bad radius")),
+            ("churn(nan,shuffled-path)", Err("bad rate")),
+            ("churn(0.1,edge-markov(inf,0.2))", Err("bad p_up")),
+        ] {
+            let got = ScenarioKind::parse(input).map(|s| s.name());
+            match (got, want) {
+                (Ok(name), Ok(canonical)) => assert_eq!(name, canonical, "{input:?}"),
+                (Err(e), Err(part)) => assert!(e.contains(part), "{input:?}: {e}"),
+                (got, want) => panic!("{input:?}: got {got:?}, want {want:?}"),
+            }
+        }
         assert_eq!(
-            split_top_level("edge-markov(0.05,0.2), churn(0.1,waypoint(0.3,0.1))"),
-            vec!["edge-markov(0.05,0.2)", "churn(0.1,waypoint(0.3,0.1))"]
+            ScenarioKind::parse(" shuffled-path ").unwrap(),
+            ScenarioKind::Classic(ClassicKind::ShuffledPath)
         );
-        assert_eq!(split_top_level("a, ,b"), vec!["a", "b"]);
-        assert_eq!(split_top_level(""), Vec::<&str>::new());
+    }
+
+    /// Every registry row's head is a name the parser knows, and an
+    /// unknown name's error enumerates exactly the registry.
+    #[test]
+    fn registry_rows_parse_and_unknown_names_enumerate_them() {
+        let err = ScenarioKind::parse("mystery").unwrap_err();
+        assert!(err.contains("unknown adversary \"mystery\""), "{err}");
+        assert_eq!(registry().len(), 9);
+        for (grammar, description) in registry() {
+            assert!(err.contains(grammar), "{err} must list {grammar}");
+            assert!(!description.is_empty());
+            let head = grammar.split('(').next().unwrap();
+            let probe = match head {
+                "edge-markov" => "edge-markov(0.05,0.2)".to_string(),
+                "waypoint" => "waypoint(0.3,0.1)".to_string(),
+                "churn" => "churn(0.1,bottleneck)".to_string(),
+                "trace" => "trace(x.dct)".to_string(),
+                classic => classic.to_string(),
+            };
+            let kind = ScenarioKind::parse(&probe).expect(grammar);
+            assert_eq!(kind.name(), probe, "{grammar}");
+        }
     }
 
     #[test]
@@ -315,7 +416,7 @@ mod tests {
             "churn(0.2,random-connected)",
             "churn(0.15,edge-markov(0.05,0.2))",
         ] {
-            let mut adv = ScenarioKind::parse(spec).unwrap().build();
+            let mut adv = ScenarioKind::parse(spec).unwrap().build(1);
             let view = KnowledgeView::blank(13, 2);
             for round in 0..20 {
                 let g = adv.topology(round, &view, &mut rng);

@@ -179,7 +179,7 @@ pub fn record_scenario<W: Write + Seek>(
     seed: u64,
     sink: W,
 ) -> io::Result<DctHeader> {
-    let adv = scenario.build();
+    let adv = scenario.build(1);
     let mut rng = adversary_rng(seed);
     let view = KnowledgeView::blank(n, 1);
     let mut rec = DctRecording::new(adv, DctWriter::new(sink, n, seed)?);
@@ -287,7 +287,7 @@ mod tests {
 
         // A live adversary driven by the simulator's private stream for
         // the same seed must emit exactly the recorded schedule.
-        let mut live = kind.build();
+        let mut live = kind.build(1);
         let mut rng = adversary_rng(42);
         let view = KnowledgeView::blank(11, 1);
         let mut replay = DctReplay::new(Cursor::new(bytes.into_inner())).unwrap();

@@ -2,6 +2,7 @@
 //! honors the KLO connectivity invariant (over the full node set, and —
 //! for churn — over the active subset), and the `.dct` format round-trips
 //! arbitrary schedules, including empty-delta and full-rewire rounds.
+//! The spec parser returns `Err`, never panics, on hostile text.
 
 use dyncode_dynet::adversary::{Adversary, KnowledgeView};
 use dyncode_dynet::graph::Graph;
@@ -162,8 +163,37 @@ proptest! {
             "churn(0.2,random-connected)",
             "churn(0.1,waypoint(0.4,0.05))",
         ][which];
-        let mut adv = ScenarioKind::parse(spec).unwrap().build();
+        let mut adv = ScenarioKind::parse(spec).unwrap().build(1);
         check_all_rounds_connected(adv.as_mut(), n, 15, seed);
+    }
+
+    /// Hostile input: arbitrary bytes, and a valid spec with a few bytes
+    /// overwritten, never panic the parser — and whatever parses prints
+    /// a string that parses back to itself.
+    #[test]
+    fn parse_never_panics(
+        junk in proptest::collection::vec(any::<u8>(), 0..48),
+        which in 0usize..6,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..5),
+    ) {
+        let mut mutated = [
+            "edge-markov(0.05,0.25)",
+            "waypoint(0.3,0.06)",
+            "churn(0.2,random-connected)",
+            "churn(0.1,waypoint(0.4,0.05))",
+            "trace(runs/a.dct)",
+            "knowledge-adaptive",
+        ][which].as_bytes().to_vec();
+        for (at, byte) in edits {
+            let at = at % mutated.len();
+            mutated[at] = byte;
+        }
+        for bytes in [junk, mutated] {
+            let text = String::from_utf8_lossy(&bytes);
+            if let Ok(kind) = ScenarioKind::parse(&text) {
+                prop_assert_eq!(ScenarioKind::parse(&kind.name()), Ok(kind));
+            }
+        }
     }
 
     /// encode(trace) |> stream-decode == trace, on random schedules that

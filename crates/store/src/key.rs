@@ -17,24 +17,12 @@
 //!   resolved name is exactly what the artifact's cell meta records.
 
 use crate::sha::sha256_hex;
-use dyncode_core::params::Placement;
 use dyncode_core::runner::resolve_kernel;
 use dyncode_engine::{Campaign, CellSpec};
 
 /// The key-schema version folded into every digest; bump on any change
 /// to the canonical string layout (old cache entries then simply miss).
 pub const KEY_SCHEMA: &str = "dyncode-store/v1";
-
-/// The canonical spec-text form of a [`Placement`] (the same strings
-/// `Campaign::parse` accepts).
-pub fn placement_str(p: &Placement) -> String {
-    match p {
-        Placement::OneTokenPerNode => "one-token-per-node".into(),
-        Placement::RoundRobin => "round-robin".into(),
-        Placement::AllAtNode(node) => format!("all-at-node:{node}"),
-        Placement::Clustered(m) => format!("clustered:{m}"),
-    }
-}
 
 /// Everything that determines a cell's result *except* the simulator
 /// seed, as one canonical string. [`CellKey`] appends the seed; the
@@ -52,7 +40,7 @@ pub fn cell_prefix(cell: &CellSpec) -> String {
         p.b,
         cell.t,
         cell.cap,
-        placement_str(&cell.placement),
+        cell.placement,
         cell.instance_seed,
         cell.record_history,
         resolve_kernel(&cell.protocol, cell.kernel).name(),
@@ -121,13 +109,16 @@ pub fn campaign_digest(campaign: &Campaign) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncode_engine::{AdversaryKind, Kernel};
+    use dyncode_engine::{AdversaryKind, ClassicKind, Kernel};
 
     fn campaign() -> Campaign {
         Campaign::builder("kx", "key tests")
             .ns(&[8])
             .seeds(&[1, 2])
-            .adversaries(vec![AdversaryKind::ShuffledPath, AdversaryKind::Bottleneck])
+            .adversaries(vec![
+                AdversaryKind::Classic(ClassicKind::ShuffledPath),
+                AdversaryKind::Classic(ClassicKind::Bottleneck),
+            ])
             .build()
             .unwrap()
     }

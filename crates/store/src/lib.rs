@@ -40,7 +40,7 @@ pub mod serve;
 pub mod sha;
 pub mod store;
 
-pub use key::{campaign_digest, cell_prefix, placement_str, CellKey, KEY_SCHEMA};
+pub use key::{campaign_digest, cell_prefix, CellKey, KEY_SCHEMA};
 pub use run::{run_campaign_stored, write_sidecar, RunOptions, RunStats};
 pub use serve::{serve_once, ServeOutcome};
 pub use sha::{sha256, sha256_hex};

@@ -435,7 +435,7 @@ fn decode_object(text: &str, expect_key: &str) -> Result<RunResult, String> {
 mod tests {
     use super::*;
     use dyncode_dynet::simulator::RoundRecord;
-    use dyncode_engine::{AdversaryKind, Campaign};
+    use dyncode_engine::{AdversaryKind, Campaign, ClassicKind};
 
     fn temp_store(name: &str) -> Store {
         let dir = std::env::temp_dir().join(format!("dyncode_store_{name}"));
@@ -469,7 +469,7 @@ mod tests {
     fn sample_key(seed: u64) -> CellKey {
         let c = Campaign::builder("s", "store tests")
             .ns(&[8])
-            .adversaries(vec![AdversaryKind::ShuffledPath])
+            .adversaries(vec![AdversaryKind::Classic(ClassicKind::ShuffledPath)])
             .build()
             .unwrap();
         CellKey::new(&c.cells()[0], seed)

@@ -12,7 +12,7 @@
 //! * the serve loop drains a spool directory into artifacts.
 
 use dyncode_engine::{
-    merge_shards, run_campaign, AdversaryKind, Artifact, Campaign, Engine, Shard,
+    merge_shards, run_campaign, AdversaryKind, Artifact, Campaign, ClassicKind, Engine, Shard,
 };
 use dyncode_store::{run_campaign_stored, serve_once, RunOptions, Store};
 use std::path::PathBuf;
@@ -28,7 +28,10 @@ fn campaign() -> Campaign {
     Campaign::builder("orch", "orchestrator contract campaign")
         .ns(&[8, 12])
         .seeds(&[1, 2])
-        .adversaries(vec![AdversaryKind::ShuffledPath, AdversaryKind::Bottleneck])
+        .adversaries(vec![
+            AdversaryKind::Classic(ClassicKind::ShuffledPath),
+            AdversaryKind::Classic(ClassicKind::Bottleneck),
+        ])
         .build()
         .unwrap()
 }
@@ -218,6 +221,48 @@ fn serve_once_drains_the_spool_into_artifacts() {
         std::fs::remove_dir_all(d).ok();
     }
     std::fs::remove_dir_all(store.root()).ok();
+}
+
+/// Specs that parse line by line but name a grid that cannot exist fail
+/// like any malformed spec — into `failed/` with the reason — instead of
+/// panicking the serve loop out of grid expansion, which stranded the
+/// spec in `claimed/` and never reached the files after it.
+#[test]
+fn serve_once_survives_specs_whose_grids_cannot_exist() {
+    let engine = Engine::new(2);
+    let spool = temp_dir("spool_gate");
+    let out = temp_dir("spool_gate_out");
+    std::fs::write(spool.join("a.camp"), "id = a\nk = 0\n").unwrap();
+    std::fs::write(spool.join("b.camp"), "id = b\nplacement = all-at-node:99\n").unwrap();
+    std::fs::write(
+        spool.join("c.camp"),
+        "id = c\nn = 8\nseeds = 1\ncap = 50nn\n",
+    )
+    .unwrap();
+
+    let outcomes = serve_once(&spool, &out, &engine, None, false).expect("serve");
+    assert_eq!(outcomes.len(), 3, "every spec is reached");
+    for (outcome, name, names) in [
+        (&outcomes[0], "a.camp", "at least one token"),
+        (&outcomes[1], "b.camp", "placement all-at-node:99"),
+    ] {
+        assert!(outcome.spec.ends_with(name));
+        let why = outcome.result.as_ref().expect_err(name);
+        assert!(why.contains(names) && why.contains("n = 16"), "{why}");
+        assert!(spool.join("failed").join(name).exists(), "{name}");
+        let reason =
+            std::fs::read_to_string(spool.join("failed").join(format!("{name}.err"))).unwrap();
+        assert!(reason.contains(names), "{reason}");
+    }
+    assert!(outcomes[2].result.is_ok(), "{:?}", outcomes[2].result);
+    assert!(spool.join("done/c.camp").exists());
+    assert!(out.join("BENCH_c.json").exists());
+    let parked = std::fs::read_dir(spool.join("claimed")).unwrap().count();
+    assert_eq!(parked, 0, "nothing is stranded in claimed/");
+
+    for d in [&spool, &out] {
+        std::fs::remove_dir_all(d).ok();
+    }
 }
 
 #[test]

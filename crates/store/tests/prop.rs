@@ -10,7 +10,7 @@
 //!   two distinct runs can collide on a cache slot by construction.
 
 use dyncode_core::params::{Params, Placement};
-use dyncode_engine::{AdversaryKind, CellSpec, DeliverySpec, Kernel, ProtocolSpec};
+use dyncode_engine::{AdversaryKind, CellSpec, ClassicKind, DeliverySpec, Kernel, ProtocolSpec};
 use dyncode_store::CellKey;
 use proptest::prelude::*;
 
@@ -188,10 +188,10 @@ proptest! {
                 }
             },
             |c: &mut CellSpec| {
-                c.adversary = if c.adversary == AdversaryKind::Bottleneck {
-                    AdversaryKind::ShuffledStar
+                c.adversary = if c.adversary == AdversaryKind::Classic(ClassicKind::Bottleneck) {
+                    AdversaryKind::Classic(ClassicKind::ShuffledStar)
                 } else {
-                    AdversaryKind::Bottleneck
+                    AdversaryKind::Classic(ClassicKind::Bottleneck)
                 }
             },
             |c: &mut CellSpec| {
@@ -286,7 +286,7 @@ fn quorum_parameters_are_digest_sensitive() {
                 b: 10,
             },
             t: 1,
-            adversary: AdversaryKind::ShuffledPath,
+            adversary: AdversaryKind::Classic(ClassicKind::ShuffledPath),
             placement: Placement::OneTokenPerNode,
             protocol: ProtocolSpec::parse(proto).expect(proto),
             cap: 1000,

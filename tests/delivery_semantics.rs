@@ -123,7 +123,7 @@ fn trace_replay_reproduces_runs_under_delivery_models() {
         let cfg = SimConfig::with_max_rounds(40 * n)
             .recording()
             .with_delivery(delivery.clone());
-        let mut live_adv = kind.build();
+        let mut live_adv = kind.build(1);
         let mut p1 = TokenForwarding::baseline(&inst);
         let live = run(&mut p1, live_adv.as_mut(), &cfg, seed);
 

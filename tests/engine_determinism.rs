@@ -8,15 +8,17 @@
 //! seed (`dyncode_core::runner::run_one`), and (b) the executor returns
 //! outcomes in submission order regardless of completion order.
 
-use dyncode::engine::{run_campaign, AdversaryKind, Campaign, CapRule, Dim, Engine, ProtocolSpec};
+use dyncode::engine::{
+    run_campaign, AdversaryKind, Campaign, CapRule, ClassicKind, Dim, Engine, ProtocolSpec,
+};
 
 fn demo_campaign() -> Campaign {
     Campaign::builder("determinism", "engine determinism check")
         .protocol(ProtocolSpec::TokenForwarding)
         .adversaries(vec![
-            AdversaryKind::ShuffledPath,
-            AdversaryKind::Bottleneck,
-            AdversaryKind::KnowledgeAdaptive,
+            AdversaryKind::Classic(ClassicKind::ShuffledPath),
+            AdversaryKind::Classic(ClassicKind::Bottleneck),
+            AdversaryKind::Classic(ClassicKind::KnowledgeAdaptive),
         ])
         .ns(&[8, 16])
         .k(Dim::N)
@@ -248,7 +250,7 @@ fn recorded_trace_replay_reproduces_the_run_exactly() {
     let cfg = SimConfig::with_max_rounds(60 * n * n).recording();
 
     // The live run against the stochastic model.
-    let mut live_adv = kind.build();
+    let mut live_adv = kind.build(1);
     let mut p1 = TokenForwarding::baseline(&inst);
     let live = run(&mut p1, live_adv.as_mut(), &cfg, seed);
     assert!(live.completed);

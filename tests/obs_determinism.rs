@@ -9,7 +9,9 @@
 //! simulation (wall clocks, counters) and every randomness source is
 //! derived from seeds, never from timing.
 
-use dyncode::engine::{AdversaryKind, Campaign, CapRule, Dim, Engine, Kernel, ProtocolSpec};
+use dyncode::engine::{
+    AdversaryKind, Campaign, CapRule, ClassicKind, Dim, Engine, Kernel, ProtocolSpec,
+};
 use dyncode_store::{run_campaign_stored, RunOptions, Store};
 
 fn demo_campaign() -> Campaign {
@@ -17,7 +19,10 @@ fn demo_campaign() -> Campaign {
     // eliminate / compose) are exercised, plus runner + executor spans.
     Campaign::builder("obs-determinism", "telemetry non-perturbation check")
         .protocol(ProtocolSpec::parse("field-broadcast(gf2)").expect("registry spec"))
-        .adversaries(vec![AdversaryKind::ShuffledPath, AdversaryKind::Bottleneck])
+        .adversaries(vec![
+            AdversaryKind::Classic(ClassicKind::ShuffledPath),
+            AdversaryKind::Classic(ClassicKind::Bottleneck),
+        ])
         .ns(&[8, 16])
         .k(Dim::N)
         .d(Dim::LgN1)
