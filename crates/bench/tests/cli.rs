@@ -169,23 +169,21 @@ fn trace_replay_rejects_explicit_fast_kernel_on_ineligible_specs() {
     // A usage error (exit 2) before the trace file is even opened: the
     // spec can never run on the fast backend, so `--kernel fast` is a
     // typo regardless of the trace.
-    for spec in ["patch-indexed", "field-broadcast(gf2,det=1)"] {
-        let out = experiments(&[
-            "trace",
-            "replay",
-            "/nonexistent.dct",
-            spec,
-            "1",
-            "--kernel",
-            "fast",
-        ]);
-        assert_eq!(out.status.code(), Some(2), "{spec}");
-        let err = stderr(&out);
-        assert!(
-            err.contains("no fast kernel") && err.contains("eligible specs"),
-            "{spec}: {err}"
-        );
-    }
+    let out = experiments(&[
+        "trace",
+        "replay",
+        "/nonexistent.dct",
+        "patch-indexed",
+        "1",
+        "--kernel",
+        "fast",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(
+        err.contains("no fast kernel") && err.contains("eligible specs"),
+        "{err}"
+    );
     // `--kernel auto` on the same spec falls back instead of erroring
     // (the nonexistent file is then the failure, exit 1 not 2).
     let out = experiments(&[
@@ -198,6 +196,33 @@ fn trace_replay_rejects_explicit_fast_kernel_on_ineligible_specs() {
         "auto",
     ]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+
+    // A `det=` advice spec is no longer on that list: it replays on
+    // `--kernel fast` and prints the `--kernel reference` result line.
+    let dir = temp_dir("trace_det");
+    let path = dir.join("t.dct");
+    let p = path.to_str().unwrap();
+    let out = experiments(&[
+        "trace",
+        "record",
+        p,
+        "edge-markov(0.1,0.3)",
+        "12",
+        "200",
+        "5",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let result_line = |kernel: &str| {
+        let spec = "field-broadcast(gf2,det=1)";
+        let out = experiments(&["trace", "replay", p, spec, "1", "--kernel", kernel]);
+        assert_eq!(out.status.code(), Some(0), "{kernel}: {}", stderr(&out));
+        let text = stdout(&out);
+        text.lines().last().expect("a result line").to_string()
+    };
+    let fast = result_line("fast");
+    assert!(fast.contains("completed true"), "{fast}");
+    assert_eq!(fast, result_line("reference"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -17,13 +17,14 @@ use crate::params::Instance;
 use crate::protocols::field_broadcast::token_to_symbols;
 use crate::protocols::patch::{patch_dissemination, PatchParams};
 use crate::protocols::token_forwarding::ForwardingConfig;
-use crate::spec::{FieldKind, ProtocolSpec};
+use crate::spec::{registry, FieldKind, ProtocolSpec};
 use crate::term::{TerminationPredicate, TOKEN_COMPLETION};
 use dyncode_dynet::adversary::Adversary;
 use dyncode_dynet::driver::{run_fast, FastCell};
 use dyncode_dynet::simulator::{PerNode, Protocol, RunResult, SimConfig};
 use dyncode_gf::{Field, Gf256, Gf257, Mersenne61};
 use dyncode_kernel::{DenseCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode, QuorumCell};
+use dyncode_obs::spec::list;
 
 pub use dyncode_kernel::Kernel;
 
@@ -152,32 +153,25 @@ where
 
 /// Why `spec` cannot run on the fast backend, or `None` if it can.
 ///
-/// The eligibility table now covers the whole registry except two
-/// families, which `Kernel::Auto` falls back to the reference path for:
+/// Every spec that simulates rounds has a cell; `Kernel::Auto` falls back
+/// to the reference path for the one exclusion, `patch-indexed` — the §8
+/// charged-rounds model is not a per-round simulation at all.
 ///
-/// * `field-broadcast(…,det=S)` — the deterministic advice schedule is a
-///   reference-path construct (baselines for the derandomization
-///   experiments are reference runs by design);
-/// * `patch-indexed` — the §8 charged-rounds model is not a per-round
-///   simulation at all.
-///
-/// The message names the eligible families, so it doubles as the
+/// The message lists the registry minus that family, so it doubles as the
 /// user-facing error for an explicit `kernel = fast` on an ineligible
 /// spec (campaign validation and the `experiments` CLI surface it as a
 /// proper error rather than a panic traceback).
 pub fn fast_ineligibility(spec: &ProtocolSpec) -> Option<String> {
     let why = match spec {
-        ProtocolSpec::FieldBroadcast { det: Some(_), .. } => {
-            "deterministic advice schedules run on the reference backend"
-        }
         ProtocolSpec::PatchIndexed => "the charged-rounds model is not a per-round simulation",
         _ => return None,
     };
+    // An excluded family takes no parameters: it prints as its grammar.
+    let excluded = spec.to_string();
+    let eligible = registry().iter().map(|info| info.grammar);
     Some(format!(
-        "{spec} has no fast kernel ({why}); eligible specs: token-forwarding, \
-         pipelined-forwarding, greedy-forward, priority-forward, random-forward, \
-         naive-coded, indexed-broadcast, field-broadcast(gf2|gf256|gf257|m61), \
-         centralized, quorum-watermark, quorum-decide"
+        "{spec} has no fast kernel ({why}); eligible specs: {}",
+        list(eligible.filter(|&g| g != excluded))
     ))
 }
 
@@ -207,8 +201,8 @@ pub fn resolve_kernel(spec: &ProtocolSpec, kernel: Kernel) -> Kernel {
 
 /// Seeds a [`DenseCell`] over `F` from the instance, using the exact
 /// token-to-symbol encoding, payload padding, and `(token, holder)`
-/// seeding order of `FieldBroadcast::<F>::new`.
-fn build_dense_cell<F: Field>(inst: &Instance) -> Box<dyn FastCell> {
+/// seeding order of `FieldBroadcast::<F>::new` (`det` = its advice seed).
+fn build_dense_cell<F: Field>(inst: &Instance, det: Option<u64>) -> Box<dyn FastCell> {
     let p = inst.params;
     let payloads: Vec<Vec<F>> = inst
         .tokens
@@ -216,7 +210,7 @@ fn build_dense_cell<F: Field>(inst: &Instance) -> Box<dyn FastCell> {
         .map(|t| token_to_symbols::<F>(t))
         .collect();
     let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
-    let mut cell: DenseCell<F> = DenseCell::new(p.n, p.k, payload_len);
+    let mut cell: DenseCell<F> = DenseCell::new(p.n, p.k, payload_len).with_advice(det);
     for (i, holders) in inst.holders.iter().enumerate() {
         let mut payload = payloads[i].clone();
         payload.resize(payload_len, F::ZERO);
@@ -229,11 +223,11 @@ fn build_dense_cell<F: Field>(inst: &Instance) -> Box<dyn FastCell> {
 
 /// Seeds the bit-planar [`Gf256Cell`] from the instance — the same
 /// encoding, padding, and seeding order as [`build_dense_cell`].
-fn build_gf256_cell(inst: &Instance) -> Box<dyn FastCell> {
+fn build_gf256_cell(inst: &Instance, det: Option<u64>) -> Box<dyn FastCell> {
     let p = inst.params;
     let payloads: Vec<Vec<Gf256>> = inst.tokens.iter().map(token_to_symbols::<Gf256>).collect();
     let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
-    let mut cell = Gf256Cell::new(p.n, p.k, payload_len);
+    let mut cell = Gf256Cell::new(p.n, p.k, payload_len).with_advice(det);
     for (i, holders) in inst.holders.iter().enumerate() {
         let mut payload = payloads[i].clone();
         payload.resize(payload_len, Gf256::ZERO);
@@ -291,15 +285,18 @@ pub fn build_fast_cell(
         ProtocolSpec::IndexedBroadcast => {
             seed_coding(Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Indexed))
         }
-        ProtocolSpec::FieldBroadcast { field, det: None } => match field {
+        // `det=S` is the randomized mode's cell with the advice table attached.
+        ProtocolSpec::FieldBroadcast { field, det } => match field {
             // field-broadcast(gf2) packs a d-bit token into d one-bit
             // symbols, so the packed payload is the token verbatim and
             // the wire cost is k + d bits — the indexed-broadcast layout
             // with the all-or-nothing decodability view.
-            FieldKind::Gf2 => seed_coding(Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Broadcast)),
-            FieldKind::Gf256 => build_gf256_cell(inst),
-            FieldKind::Gf257 => build_dense_cell::<Gf257>(inst),
-            FieldKind::Mersenne61 => build_dense_cell::<Mersenne61>(inst),
+            FieldKind::Gf2 => {
+                seed_coding(Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Broadcast).with_advice(*det))
+            }
+            FieldKind::Gf256 => build_gf256_cell(inst, *det),
+            FieldKind::Gf257 => build_dense_cell::<Gf257>(inst, *det),
+            FieldKind::Mersenne61 => build_dense_cell::<Mersenne61>(inst, *det),
         },
         ProtocolSpec::GreedyForward { .. }
         | ProtocolSpec::PriorityForward { .. }
@@ -500,15 +497,15 @@ mod tests {
             "field-broadcast(gf256)",
             "field-broadcast(gf257)",
             "field-broadcast(m61)",
+            "field-broadcast(gf2,det=1)",
+            "field-broadcast(gf256,det=7)",
+            "field-broadcast(gf257,det=7)",
+            "field-broadcast(m61,det=3)",
             "centralized",
             "quorum-watermark(f=1)",
             "quorum-decide(f=1,q=3)",
         ];
-        let reference = [
-            "field-broadcast(gf2,det=1)",
-            "field-broadcast(gf256,det=7)",
-            "patch-indexed",
-        ];
+        let reference = ["patch-indexed"];
         for s in fast {
             let spec = ProtocolSpec::parse(s).unwrap();
             assert!(fast_eligible(&spec), "{s}");
@@ -533,12 +530,20 @@ mod tests {
     fn ineligible_spec_build_is_an_error_naming_the_eligible_families() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
-        for s in ["field-broadcast(gf2,det=1)", "patch-indexed"] {
-            let spec = ProtocolSpec::parse(s).unwrap();
-            let err = build_fast_cell(&spec, &inst, 1).err().expect(s);
-            assert!(err.contains("no fast kernel"), "{err}");
-            assert!(err.contains("eligible specs"), "{err}");
-            assert_eq!(fast_ineligibility(&spec), Some(err));
+        let spec = ProtocolSpec::parse("patch-indexed").unwrap();
+        let err = build_fast_cell(&spec, &inst, 1).err().expect("no cell");
+        assert!(err.contains("no fast kernel"), "{err}");
+        assert_eq!(fast_ineligibility(&spec).as_ref(), Some(&err));
+        // The eligible list is the registry minus the excluded family,
+        // not a second hand-kept list.
+        let (_, eligible) = err.split_once("eligible specs: ").expect("names the list");
+        for info in registry() {
+            assert_eq!(
+                eligible.split(", ").any(|g| g == info.grammar),
+                info.grammar != "patch-indexed",
+                "{} in {err}",
+                info.grammar
+            );
         }
     }
 
@@ -547,7 +552,7 @@ mod tests {
     fn explicit_fast_on_ineligible_spec_is_rejected() {
         let p = Params::new(8, 8, 4, 8);
         let inst = Instance::generate(p, Placement::OneTokenPerNode, 1);
-        let spec = ProtocolSpec::parse("field-broadcast(gf2,det=1)").unwrap();
+        let spec = ProtocolSpec::parse("patch-indexed").unwrap();
         let adv = || Box::new(ShuffledPathAdversary) as Box<dyn Adversary>;
         let cfg = SimConfig::with_max_rounds(100);
         let _ = run_spec_kernel(&spec, &inst, 1, &adv, &cfg, 1, Kernel::Fast);
@@ -570,6 +575,10 @@ mod tests {
             "field-broadcast(gf256)",
             "field-broadcast(gf257)",
             "field-broadcast(m61)",
+            "field-broadcast(gf2,det=1)",
+            "field-broadcast(gf256,det=7)",
+            "field-broadcast(gf257,det=7)",
+            "field-broadcast(m61,det=3)",
             "centralized",
             "quorum-watermark(f=1)",
             "quorum-watermark(f=2,rounds=12)",

@@ -1,6 +1,6 @@
 //! The dense-field RLNC cell: per-node coding state over an arbitrary
 //! [`Field`], with packed message arenas — the fast backend for the
-//! prime fields, `field-broadcast(gf257|m61)` (randomized mode).
+//! prime fields, `field-broadcast(gf257|m61[,det=S])`.
 //! GF(2^8) gets the dedicated bit-planar
 //! [`Gf256Cell`](crate::gf256cell::Gf256Cell) instead; this cell still
 //! supports it (the tests pin the mirror property on all three fields).
@@ -35,16 +35,19 @@
 //! back-elimination, pivot-sorted insert) — field arithmetic is exact, so
 //! summing the reduction's products in another order yields the same row
 //! — and compose draws exactly one `F::random` per basis row in pivot
-//! order — the draw sequence of `vector::random_combination` — so runs
+//! order — the draw sequence of `vector::random_combination` and, read
+//! from an advice stream, of `CoefficientSchedule::coefficients` — so runs
 //! are bit-identical to the reference `FieldBroadcast<F>` under the
 //! kernel contract.
 
+use crate::coefficient_rng;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::csr::CsrTopology;
 use dyncode_dynet::driver::{check_budget, FastCell};
 use dyncode_dynet::phase;
 use dyncode_gf::{pack, vector, Field};
+use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 
 /// One node's basis: a slot-major row arena plus the pivot-sorted
@@ -68,6 +71,8 @@ pub struct DenseCell<F: Field> {
     ambient: usize,
     /// Packed message width in `u64` words.
     wpm: usize,
+    /// The `det=S` advice table; `None` = randomized mode.
+    schedule: Option<CoefficientSchedule>,
     nodes: Vec<NodeBasis<F>>,
     /// Per node: pivots below k (the coefficient-projection rank).
     coeff_rank: Vec<u32>,
@@ -98,6 +103,7 @@ impl<F: Field> DenseCell<F> {
             k,
             ambient,
             wpm,
+            schedule: None,
             nodes: vec![
                 NodeBasis {
                     rows: Vec::new(),
@@ -113,6 +119,13 @@ impl<F: Field> DenseCell<F> {
             scratch: vec![F::ZERO; ambient],
             terms: Vec::with_capacity(k),
         }
+    }
+
+    /// `Some(seed)` makes this `FieldBroadcast::deterministic(_, seed)`:
+    /// compose reads the advice table instead of the protocol RNG.
+    pub fn with_advice(mut self, seed: Option<u64>) -> Self {
+        self.schedule = seed.map(CoefficientSchedule::new);
+        self
     }
 
     /// Seeds `node` with source index `index` and its payload — the arena
@@ -240,6 +253,7 @@ impl<F: Field> FastCell for DenseCell<F> {
         let mut round_max = 0u64;
         let mut msg = std::mem::take(&mut self.scratch);
         let mut terms = std::mem::take(&mut self.terms);
+        let mut advice = None;
         for u in 0..self.n {
             let st = &self.nodes[u];
             if st.order.is_empty() {
@@ -248,6 +262,7 @@ impl<F: Field> FastCell for DenseCell<F> {
                 self.has_msg[u] = false;
                 continue;
             }
+            let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
             // One coefficient per basis row in pivot order — the draw
             // sequence of `random_combination`; zero coefficients are
             // skipped, as `scale_add` does, and each term starts at the
@@ -349,6 +364,7 @@ impl<F: Field> FastCell for DenseCell<F> {
 mod tests {
     use super::*;
     use dyncode_gf::{Gf256, Gf257, Mersenne61, Subspace};
+    use dyncode_rlnc::node::DenseNode;
     use rand::{rngs::StdRng, SeedableRng};
 
     /// Mirror of the reference basis: every insert must agree with
@@ -395,6 +411,47 @@ mod tests {
             insert_agrees_with_subspace::<Gf257>(12, k);
             insert_agrees_with_subspace::<Mersenne61>(13, k);
         }
+    }
+
+    /// Under a schedule compose is the reference's deterministic emit —
+    /// `DenseNode::emit_with_coefficients` on the node's advice vector —
+    /// and the shared protocol RNG is never read.
+    fn advice_compose_agrees_with_dense_node<F: Field>() {
+        let (k, d, round) = (6, 3, 17);
+        let schedule = CoefficientSchedule::new(7);
+        let mut rng = StdRng::seed_from_u64(5);
+        let payloads: Vec<Vec<F>> = (0..k)
+            .map(|_| (0..d).map(|_| F::random(&mut rng)).collect())
+            .collect();
+        // Node 0 holds every source, node 1 a gapped subset, node 2 none.
+        let held: [&[usize]; 3] = [&[0, 1, 2, 3, 4, 5], &[1, 4], &[]];
+        let mut cell = DenseCell::<F>::new(3, k, d).with_advice(Some(schedule.seed()));
+        let mut nodes = vec![DenseNode::<F>::new(k, d); 3];
+        for (u, indices) in held.iter().enumerate() {
+            for &i in *indices {
+                cell.seed_source(u, i, &payloads[i]);
+                nodes[u].seed_source(i, &payloads[i]);
+            }
+        }
+        let before = rng.clone();
+        cell.compose_all(round, &mut rng, None);
+        assert_eq!(rng, before, "advice compose advanced the shared RNG");
+        for (u, node) in nodes.iter().enumerate() {
+            let coeffs: Vec<F> = schedule.coefficients(u, round, node.rank());
+            let expect = node.emit_with_coefficients(&coeffs);
+            assert_eq!(cell.spoke(u), expect.is_some(), "node {u}");
+            if let Some(packet) = expect {
+                let mut got = vec![F::ZERO; k + d];
+                pack::unpack(&cell.msgs[u * cell.wpm..(u + 1) * cell.wpm], &mut got);
+                assert_eq!(got, packet.data, "node {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng() {
+        advice_compose_agrees_with_dense_node::<Gf257>();
+        advice_compose_agrees_with_dense_node::<Mersenne61>();
     }
 
     #[test]

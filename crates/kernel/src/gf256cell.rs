@@ -1,5 +1,5 @@
 //! The bit-planar GF(2^8) RLNC cell — the fast backend for
-//! `field-broadcast(gf256)` (randomized mode).
+//! `field-broadcast(gf256[,det=S])`.
 //!
 //! [`DenseCell`](crate::densecell::DenseCell) keeps one byte per symbol
 //! and routes row operations through the log/antilog product table; at
@@ -47,15 +47,18 @@
 //! representation — GF(2^8) addition is XOR on every plane, so each
 //! planar op equals the symbol-wise op exactly — and compose draws one
 //! `Gf256::random` per basis row in pivot order, the draw sequence of
-//! `vector::random_combination`. Runs are bit-identical to the reference
-//! `FieldBroadcast<Gf256>` under the kernel contract.
+//! `vector::random_combination` and, read from an advice stream, of
+//! `CoefficientSchedule::coefficients`. Runs are bit-identical to the
+//! reference `FieldBroadcast<Gf256>` under the kernel contract.
 
+use crate::coefficient_rng;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::csr::CsrTopology;
 use dyncode_dynet::driver::{check_budget, FastCell};
 use dyncode_dynet::phase;
 use dyncode_gf::{Field, Gf256};
+use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 
 /// `dst ^= c · src` on bit-planar rows of `w` words per plane, restricted
@@ -211,6 +214,8 @@ pub struct Gf256Cell {
     w: usize,
     /// Words per row: 8 planes.
     rw: usize,
+    /// The `det=S` advice table; `None` = randomized mode.
+    schedule: Option<CoefficientSchedule>,
     nodes: Vec<NodeBasis>,
     /// Per node: pivots below k (the coefficient-projection rank).
     coeff_rank: Vec<u32>,
@@ -249,6 +254,7 @@ impl Gf256Cell {
             ambient,
             w,
             rw,
+            schedule: None,
             nodes: vec![
                 NodeBasis {
                     rows: Vec::new(),
@@ -265,6 +271,13 @@ impl Gf256Cell {
             cscratch: vec![0; w * 64],
             bacc: vec![0; 8 * rw],
         }
+    }
+
+    /// `Some(seed)` makes this `FieldBroadcast::deterministic(_, seed)`:
+    /// compose reads the advice table instead of the protocol RNG.
+    pub fn with_advice(mut self, seed: Option<u64>) -> Self {
+        self.schedule = seed.map(CoefficientSchedule::new);
+        self
     }
 
     /// Seeds `node` with source index `index` and its payload — the planar
@@ -485,6 +498,7 @@ impl FastCell for Gf256Cell {
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
         let mut msg = std::mem::take(&mut self.scratch);
+        let mut advice = None;
         for u in 0..self.n {
             let st = &self.nodes[u];
             let nrank = st.order.len();
@@ -494,6 +508,7 @@ impl FastCell for Gf256Cell {
                 self.has_msg[u] = false;
                 continue;
             }
+            let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
             msg.fill(0);
             if st.pivots[nrank - 1] as usize == nrank - 1 {
                 // Contiguous-pivot shortcut (saturation is the nrank = k
@@ -613,6 +628,7 @@ impl FastCell for Gf256Cell {
 mod tests {
     use super::*;
     use dyncode_gf::{vector, Subspace};
+    use dyncode_rlnc::node::DenseNode;
     use rand::{rngs::StdRng, SeedableRng};
 
     #[test]
@@ -855,6 +871,45 @@ mod tests {
         let msg = &cell.msgs[..cell.rw];
         for (i, e) in expect.iter().enumerate() {
             assert_eq!(get_sym(msg, cell.w, i), e.0, "symbol {i}");
+        }
+    }
+
+    /// Under a schedule compose is the reference's deterministic emit —
+    /// `DenseNode::emit_with_coefficients` on the node's advice vector —
+    /// on the contiguous shortcut (node 0, rank 70: `lo` = 1) and the
+    /// general path (node 1, gapped pivots) alike, and the shared
+    /// protocol RNG is never read.
+    #[test]
+    fn advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng() {
+        let (k, d, round) = (70, 3, 17);
+        let schedule = CoefficientSchedule::new(7);
+        let mut rng = StdRng::seed_from_u64(5);
+        let payloads: Vec<Vec<Gf256>> = (0..k)
+            .map(|_| (0..d).map(|_| Gf256::random(&mut rng)).collect())
+            .collect();
+        let all: Vec<usize> = (0..k).collect();
+        let held: [&[usize]; 3] = [&all, &[1, 4, 66], &[]];
+        let mut cell = Gf256Cell::new(3, k, d).with_advice(Some(schedule.seed()));
+        let mut nodes = vec![DenseNode::<Gf256>::new(k, d); 3];
+        for (u, indices) in held.iter().enumerate() {
+            for &i in *indices {
+                cell.seed_source(u, i, &payloads[i]);
+                nodes[u].seed_source(i, &payloads[i]);
+            }
+        }
+        let before = rng.clone();
+        cell.compose_all(round, &mut rng, None);
+        assert_eq!(rng, before, "advice compose advanced the shared RNG");
+        for (u, node) in nodes.iter().enumerate() {
+            let coeffs: Vec<Gf256> = schedule.coefficients(u, round, node.rank());
+            let expect = node.emit_with_coefficients(&coeffs);
+            assert_eq!(cell.spoke(u), expect.is_some(), "node {u}");
+            if let Some(packet) = expect {
+                let msg = &cell.msgs[u * cell.rw..(u + 1) * cell.rw];
+                for (i, e) in packet.data.iter().enumerate() {
+                    assert_eq!(get_sym(msg, cell.w, i), e.0, "node {u} symbol {i}");
+                }
+            }
         }
     }
 

@@ -2,14 +2,16 @@
 //! `u64` row arena with incremental Gaussian elimination on limb slices.
 //!
 //! One cell covers both GF(2) coding families of the registry —
-//! `indexed-broadcast` (Lemma 5.3 over packed GF(2)) and the randomized
+//! `indexed-broadcast` (Lemma 5.3 over packed GF(2)) and
 //! `field-broadcast(gf2)` — because their dynamics are *identical*: both
 //! seed source vectors `e_i ++ payload_i`, both emit a uniformly random
 //! span combination (one coin per basis row, in pivot order), both insert
 //! received packets into an RREF basis, and both price a message at
 //! `k + d` bits. They differ only in the adversary view ([`Gf2ViewMode`]):
 //! `field-broadcast` reports all-or-nothing decodability, while
-//! `indexed-broadcast` reports per-token availability.
+//! `indexed-broadcast` reports per-token availability. Under
+//! `field-broadcast(gf2,det=S)` the coins come from each node's advice
+//! stream ([`Gf2Cell::with_advice`]) instead of the protocol RNG.
 //!
 //! The RREF invariant matches `dyncode_gf::{Subspace, Gf2Basis}` exactly
 //! (reduce, pivot scan, back-eliminate, pivot-sorted insert — over GF(2)
@@ -20,6 +22,7 @@
 //! the reference works element-wise on `Vec<Gf2>` (one byte per
 //! coordinate) and clones every packet on receive.
 
+use crate::coefficient_rng;
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::csr::CsrTopology;
@@ -27,6 +30,7 @@ use dyncode_dynet::driver::{check_budget, FastCell};
 use dyncode_dynet::phase;
 use dyncode_gf::bits::{limb_get, limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
 use dyncode_gf::Gf2Vec;
+use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -51,6 +55,8 @@ pub struct Gf2Cell {
     /// Row width in u64 limbs.
     wpr: usize,
     mode: Gf2ViewMode,
+    /// The `det=S` advice table; `None` = randomized mode.
+    schedule: Option<CoefficientSchedule>,
     /// Row arena: node `u`'s slot `s` lives at
     /// `rows[(u·k + s)·wpr .. (u·k + s + 1)·wpr]`. Slots are assigned in
     /// insertion order and never move; `order` holds the pivot-sorted
@@ -90,6 +96,7 @@ impl Gf2Cell {
             ambient,
             wpr,
             mode,
+            schedule: None,
             rows: vec![0; n * k * wpr],
             order: vec![0; n * k],
             pivots: vec![0; n * k],
@@ -100,6 +107,13 @@ impl Gf2Cell {
             has_msg: vec![false; n],
             scratch: vec![0; wpr],
         }
+    }
+
+    /// `Some(seed)` makes this `FieldBroadcast::deterministic(_, seed)`:
+    /// compose reads the advice table instead of the protocol RNG.
+    pub fn with_advice(mut self, seed: Option<u64>) -> Self {
+        self.schedule = seed.map(CoefficientSchedule::new);
+        self
     }
 
     /// Seeds `node` with source index `index` and its payload — the
@@ -258,6 +272,7 @@ impl FastCell for Gf2Cell {
         let bits = self.ambient as u64;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
+        let mut advice = None;
         for u in 0..self.n {
             let nrank = self.rank[u] as usize;
             if nrank == 0 {
@@ -266,6 +281,7 @@ impl FastCell for Gf2Cell {
                 self.has_msg[u] = false;
                 continue;
             }
+            let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
             self.msgs[u * wpr..(u + 1) * wpr].fill(0);
             let obase = u * self.k;
             for r in 0..nrank {
@@ -368,7 +384,8 @@ impl FastCell for Gf2Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncode_gf::Gf2Basis;
+    use dyncode_gf::{Field, Gf2, Gf2Basis};
+    use dyncode_rlnc::node::DenseNode;
     use rand::SeedableRng;
 
     /// Mirror of the packed reference basis: every insert must agree on
@@ -405,6 +422,46 @@ mod tests {
                 reference.prefix_rank(k),
                 "coefficient rank"
             );
+        }
+    }
+
+    /// Under a schedule compose is the reference's deterministic emit —
+    /// `DenseNode::<Gf2>::emit_with_coefficients` on the node's advice
+    /// vector, here on two-limb rows — and the shared protocol RNG is
+    /// never read.
+    #[test]
+    fn advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng() {
+        let (k, d, round) = (70, 9, 17);
+        let schedule = CoefficientSchedule::new(7);
+        let mut rng = StdRng::seed_from_u64(5);
+        let payloads: Vec<Gf2Vec> = (0..k).map(|_| Gf2Vec::random(d, &mut rng)).collect();
+        // Node 0 holds every source, node 1 a gapped subset, node 2 none.
+        let all: Vec<usize> = (0..k).collect();
+        let held: [&[usize]; 3] = [&all, &[1, 4, 66], &[]];
+        let mut cell =
+            Gf2Cell::new(3, k, d, Gf2ViewMode::Broadcast).with_advice(Some(schedule.seed()));
+        let mut nodes = vec![DenseNode::<Gf2>::new(k, d); 3];
+        for (u, indices) in held.iter().enumerate() {
+            for &i in *indices {
+                cell.seed_source(u, i, &payloads[i]);
+                let symbols: Vec<Gf2> =
+                    (0..d).map(|j| Gf2::from_bool(payloads[i].get(j))).collect();
+                nodes[u].seed_source(i, &symbols);
+            }
+        }
+        let before = rng.clone();
+        cell.compose_all(round, &mut rng, None);
+        assert_eq!(rng, before, "advice compose advanced the shared RNG");
+        for (u, node) in nodes.iter().enumerate() {
+            let coeffs: Vec<Gf2> = schedule.coefficients(u, round, node.rank());
+            let expect = node.emit_with_coefficients(&coeffs);
+            assert_eq!(cell.spoke(u), expect.is_some(), "node {u}");
+            if let Some(packet) = expect {
+                let msg = &cell.msgs[u * cell.wpr..(u + 1) * cell.wpr];
+                for (i, e) in packet.data.iter().enumerate() {
+                    assert_eq!(limb_get(msg, i), !e.is_zero(), "node {u} bit {i}");
+                }
+            }
         }
     }
 

@@ -23,7 +23,7 @@
 //!   saturation shortcuts on both compose and delivery.
 //! * [`DenseCell`] — the dense-field analogue for
 //!   `field-broadcast(gf257|m61)`: per-node bases in lazily grown
-//!   row arenas, fast-reduction row ops via `Field::axpy`,
+//!   row arenas, gather-then-`Field::combine_rows` reduce and compose,
 //!   packets crossing the arena packed into chunked-LE `u64` words
 //!   (`dyncode_gf::pack`), and the rank-k saturation shortcut.
 //! * [`ForwardCell`] — the knowledge-based forwarding schedules with a
@@ -43,9 +43,10 @@
 //! gives both the same event order; what a cell must add is that the
 //! adversary sees the same
 //! [`KnowledgeView`](dyncode_dynet::adversary::KnowledgeView) each
-//! round, protocol coins are drawn in the same order (one `bool` per
-//! basis row per compose for the coding cells, none for forwarding), and
-//! deliveries apply per node in ascending neighbor order.
+//! round, protocol coins are drawn in the same order (one `F::random` per
+//! basis row per compose for the coding cells — under a `det=S` schedule
+//! from the node's advice stream, the protocol RNG left untouched — none
+//! for forwarding), and deliveries apply per node in ascending neighbor order.
 //! `tests/kernel_equivalence.rs` locks the contract across the
 //! eligible-spec × adversary × seed matrix.
 
@@ -69,7 +70,27 @@ pub use gf256cell::Gf256Cell;
 pub use gf2cell::{Gf2Cell, Gf2ViewMode};
 pub use quorumcell::QuorumCell;
 
+use dyncode_rlnc::determinize::CoefficientSchedule;
+use rand::rngs::StdRng;
 use std::fmt;
+
+/// The RNG `node`'s compose loop reads in `round` — the whole difference
+/// between a coding cell's two modes: under a `det=S` schedule the node's
+/// advice stream, parked in the caller's stack `slot` (the shared protocol
+/// RNG is then never advanced, as in the reference); `shared` otherwise.
+#[inline]
+pub(crate) fn coefficient_rng<'a>(
+    schedule: Option<&CoefficientSchedule>,
+    node: usize,
+    round: usize,
+    shared: &'a mut StdRng,
+    slot: &'a mut Option<StdRng>,
+) -> &'a mut StdRng {
+    match schedule {
+        Some(s) => slot.insert(s.rng(node, round)),
+        None => shared,
+    }
+}
 
 /// Which state layout a run uses on the round driver — threaded through
 /// `core::runner::run_spec_kernel`, the engine's `kernel =` campaign key,

@@ -60,10 +60,19 @@ impl CoefficientSchedule {
         self.seed
     }
 
-    /// The advice coefficients for `node` at `round`, `count` of them.
-    pub fn coefficients<F: Field>(&self, node: usize, round: usize, count: usize) -> Vec<F> {
+    /// The advice stream of `node` at `round`: the one place the
+    /// `(seed, node, round)` derivation is written. Everything that reads
+    /// advice — [`coefficients`](Self::coefficients) here, the arena
+    /// cells' compose loops in `dyncode-kernel` — draws from this RNG.
+    pub fn rng(&self, node: usize, round: usize) -> StdRng {
         let s = splitmix64(self.seed ^ splitmix64(node as u64 ^ splitmix64(round as u64)));
-        let mut rng = StdRng::seed_from_u64(s);
+        StdRng::seed_from_u64(s)
+    }
+
+    /// The advice coefficients for `node` at `round`: the first `count`
+    /// draws of `F::random` from [`rng`](Self::rng).
+    pub fn coefficients<F: Field>(&self, node: usize, round: usize, count: usize) -> Vec<F> {
+        let mut rng = self.rng(node, round);
         (0..count).map(|_| F::random(&mut rng)).collect()
     }
 }
@@ -236,7 +245,7 @@ pub fn omniscient_stall_run<F: Field>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dyncode_gf::{Gf2, Gf256, Mersenne61};
+    use dyncode_gf::{Gf2, Gf256, Gf257, Mersenne61};
 
     #[test]
     fn schedule_is_deterministic_and_varied() {
@@ -251,6 +260,42 @@ mod tests {
         assert_ne!(a, d, "different nodes, different advice");
         let e: Vec<Gf256> = CoefficientSchedule::new(43).coefficients(3, 7, 10);
         assert_ne!(a, e, "different seeds, different advice");
+    }
+
+    #[test]
+    fn coefficients_equal_the_recorded_advice() {
+        // Recorded literals: the advice table is part of every `det=`
+        // result (goldens, store objects), so the `(seed, node, round)`
+        // derivation and the draw order may never move.
+        let a: Vec<Gf256> = CoefficientSchedule::new(7).coefficients(3, 5, 6);
+        assert_eq!(a, [0xf9, 0x5e, 0xb9, 0xa6, 0xc0, 0xe8].map(Gf256));
+        let b: Vec<Gf257> = CoefficientSchedule::new(7).coefficients(0, 0, 5);
+        assert_eq!(b, [243, 127, 223, 182, 70].map(Gf257::from_u64));
+        let c: Vec<Mersenne61> = CoefficientSchedule::new(3).coefficients(63, 41, 3);
+        let m61 = [
+            1_428_067_494_152_079_484,
+            1_885_239_668_729_275_110,
+            1_643_227_087_219_353_390,
+        ];
+        assert_eq!(c, m61.map(Mersenne61::from_u64));
+        let d: Vec<Gf2> = CoefficientSchedule::new(1).coefficients(2, 9, 12);
+        assert_eq!(d, [0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1].map(Gf2::from_u64));
+    }
+
+    #[test]
+    fn the_advice_rng_draws_the_coefficients_on_every_field() {
+        fn check<F: Field>() {
+            let s = CoefficientSchedule::new(11);
+            for (node, round, count) in [(0, 0, 1), (5, 17, 40), (63, 900, 7)] {
+                let mut rng = s.rng(node, round);
+                let drawn: Vec<F> = (0..count).map(|_| F::random(&mut rng)).collect();
+                assert_eq!(drawn, s.coefficients::<F>(node, round, count));
+            }
+        }
+        check::<Gf2>();
+        check::<Gf256>();
+        check::<Gf257>();
+        check::<Mersenne61>();
     }
 
     #[test]

@@ -87,19 +87,36 @@ fn cell_keys_equal_the_recorded_digests() {
             ),
             "2d4c3b847ce338bb02b651384a8af1c8d0f874d0ce69500971f8d9cf220fb4aa",
         ),
-        (
-            cell(
-                "field-broadcast(m61,det=7)",
-                "waypoint(0.35,0.05)",
-                "lossy(eps=0.3)",
-                Placement::AllAtNode(3),
-            ),
-            "123b7ed9c78c0af6a6c18f6c173bbf072d9aa3207a0b51c2ec1e940801e3d312",
-        ),
     ] {
         let key = CellKey::new(&c, 7);
         assert_eq!(key.digest_hex(), want, "{}", key.canonical());
     }
+    // The third cell is a `det=` spec, pinned under both resolutions.
+    // The first literal is the `kernel=reference` preimage — also what
+    // `auto` hashed to while advice schedules had no arena cell, so
+    // objects older binaries wrote stay addressable under an explicit
+    // `reference`; `auto` shares the `fast` key like every eligible spec.
+    let det = |kernel| {
+        let c = cell(
+            "field-broadcast(m61,det=7)",
+            "waypoint(0.35,0.05)",
+            "lossy(eps=0.3)",
+            Placement::AllAtNode(3),
+        );
+        CellKey::new(&CellSpec { kernel, ..c }, 7)
+    };
+    assert_eq!(
+        det(Kernel::Reference).digest_hex(),
+        "123b7ed9c78c0af6a6c18f6c173bbf072d9aa3207a0b51c2ec1e940801e3d312"
+    );
+    let auto = det(Kernel::Auto);
+    assert_eq!(
+        auto.digest_hex(),
+        "0f639ea4788d84a86003c0eae10b5dc087a3ca1efd89008cd3d71d96dceff87a",
+        "{}",
+        auto.canonical()
+    );
+    assert_eq!(auto.digest_hex(), det(Kernel::Fast).digest_hex());
 }
 
 #[test]

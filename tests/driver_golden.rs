@@ -146,8 +146,8 @@ fn the_driver_reproduces_the_recorded_reference_loop() {
                     .recording()
                     .with_delivery(DeliverySpec::parse(delivery_s).expect(delivery_s));
                 let cell = format!("{spec_s} × {adv_s} × {delivery_s}");
-                // `Auto` is the arena cell wherever one exists (every spec
-                // here but the det= schedule).
+                // `Auto` is the arena cell wherever one exists: every spec
+                // here, the det= schedule on `Gf2Cell` under advice.
                 for kernel in [Kernel::Reference, Kernel::Auto] {
                     let got = pin(&run_spec_kernel(&spec, &inst, T, &adv, &cfg, SEED, kernel));
                     if kernel == Kernel::Reference {

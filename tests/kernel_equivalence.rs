@@ -13,7 +13,9 @@
 //! both fully dynamic and T-stable.
 
 use dyncode::core::params::{Instance, Params, Placement};
-use dyncode::core::runner::{fast_eligible, resolve_kernel, run_spec_kernel, Kernel};
+use dyncode::core::runner::{
+    build_fast_cell, fast_eligible, resolve_kernel, run_spec_kernel, Kernel,
+};
 use dyncode::core::spec::ProtocolSpec;
 use dyncode::dynet::adversary::Adversary;
 use dyncode::dynet::simulator::{DeliverySpec, SimConfig};
@@ -33,6 +35,10 @@ const ELIGIBLE: &[&str] = &[
     "field-broadcast(gf256)",
     "field-broadcast(gf257)",
     "field-broadcast(m61)",
+    "field-broadcast(gf2,det=1)",
+    "field-broadcast(gf256,det=7)",
+    "field-broadcast(gf257,det=7)",
+    "field-broadcast(m61,det=3)",
     "centralized",
 ];
 
@@ -96,8 +102,14 @@ fn exhaustive_small_matrix() {
 fn prime_field_cells_match_above_the_fold_boundary() {
     // The randomized matrix below draws n = k < 20, so no basis there ever
     // gathers more than 32 terms — M61's deferred reduction folds its
-    // lanes every 32. n = k = 40 reduces and composes across that edge.
-    for spec in ["field-broadcast(m61)", "field-broadcast(gf257)"] {
+    // lanes every 32. n = k = 40 reduces and composes across that edge,
+    // from the protocol RNG and from the advice streams alike.
+    for spec in [
+        "field-broadcast(m61)",
+        "field-broadcast(gf257)",
+        "field-broadcast(m61,det=3)",
+        "field-broadcast(gf257,det=7)",
+    ] {
         for adv in ["edge-markov(0.1,0.3)", "shuffled-path"] {
             assert_equivalent(spec, adv, 40, 1, 5);
         }
@@ -109,11 +121,15 @@ fn binary_field_cells_match_above_one_limb_and_the_bitsliced_rank() {
     // Two more edges the randomized matrix's n = k < 20 never reaches:
     // at n = k = 72 a coded row (k + d = 81 bits) spans two `u64` limbs,
     // and at n = k = 40 GF(2^8) elimination passes rank 32, where it
-    // switches to the bit-sliced reduce path.
+    // switches to the bit-sliced reduce path. The `det=` twins take the
+    // same edges — GF(2^8) through the contiguous-pivot compose shortcut —
+    // with the coefficients read from the advice streams.
     for (spec, n) in [
         ("field-broadcast(gf2)", 72),
+        ("field-broadcast(gf2,det=1)", 72),
         ("indexed-broadcast", 72),
         ("field-broadcast(gf256)", 40),
+        ("field-broadcast(gf256,det=7)", 40),
     ] {
         for adv in ["edge-markov(0.1,0.3)", "shuffled-path"] {
             assert_equivalent(spec, adv, n, 1, 5);
@@ -121,19 +137,14 @@ fn binary_field_cells_match_above_one_limb_and_the_bitsliced_rank() {
     }
 }
 
-/// The quorum family keeps its own equivalence matrix: its `n ≥ 5f+1`
-/// regime floor rules out the small sizes the randomized matrix above
-/// draws, and — gossiping every round with no protocol randomness — it is
-/// the family where delivery-model coins are the *only* stochastic input,
-/// so the matrix crosses every adversary with every delivery model.
-#[test]
-fn quorum_specs_match_across_adversaries_and_delivery_models() {
+/// Every adversary × {reliable, lossy, radio} at n = k = 12, both
+/// backends, every run completing: the matrix for the specs that draw no
+/// protocol randomness, where the shared RNG carries delivery-model coins
+/// *only* — so a cell that advanced it by one stray draw would shift
+/// every later drop and collision.
+fn assert_equivalent_across_adversaries_and_delivery_models(specs: &[&str]) {
     let deliveries = ["reliable", "lossy(eps=0.2)", "radio(p=0.4)"];
-    for spec_s in [
-        "quorum-watermark(f=1)",
-        "quorum-watermark(f=2,rounds=12)",
-        "quorum-decide(f=2,q=5)",
-    ] {
+    for spec_s in specs {
         let spec = ProtocolSpec::parse(spec_s).expect(spec_s);
         assert!(fast_eligible(&spec), "{spec_s}");
         for adv_s in ADVERSARIES {
@@ -156,6 +167,31 @@ fn quorum_specs_match_across_adversaries_and_delivery_models() {
     }
 }
 
+/// The quorum family keeps its own equivalence matrix: its `n ≥ 5f+1`
+/// regime floor rules out the small sizes the randomized matrix above
+/// draws, and it gossips every round with no protocol randomness.
+#[test]
+fn quorum_specs_match_across_adversaries_and_delivery_models() {
+    assert_equivalent_across_adversaries_and_delivery_models(&[
+        "quorum-watermark(f=1)",
+        "quorum-watermark(f=2,rounds=12)",
+        "quorum-decide(f=2,q=5)",
+    ]);
+}
+
+/// An advice run has no protocol randomness either: compose reads the
+/// per-node advice streams and must leave the shared RNG to the delivery
+/// model, on the arena cells as on the reference.
+#[test]
+fn advice_specs_match_across_adversaries_and_delivery_models() {
+    assert_equivalent_across_adversaries_and_delivery_models(&[
+        "field-broadcast(gf2,det=1)",
+        "field-broadcast(gf256,det=7)",
+        "field-broadcast(gf257,det=7)",
+        "field-broadcast(m61,det=3)",
+    ]);
+}
+
 #[test]
 fn t_stable_windows_hit_the_csr_reuse_path() {
     // T > 1 freezes the topology inside windows: the fast path serves
@@ -175,26 +211,24 @@ fn auto_matches_explicit_fast_on_eligible_specs() {
         assert!(fast_eligible(&spec), "{spec_s}");
         assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Fast);
     }
-    // Ineligible specs route Auto to the reference backend: deterministic
-    // advice schedules and the charged-rounds patch model fall back, they
-    // never panic.
-    for spec_s in [
-        "field-broadcast(gf2,det=1)",
-        "field-broadcast(gf256,det=7)",
-        "patch-indexed",
-    ] {
-        let spec = ProtocolSpec::parse(spec_s).unwrap();
-        assert!(!fast_eligible(&spec), "{spec_s}");
-        assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Reference);
-    }
+    // The one ineligible spec routes Auto to the reference backend: the
+    // charged-rounds patch model falls back, it never panics.
+    let spec = ProtocolSpec::parse("patch-indexed").unwrap();
+    assert!(!fast_eligible(&spec));
+    assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Reference);
 }
 
 #[test]
-fn det_advice_specs_resolve_to_reference_without_panicking() {
-    // The det-variant fallback rule, stated as a unit: Auto on a
-    // deterministic advice schedule is a clean Reference resolution.
-    let spec = ProtocolSpec::parse("field-broadcast(gf256,det=7)").unwrap();
-    assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Reference);
+fn det_advice_specs_resolve_to_fast_and_build() {
+    // The advice rule, stated as a unit: Auto on a deterministic advice
+    // schedule resolves to Fast, and the fast cell it names exists.
+    let inst = Instance::generate(Params::new(8, 8, 5, 10), Placement::OneTokenPerNode, 42);
+    for field in ["gf2", "gf256", "gf257", "m61"] {
+        let spec = ProtocolSpec::parse(&format!("field-broadcast({field},det=7)")).unwrap();
+        assert_eq!(resolve_kernel(&spec, Kernel::Auto), Kernel::Fast, "{spec}");
+        let cell = build_fast_cell(&spec, &inst, 1).expect("det= specs have a fast cell");
+        assert_eq!(cell.num_nodes(), 8, "{spec}");
+    }
 }
 
 proptest! {
