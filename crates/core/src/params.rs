@@ -157,14 +157,19 @@ pub struct Instance {
 
 /// Total order on GF(2) vectors by value (big-endian on bit index, so bit
 /// 0 is the most significant — any fixed order works; this one is used
-/// everywhere).
+/// everywhere). Compared a packed word at a time: the first differing
+/// coordinate is the lowest set bit of the words' XOR, and the masked
+/// tail keeps unused bits out of it.
 pub fn token_cmp(a: &Gf2Vec, b: &Gf2Vec) -> std::cmp::Ordering {
     debug_assert_eq!(a.len(), b.len());
-    for i in 0..a.len() {
-        match (a.get(i), b.get(i)) {
-            (false, true) => return std::cmp::Ordering::Less,
-            (true, false) => return std::cmp::Ordering::Greater,
-            _ => {}
+    for (&x, &y) in a.words().iter().zip(b.words()) {
+        let diff = x ^ y;
+        if diff != 0 {
+            return if x >> diff.trailing_zeros() & 1 == 1 {
+                std::cmp::Ordering::Greater
+            } else {
+                std::cmp::Ordering::Less
+            };
         }
     }
     std::cmp::Ordering::Equal
@@ -182,12 +187,13 @@ impl Instance {
             .unwrap_or_else(|why| panic!("{why}"));
         let mut rng = StdRng::seed_from_u64(seed);
         // Distinct random d-bit values via rejection (2^d ≥ 2k makes the
-        // expected number of retries < 2k).
+        // expected number of retries < 2k), keyed on the packed words
+        // (the masked tail makes word equality value equality).
         let mut seen = std::collections::HashSet::with_capacity(params.k);
         let mut tokens = Vec::with_capacity(params.k);
         while tokens.len() < params.k {
             let t = Gf2Vec::random(params.d, &mut rng);
-            if seen.insert(t.to_bytes()) {
+            if seen.insert(t.words().to_vec()) {
                 tokens.push(t);
             }
         }

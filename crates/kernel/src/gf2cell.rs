@@ -1,5 +1,5 @@
-//! The word-packed GF(2) RLNC cell: per-node coding state as one flat
-//! `u64` row arena with incremental Gaussian elimination on limb slices.
+//! The word-packed GF(2) RLNC cell: per-node coding state as `u64` row
+//! slots with incremental Gaussian elimination on limb slices.
 //!
 //! One cell covers both GF(2) coding families of the registry —
 //! `indexed-broadcast` (Lemma 5.3 over packed GF(2)) and
@@ -13,14 +13,31 @@
 //! `field-broadcast(gf2,det=S)` the coins come from each node's advice
 //! stream ([`Gf2Cell::with_advice`]) instead of the protocol RNG.
 //!
-//! The RREF invariant matches `dyncode_gf::{Subspace, Gf2Basis}` exactly
-//! (reduce, pivot scan, back-eliminate, pivot-sorted insert — over GF(2)
-//! pivot normalization is a no-op), so the span evolution, the per-row
-//! coin count of every compose, and hence the whole run are bit-identical
-//! to the reference protocols. What changes is the cost model: a row
-//! operation is a `limb_xor` over `⌈(k+d)/64⌉` words with no allocation —
-//! the reference works element-wise on `Vec<Gf2>` (one byte per
-//! coordinate) and clones every packet on receive.
+//! **Layout: slot = pivot column.** Every packet lies in the span of the
+//! k source vectors, and a nonzero vector of that span has a nonzero
+//! coefficient part, so every pivot is below k. Node u's basis row with
+//! pivot p therefore lives at slot p of a k-slot block, and a k-bit pivot
+//! bitmap per node is the whole of the basis bookkeeping: pivot order is
+//! bitmap order, and rank is the bitmap's popcount. RREF makes each row
+//! zero at every other pivot, so
+//!
+//! * **reduce** XORs exactly the rows at `v`'s pivot bits, all known
+//!   before the first XOR (`v & piv`, no reload per XOR, no lookup);
+//! * **back-elimination** only visits rows with a pivot left of the new
+//!   one and XORs `v` in branch-free from the new pivot's word;
+//! * **compose** draws the coins first, in pivot order, and over every
+//!   leading all-ones bitmap word the coin word *is* the message's
+//!   coefficient word, so row arithmetic runs only on limbs `[lo..wpr)` —
+//!   at saturation with k = 128 one limb of three.
+//!
+//! The XOR sequences are reorderings of `Subspace`/`Gf2Basis`'s (reduce in
+//! pivot order, leading-one scan, back-eliminate, sorted insert — over
+//! GF(2) normalization is a no-op), and XOR sums are exact, so spans,
+//! pivots, rows, coin counts and hence whole runs are bit-identical to the
+//! reference protocols. Against the insertion-order slots this replaced
+//! (a pivot-sorted permutation per node, a column-to-slot table, and a
+//! reduce that reloaded `v` after every XOR), `coded-binary` `wall_s`
+//! fell from 1.22 s to 0.88 s (medians of ten alternating pairs).
 
 use crate::coefficient_rng;
 use dyncode_dynet::adversary::KnowledgeView;
@@ -28,7 +45,7 @@ use dyncode_dynet::bitset::BitSet;
 use dyncode_dynet::csr::CsrTopology;
 use dyncode_dynet::driver::{check_budget, FastCell};
 use dyncode_dynet::phase;
-use dyncode_gf::bits::{limb_get, limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
+use dyncode_gf::bits::{limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
 use dyncode_gf::Gf2Vec;
 use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
@@ -54,33 +71,39 @@ pub struct Gf2Cell {
     ambient: usize,
     /// Row width in u64 limbs.
     wpr: usize,
+    /// Pivot bitmap width in u64 limbs: ⌈k/64⌉.
+    kw: usize,
     mode: Gf2ViewMode,
     /// The `det=S` advice table; `None` = randomized mode.
     schedule: Option<CoefficientSchedule>,
-    /// Row arena: node `u`'s slot `s` lives at
-    /// `rows[(u·k + s)·wpr .. (u·k + s + 1)·wpr]`. Slots are assigned in
-    /// insertion order and never move; `order` holds the pivot-sorted
-    /// permutation. A node's rank never exceeds k (every packet lies in
-    /// the span of the k source vectors), so k slots per node suffice.
-    rows: Vec<u64>,
-    /// Per node, basis position → row slot (pivot-ascending order).
-    order: Vec<u32>,
-    /// Per node, basis position → pivot column (strictly increasing).
-    pivots: Vec<u32>,
-    /// Per node, column → row slot of the basis row pivoting there
-    /// (`u32::MAX` = no pivot): the O(1) lookup the reduce loop uses to
-    /// jump along `v`'s set bits instead of scanning every basis row.
-    pivot_slot: Vec<u32>,
-    /// Per node: basis dimension.
+    /// Per node, k row slots: the row with pivot `p` at `rows[u][p·wpr..]`
+    /// (pivot-less slots are never read). Per-node blocks, not one n·k·wpr
+    /// block: a single 1.5 MiB block, freed and re-requested per run, left
+    /// `coded-binary`'s peak RSS bimodal (5.4 or 6.4 MiB); these hold 5.1–5.4.
+    rows: Vec<Box<[u64]>>,
+    /// Per node, `kw` words: bit `p` set iff a basis row pivots at `p`.
+    piv: Vec<u64>,
+    /// Per node: basis dimension (the bitmap's popcount). Every pivot is
+    /// below k, so this is also the coefficient-projection rank.
     rank: Vec<u32>,
-    /// Per node: pivots below k (the coefficient-projection rank).
-    coeff_rank: Vec<u32>,
     /// Message arena: node `u`'s current broadcast at
     /// `msgs[u·wpr .. (u+1)·wpr]`, valid iff `has_msg[u]`.
     msgs: Vec<u64>,
     has_msg: Vec<bool>,
     /// Reduce buffer for incoming packets.
     scratch: Vec<u64>,
+}
+
+/// The set bits of `mask`, ascending, offset by `base`.
+#[inline]
+fn ones(mut mask: u64, base: usize) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            base + b
+        })
+    })
 }
 
 impl Gf2Cell {
@@ -90,19 +113,18 @@ impl Gf2Cell {
     pub fn new(n: usize, k: usize, payload_bits: usize, mode: Gf2ViewMode) -> Self {
         let ambient = k + payload_bits;
         let wpr = limbs_for(ambient).max(1);
+        let kw = limbs_for(k);
         Gf2Cell {
             n,
             k,
             ambient,
             wpr,
+            kw,
             mode,
             schedule: None,
-            rows: vec![0; n * k * wpr],
-            order: vec![0; n * k],
-            pivots: vec![0; n * k],
-            pivot_slot: vec![u32::MAX; n * ambient],
+            rows: (0..n).map(|_| vec![0; k * wpr].into()).collect(),
+            piv: vec![0; n * kw],
             rank: vec![0; n],
-            coeff_rank: vec![0; n],
             msgs: vec![0; n * wpr],
             has_msg: vec![false; n],
             scratch: vec![0; wpr],
@@ -139,108 +161,78 @@ impl Gf2Cell {
         self.rank[node] as usize
     }
 
-    /// The coefficient-projection rank of `node`.
-    pub fn coefficient_rank(&self, node: usize) -> usize {
-        self.coeff_rank[node] as usize
+    /// `node`'s pivot columns, ascending (basis order).
+    fn pivots(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let piv = &self.piv[node * self.kw..(node + 1) * self.kw];
+        piv.iter().enumerate().flat_map(|(w, &m)| ones(m, w * 64))
+    }
+
+    /// Node `node`'s row at slot (= pivot column) `p`.
+    fn row(&self, node: usize, p: usize) -> &[u64] {
+        &self.rows[node][p * self.wpr..(p + 1) * self.wpr]
     }
 
     /// Basis row `r` (pivot order) of `node`, as a [`Gf2Vec`] — test and
     /// introspection surface, not the hot path.
     pub fn basis_row(&self, node: usize, r: usize) -> Gf2Vec {
-        let slot = self.order[node * self.k + r] as usize;
-        let base = (node * self.k + slot) * self.wpr;
-        Gf2Vec::from_words(self.rows[base..base + self.wpr].to_vec(), self.ambient)
+        let p = self.pivots(node).nth(r).expect("row index below rank");
+        Gf2Vec::from_words(self.row(node, p).to_vec(), self.ambient)
     }
 
     /// Inserts `v` (a `wpr`-limb packet) into `node`'s basis; returns
     /// `true` iff innovative. `v` is clobbered (it becomes the reduced
     /// row). Identical math to `Subspace::insert` / `Gf2Basis::insert`.
     fn insert(&mut self, node: usize, v: &mut [u64]) -> bool {
-        let (k, wpr) = (self.k, self.wpr);
-        let obase = node * k;
-        let nrank = self.rank[node] as usize;
-        let pbase = node * self.ambient;
-        // Reduce against the basis by jumping along `v`'s set bits with
-        // the pivot→slot lookup. This performs the exact xor sequence of
-        // the reference's ascending-pivot scan: an RREF row is zero left
-        // of its pivot, so xoring at pivot p clears bit p and can only
-        // touch bits beyond it — set bits are met in ascending order, a
-        // set bit at a pivot column triggers the same xor the scan would,
-        // and a set bit at a non-pivot column is permanent (no later row
-        // reaches below its own pivot). The first permanent bit is
-        // therefore the reduced vector's leading one.
-        let mut new_pivot = None;
-        let mut w = 0;
-        while w < wpr {
-            let mut word = v[w];
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                let b = w * 64 + bit;
-                let slot = self.pivot_slot[pbase + b];
-                if slot != u32::MAX {
-                    let base = (obase + slot as usize) * wpr;
-                    limb_xor(v, &self.rows[base..base + wpr]);
-                    // Bit b is cleared; bits above it (this word included)
-                    // may have flipped — reload the word past bit b.
-                    word = if bit == 63 {
-                        0
-                    } else {
-                        v[w] & (!0u64 << (bit + 1))
-                    };
-                } else {
-                    new_pivot.get_or_insert(b);
-                    word &= word - 1;
-                }
+        let (k, kw, wpr) = (self.k, self.kw, self.wpr);
+        let piv = &mut self.piv[node * kw..(node + 1) * kw];
+        let rows = &mut self.rows[node];
+        // Reduce: an RREF row is zero at every other pivot, so the rows
+        // the reference's pivot-order scan XORs are exactly those at
+        // `v`'s pivot bits, and XORing one leaves `v`'s other pivot bits
+        // alone — each word's selection `v[w] & piv[w]` is read once, up
+        // front. Over the leading all-ones bitmap words every column is a
+        // pivot and reduces to zero, so the XORs start at limb `lo`.
+        let lo = piv.iter().take_while(|&&m| m == !0).count();
+        for w in 0..kw {
+            for p in ones(v[w] & piv[w], w * 64) {
+                limb_xor(&mut v[lo..], &rows[p * wpr + lo..(p + 1) * wpr]);
             }
-            w += 1;
         }
-        let Some(p) = new_pivot else {
+        v[..lo].fill(0);
+        let Some(p) = limb_leading_one(v) else {
             return false;
         };
-        debug_assert_eq!(limb_leading_one(v), Some(p));
-        // Back-eliminate the new pivot column from existing rows.
-        for r in 0..nrank {
-            let slot = self.order[obase + r] as usize;
-            let base = (obase + slot) * wpr;
-            if limb_get(&self.rows[base..base + wpr], p) {
-                limb_xor(&mut self.rows[base..base + wpr], v);
+        assert!(
+            p < k,
+            "pivot beyond the coefficients: packets must lie in the source span"
+        );
+        // Back-eliminate column p: only rows pivoting left of p can hold
+        // it (a row is zero before its pivot), and `v` is zero before p,
+        // so each row takes `v`'s limbs from p's word on, masked by its
+        // bit p — no branch.
+        let (pw, pb) = (p / 64, p % 64);
+        for (w, &m) in piv[..=pw].iter().enumerate() {
+            let left = if w == pw { m & ((1u64 << pb) - 1) } else { m };
+            for q in ones(left, w * 64) {
+                let row = &mut rows[q * wpr + pw..(q + 1) * wpr];
+                let mask = 0u64.wrapping_sub((row[0] >> pb) & 1);
+                for (x, y) in row.iter_mut().zip(&v[pw..]) {
+                    *x ^= y & mask;
+                }
             }
         }
-        // Insert keeping pivots sorted; the row data takes slot `nrank`.
-        assert!(
-            nrank < k,
-            "rank overflow: packets must lie in the k-dimensional source span"
-        );
-        let idx = self.pivots[obase..obase + nrank].partition_point(|&q| (q as usize) < p);
-        for i in (idx..nrank).rev() {
-            self.order[obase + i + 1] = self.order[obase + i];
-            self.pivots[obase + i + 1] = self.pivots[obase + i];
-        }
-        self.order[obase + idx] = nrank as u32;
-        self.pivots[obase + idx] = p as u32;
-        self.pivot_slot[pbase + p] = nrank as u32;
-        let base = (obase + nrank) * wpr;
-        self.rows[base..base + wpr].copy_from_slice(v);
+        rows[p * wpr..(p + 1) * wpr].copy_from_slice(v);
+        piv[pw] |= 1 << pb;
         self.rank[node] += 1;
-        if p < self.k {
-            self.coeff_rank[node] += 1;
-        }
         true
     }
 
     /// Individually decodable tokens of `node` (unit coefficient
     /// prefixes), as set bits inserted into `out`.
     fn available_into(&self, node: usize, out: &mut BitSet) -> usize {
-        let obase = node * self.k;
         let mut count = 0;
-        for r in 0..self.rank[node] as usize {
-            let p = self.pivots[obase + r] as usize;
-            if p >= self.k {
-                break; // pivots are sorted: the rest are payload pivots
-            }
-            let slot = self.order[obase + r] as usize;
-            let base = (obase + slot) * self.wpr;
-            if limb_prefix_ones(&self.rows[base..base + self.wpr], self.k) == 1 {
+        for p in self.pivots(node) {
+            if limb_prefix_ones(self.row(node, p), self.k) == 1 {
                 out.insert(p);
                 count += 1;
             }
@@ -249,7 +241,7 @@ impl Gf2Cell {
     }
 
     fn node_done(&self, node: usize) -> bool {
-        self.coeff_rank[node] as usize == self.k
+        self.rank[node] as usize == self.k
     }
 }
 
@@ -268,32 +260,39 @@ impl FastCell for Gf2Cell {
         rng: &mut StdRng,
         bit_limit: Option<u64>,
     ) -> (u64, u64) {
-        let wpr = self.wpr;
+        let (kw, wpr) = (self.kw, self.wpr);
         let bits = self.ambient as u64;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
         let mut advice = None;
         for u in 0..self.n {
-            let nrank = self.rank[u] as usize;
-            if nrank == 0 {
+            if self.rank[u] == 0 {
                 // A node that has received nothing stays silent — and
                 // draws no coins, exactly like the reference emit.
                 self.has_msg[u] = false;
                 continue;
             }
             let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
-            self.msgs[u * wpr..(u + 1) * wpr].fill(0);
-            let obase = u * self.k;
-            for r in 0..nrank {
-                // One coin per basis row in pivot order: the exact draw
+            let piv = &self.piv[u * kw..(u + 1) * kw];
+            let rows = &self.rows[u];
+            let msg = &mut self.msgs[u * wpr..(u + 1) * wpr];
+            msg.fill(0);
+            // Over a leading all-ones bitmap word, row p contributes
+            // exactly bit p (it is zero at every other pivot), so the
+            // coin word is the message word; rows add limbs [lo..) only.
+            let lo = piv.iter().take_while(|&&m| m == !0).count();
+            for w in 0..kw {
+                // One coin per basis row, ascending pivots: the exact draw
                 // sequence of `random_combination` over GF(2).
-                let coin: bool = rng.random();
-                if coin {
-                    let slot = self.order[obase + r] as usize;
-                    let base = (obase + slot) * wpr;
-                    // Split the arenas: msgs and rows are disjoint fields.
-                    let (msg, row) = (&mut self.msgs, &self.rows);
-                    limb_xor(&mut msg[u * wpr..(u + 1) * wpr], &row[base..base + wpr]);
+                let mut coins = 0u64;
+                for p in ones(piv[w], 0) {
+                    coins |= u64::from(rng.random::<bool>()) << p;
+                }
+                if w < lo {
+                    msg[w] = coins;
+                }
+                for p in ones(coins, w * 64) {
+                    limb_xor(&mut msg[lo..], &rows[p * wpr + lo..(p + 1) * wpr]);
                 }
             }
             check_budget(u, round, bits, bit_limit);
@@ -315,7 +314,7 @@ impl FastCell for Gf2Cell {
             // the whole inbox can be skipped. (The reference pays a full
             // O(rank · len) reduce per packet here; this is where the
             // fast path wins the straggler phase of a run.)
-            if self.rank[u] as usize == self.k {
+            if self.node_done(u) {
                 continue;
             }
             for &v in topo.neighbors(u) {
@@ -384,44 +383,132 @@ impl FastCell for Gf2Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dyncode_gf::bits::limb_get;
     use dyncode_gf::{Field, Gf2, Gf2Basis};
     use dyncode_rlnc::node::DenseNode;
     use rand::SeedableRng;
 
-    /// Mirror of the packed reference basis: every insert must agree on
-    /// innovation, rank, pivots, and row content. Inputs are random
-    /// combinations of k source packets — the only vectors a run can ever
-    /// deliver (and what bounds the row arena at k slots per node).
+    /// k source packets `e_i ++ payload_i` with random d-bit payloads.
+    fn sources(k: usize, d: usize, rng: &mut StdRng) -> Vec<Gf2Vec> {
+        (0..k)
+            .map(|i| Gf2Vec::unit(k, i).concat(&Gf2Vec::random(d, rng)))
+            .collect()
+    }
+
+    /// Inserts a random combination of `sources[i]` over `indices` into
+    /// node 0 of `cell` and into `reference`; both must agree on
+    /// innovation, rank, pivots and row content, and — every pivot being
+    /// a coefficient column — the rank is the coefficient-projection rank.
+    fn insert_both(
+        cell: &mut Gf2Cell,
+        reference: &mut Gf2Basis,
+        sources: &[Gf2Vec],
+        indices: impl Iterator<Item = usize>,
+        rng: &mut StdRng,
+    ) {
+        let mut v = Gf2Vec::zeros(cell.ambient);
+        for i in indices {
+            if rng.random() {
+                v.xor_assign(&sources[i]);
+            }
+        }
+        let mut limbs = v.words().to_vec();
+        limbs.resize(cell.wpr, 0);
+        assert_eq!(cell.insert(0, &mut limbs), reference.insert(v));
+        assert_eq!(cell.rank(0), reference.dim());
+        for (r, row) in reference.basis().iter().enumerate() {
+            assert_eq!(&cell.basis_row(0, r), row, "row {r}");
+        }
+        assert_eq!(
+            cell.rank(0),
+            reference.prefix_rank(cell.k),
+            "coefficient rank"
+        );
+    }
+
+    /// Mirror of the packed reference basis on random combinations of the
+    /// k source packets — the only vectors a run can ever deliver — from
+    /// one limb up to k = 128 (the coefficient/payload boundary on a limb
+    /// boundary) and k = 130 (three coefficient limbs), through
+    /// saturation.
     #[test]
     fn insert_agrees_with_gf2basis() {
-        let (k, d) = (6, 9);
-        let mut rng = StdRng::seed_from_u64(11);
-        let sources: Vec<Gf2Vec> = (0..k)
-            .map(|i| Gf2Vec::unit(k, i).concat(&Gf2Vec::random(d, &mut rng)))
-            .collect();
+        for (k, d) in [(6, 9), (128, 9), (130, 5)] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let sources = sources(k, d, &mut rng);
+            let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Indexed);
+            let mut reference = Gf2Basis::new(k + d);
+            for _ in 0..k + 40 {
+                insert_both(&mut cell, &mut reference, &sources, 0..k, &mut rng);
+            }
+            assert_eq!(cell.rank(0), k, "k = {k} saturates");
+        }
+    }
+
+    /// A gapped bitmap — sources 0, 63, 64 and 100 withheld, so no
+    /// bitmap word is all ones and every reduce and back-elimination
+    /// takes the general path across three coefficient limbs — then the
+    /// gaps filled, re-enabling the leading-full-word shortcut.
+    #[test]
+    fn gapped_bitmap_inserts_mirror_gf2basis_and_refill() {
+        let (k, d) = (130, 7);
+        let gaps = [0, 63, 64, 100];
+        let mut rng = StdRng::seed_from_u64(19);
+        let sources = sources(k, d, &mut rng);
         let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Indexed);
         let mut reference = Gf2Basis::new(k + d);
-        for _ in 0..60 {
-            let mut v = Gf2Vec::zeros(k + d);
-            for s in &sources {
-                if rng.random() {
-                    v.xor_assign(s);
-                }
+        for _ in 0..k + 20 {
+            let held = (0..k).filter(|i| !gaps.contains(i));
+            insert_both(&mut cell, &mut reference, &sources, held, &mut rng);
+        }
+        assert_eq!(cell.rank(0), k - gaps.len(), "gapped basis");
+        for &g in &gaps {
+            assert!(!limb_get(&cell.piv[..cell.kw], g), "gap {g} has no pivot");
+        }
+        assert_compose_matches_rows(&mut cell, 3);
+        for _ in 0..20 {
+            insert_both(&mut cell, &mut reference, &sources, 0..k, &mut rng);
+        }
+        assert_eq!(cell.rank(0), k, "gaps filled, saturated");
+    }
+
+    /// Node 0's composed message equals the explicit per-row combination
+    /// `Σ coin_r · row_r` of its basis rows in pivot order, under a cloned
+    /// RNG, and both sides drew the same number of coins.
+    fn assert_compose_matches_rows(cell: &mut Gf2Cell, seed: u64) {
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = rng_a.clone();
+        let mut expect = Gf2Vec::zeros(cell.ambient);
+        for r in 0..cell.rank(0) {
+            if rng_a.random() {
+                expect.xor_assign(&cell.basis_row(0, r));
             }
-            let mut limbs = v.words().to_vec();
-            limbs.resize(cell.wpr, 0);
-            let fast = cell.insert(0, &mut limbs);
-            let slow = reference.insert(v);
-            assert_eq!(fast, slow);
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
+        }
+        let (bits, _) = cell.compose_all(0, &mut rng_b, None);
+        assert_eq!(bits, cell.ambient as u64 * cell.n as u64);
+        assert_eq!(rng_a, rng_b, "draw counts must match");
+        let msg = Gf2Vec::from_words(cell.msgs[..cell.wpr].to_vec(), cell.ambient);
+        assert_eq!(msg, expect, "rank {}", cell.rank(0));
+    }
+
+    /// The leading-full-word compose shortcut against the explicit
+    /// combination: at contiguous rank 64 (`lo` = 1 with nothing past
+    /// it), at contiguous rank 100 (`lo` = 1, a partial second word), and
+    /// at rank k = 128 (`lo` = 2: both coefficient limbs are coin words,
+    /// rows add the payload limb only).
+    #[test]
+    fn saturated_compose_matches_general_combination() {
+        let (k, d) = (128, 9);
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Broadcast);
+        let mut seeded = 0;
+        for rank in [64, 100, k] {
+            for i in seeded..rank {
+                cell.seed_source(0, i, &Gf2Vec::random(d, &mut rng));
             }
-            assert_eq!(
-                cell.coefficient_rank(0),
-                reference.prefix_rank(k),
-                "coefficient rank"
-            );
+            seeded = rank;
+            assert_eq!(cell.rank(0), rank);
+            assert_compose_matches_rows(&mut cell, 23 + rank as u64);
         }
     }
 
@@ -475,7 +562,6 @@ mod tests {
             cell.seed_source(0, i, p);
         }
         assert_eq!(cell.rank(0), k);
-        assert_eq!(cell.coefficient_rank(0), k);
         assert!(!cell.all_done(), "node 1 has nothing yet");
         let v = cell.view();
         assert_eq!(v.dims, vec![k, 0]);

@@ -13,10 +13,11 @@
 //! arenas and do a round's work in one `compose_all` and one
 //! `deliver_all`:
 //!
-//! * [`Gf2Cell`] — per-node GF(2) RLNC state as one word-packed row
-//!   arena, with incremental Gaussian elimination running directly on
-//!   `u64` limb slices (`dyncode_gf::bits::limb_xor` and friends) instead
-//!   of per-packet `Vec` clones.
+//! * [`Gf2Cell`] — per-node GF(2) RLNC state as word-packed rows stored
+//!   at their pivot column plus a pivot bitmap, with incremental Gaussian
+//!   elimination running directly on `u64` limb slices
+//!   (`dyncode_gf::bits::limb_xor` and friends) instead of per-packet
+//!   `Vec` clones.
 //! * [`Gf256Cell`] — `field-broadcast(gf256)` with *bit-planar* rows
 //!   (plane j holds bit j of every symbol, 64 symbols per word), turning
 //!   constant-multiply row ops into batched word XORs, plus rank-k

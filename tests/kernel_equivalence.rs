@@ -118,16 +118,21 @@ fn prime_field_cells_match_above_the_fold_boundary() {
 
 #[test]
 fn binary_field_cells_match_above_one_limb_and_the_bitsliced_rank() {
-    // Two more edges the randomized matrix's n = k < 20 never reaches:
-    // at n = k = 72 a coded row (k + d = 81 bits) spans two `u64` limbs,
-    // and at n = k = 40 GF(2^8) elimination passes rank 32, where it
-    // switches to the bit-sliced reduce path. The `det=` twins take the
-    // same edges — GF(2^8) through the contiguous-pivot compose shortcut —
-    // with the coefficients read from the advice streams.
+    // More edges the randomized matrix's n = k < 20 never reaches: at
+    // n = k = 72 a coded row (k + d = 81 bits) spans two `u64` limbs; at
+    // n = k = 128 the coefficients fill two whole limbs, so GF(2) reduce
+    // and compose run their all-ones-bitmap-word shortcut over both; and
+    // at n = k = 40 GF(2^8) elimination passes rank 32, where it switches
+    // to the bit-sliced reduce path. The `det=` twins take the same edges
+    // — GF(2^8) through the contiguous-pivot compose shortcut — with the
+    // coefficients read from the advice streams.
     for (spec, n) in [
         ("field-broadcast(gf2)", 72),
         ("field-broadcast(gf2,det=1)", 72),
         ("indexed-broadcast", 72),
+        ("field-broadcast(gf2)", 128),
+        ("field-broadcast(gf2,det=1)", 128),
+        ("indexed-broadcast", 128),
         ("field-broadcast(gf256)", 40),
         ("field-broadcast(gf256,det=7)", 40),
     ] {

@@ -105,3 +105,35 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-wise `token_cmp` is the coordinate-wise order it
+    /// defines: the first differing coordinate decides, bit 0 most
+    /// significant. At every length `b` shares a random-length prefix
+    /// with `a`, so ties and first differences in every limb (the masked
+    /// tail included) occur.
+    #[test]
+    fn token_cmp_is_the_coordinatewise_order(
+        bits in proptest::collection::vec(any::<bool>(), 2 * 130),
+        keep in any::<u16>(),
+    ) {
+        use dyncode::core::params::token_cmp;
+        use dyncode::gf::Gf2Vec;
+        for len in [1usize, 16, 63, 64, 65, 130] {
+            let a = &bits[..len];
+            let mut b = bits[130..130 + len].to_vec();
+            let keep = keep as usize % (len + 1);
+            b[..keep].copy_from_slice(&a[..keep]);
+            let want = a
+                .iter()
+                .zip(&b)
+                .find(|(x, y)| x != y)
+                .map_or(std::cmp::Ordering::Equal, |(x, y)| x.cmp(y));
+            let (va, vb) = (Gf2Vec::from_bools(a), Gf2Vec::from_bools(&b));
+            prop_assert_eq!(token_cmp(&va, &vb), want, "len {}", len);
+            prop_assert_eq!(token_cmp(&vb, &va), want.reverse(), "len {}", len);
+        }
+    }
+}
