@@ -75,38 +75,33 @@ pub trait Field:
         self == Self::ZERO
     }
 
-    /// `dst += c * src` over whole rows — the **fast kernel's** row
-    /// operation (the reference backend's `vector::scale_add` keeps its
-    /// own textbook loop). The default is the obvious per-entry loop;
-    /// implementations with cheaper bulk forms (e.g. [`crate::Gf256`]'s
-    /// per-coefficient product table) may override it, but must compute
-    /// exactly `d.add(c.mul(s))` per entry so results stay bit-identical.
+    /// `dst += c * src` over whole rows — the **fast kernel's** rank-1
+    /// update (back-elimination). The default is the reference backend's
+    /// textbook loop, [`crate::vector::scale_add`]; implementations with
+    /// cheaper bulk forms ([`crate::Gf256`]'s per-coefficient product
+    /// table, `GfP`'s fused single-reduction `d + c·s`) may override it,
+    /// but must compute exactly `d.add(c.mul(s))` per entry — `scale_add`'s
+    /// result — so results stay bit-identical (`tests/prop.rs` checks every
+    /// field).
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
     fn axpy(dst: &mut [Self], src: &[Self], c: Self) {
-        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-        if c.is_zero() {
-            return;
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = d.add(c.mul(*s));
-        }
+        crate::vector::scale_add(dst, src, c);
     }
 
     /// `dst += Σ_t c_t · row_t` — the fast kernel's gather-then-combine
     /// step: a whole reduction or composition as one vector–matrix
-    /// product. Row `slot` is `arena[slot·stride .. (slot+1)·stride]`, and
-    /// each term `(slot, start_col, c)` touches columns `start_col..`
-    /// only (the caller knows the row is zero before that). The default
-    /// is one [`Field::axpy`] per term; an override may reorder and defer
+    /// product. Row `slot` is `arena[slot·stride .. (slot+1)·stride]`, a
+    /// term is `(slot, c)`, and `dst` covers the trailing `dst.len()`
+    /// columns of every row (the caller's free columns). The default is
+    /// one [`Field::axpy`] per term; an override may reorder and defer
     /// reductions but must return exactly that fold's result — field
     /// arithmetic is exact, so any summation order qualifies.
     ///
     /// # Panics
-    /// Panics if `dst.len() != stride` or a term reaches outside `arena`
-    /// or past the row end.
-    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, u32, Self)]) {
+    /// Panics if `dst.len() > stride` or a slot lies outside `arena`.
+    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, Self)]) {
         combine_rows_by_axpy(dst, arena, stride, terms);
     }
 
@@ -131,17 +126,20 @@ pub(crate) fn combine_rows_by_axpy<F: Field>(
     dst: &mut [F],
     arena: &[F],
     stride: usize,
-    terms: &[(u32, u32, F)],
+    terms: &[(u32, F)],
 ) {
-    assert_eq!(dst.len(), stride, "combine_rows width mismatch");
-    for &(slot, start, c) in terms {
-        let (slot, start) = (slot as usize, start as usize);
-        F::axpy(
-            &mut dst[start..],
-            &arena[slot * stride + start..(slot + 1) * stride],
-            c,
-        );
+    let off = trailing_offset(dst, stride);
+    for &(slot, c) in terms {
+        let row = slot as usize * stride;
+        F::axpy(dst, &arena[row + off..row + stride], c);
     }
+}
+
+/// The first row column a [`Field::combine_rows`] `dst` covers.
+pub(crate) fn trailing_offset<F>(dst: &[F], stride: usize) -> usize {
+    stride
+        .checked_sub(dst.len())
+        .expect("combine_rows dst is wider than a row")
 }
 
 /// Checks the field axioms on a triple of elements; used by unit and

@@ -10,7 +10,7 @@
 //! simulatable scales can exploit. Small primes ([`Gf257`], [`Gf65537`])
 //! cover the intermediate regime of the field-size experiments (E9/E11).
 
-use crate::field::{combine_rows_by_axpy, Field};
+use crate::field::{combine_rows_by_axpy, trailing_offset, Field};
 use rand::{Rng, RngExt};
 
 /// An element of GF(P) for a prime `P < 2^63`. The value is kept reduced in
@@ -63,21 +63,43 @@ impl<const P: u64> GfP<P> {
         self.0
     }
 
+    /// `d + c·s` reduced once, for reduced representatives — `mul` and
+    /// the fused [`Field::axpy`]. Branching on the const modulus lets each
+    /// instantiation keep only its own reduction path after constant
+    /// folding. A generic `u128 %` compiles to a full 128-bit division on
+    /// the row-operation hot path; both special moduli admit branch-free,
+    /// division-free reductions.
+    #[inline(always)]
+    fn mul_add(d: u64, c: u64, s: u64) -> u64 {
+        if P == MERSENNE61_P {
+            // Mersenne reduction: 2^61 ≡ 1 (mod p). x < 2^122, so the first
+            // fold leaves y < 2^62, the second at most p + 1, and `min`
+            // against the wrapped `r − p` is the conditional subtract.
+            let x = d as u128 + c as u128 * s as u128;
+            let y = (x & MERSENNE61_P as u128) as u64 + (x >> 61) as u64;
+            let r = (y & MERSENNE61_P) + (y >> 61);
+            r.min(r.wrapping_sub(P))
+        } else if P == 257 {
+            // 2^8 ≡ −1 (mod 257): t ≤ 256 + 256² splits as hi·2^8 + lo ≡
+            // lo − hi, lifted by 257 into r ∈ [0, 512]; (r + 255) >> 9 is
+            // 1 exactly when r ≥ 257.
+            let t = d + c * s;
+            let r = (t & 0xff) + 257 - (t >> 8);
+            r - 257 * ((r + 255) >> 9)
+        } else {
+            ((d as u128 + c as u128 * s as u128) % P as u128) as u64
+        }
+    }
+
     /// GF(257) [`Field::combine_rows`]: raw products summed in place in the
     /// `u64` representatives (unreduced only inside this call), one `%`
     /// per symbol per [`GF257_DEFER_TERMS`] terms.
-    fn combine_rows_gf257(
-        dst: &mut [Self],
-        arena: &[Self],
-        stride: usize,
-        terms: &[(u32, u32, Self)],
-    ) {
-        assert_eq!(dst.len(), stride, "combine_rows width mismatch");
+    fn combine_rows_gf257(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, Self)]) {
+        let off = trailing_offset(dst, stride);
         for chunk in terms.chunks(GF257_DEFER_TERMS) {
-            for &(slot, start, c) in chunk {
-                let (slot, start) = (slot as usize, start as usize);
-                let row = &arena[slot * stride + start..(slot + 1) * stride];
-                for (d, s) in dst[start..].iter_mut().zip(row) {
+            for &(slot, c) in chunk {
+                let row = slot as usize * stride;
+                for (d, s) in dst.iter_mut().zip(&arena[row + off..row + stride]) {
                     // Both factors are < 2^9; saying so lets the compiler
                     // use the 32×32→64 vector multiply.
                     d.0 += (c.0 as u32 as u64) * (s.0 as u32 as u64);
@@ -92,35 +114,20 @@ impl<const P: u64> GfP<P> {
     /// M61 [`Field::combine_rows`]: `u128` products summed per column in a
     /// stack block, Mersenne-folded every [`M61_FOLD_TERMS`] terms and
     /// fully reduced once at the end.
-    fn combine_rows_m61(
-        dst: &mut [Self],
-        arena: &[Self],
-        stride: usize,
-        terms: &[(u32, u32, Self)],
-    ) {
-        assert_eq!(dst.len(), stride, "combine_rows width mismatch");
-        for &(slot, start, _) in terms {
-            assert!(
-                start as usize <= stride && (slot as usize + 1) * stride <= arena.len(),
-                "combine_rows term ({slot}, {start}) out of range"
-            );
-        }
+    fn combine_rows_m61(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, Self)]) {
+        let off = trailing_offset(dst, stride);
         let fold = |x: u128| (x & MERSENNE61_P as u128) + (x >> 61);
         let mut lanes = [0u128; M61_BLOCK_COLS];
-        for b0 in (0..stride).step_by(M61_BLOCK_COLS) {
-            let b1 = (b0 + M61_BLOCK_COLS).min(stride);
+        for b0 in (0..dst.len()).step_by(M61_BLOCK_COLS) {
+            let b1 = (b0 + M61_BLOCK_COLS).min(dst.len());
             let acc = &mut lanes[..b1 - b0];
             for (a, d) in acc.iter_mut().zip(&dst[b0..b1]) {
                 *a = d.0 as u128;
             }
             for chunk in terms.chunks(M61_FOLD_TERMS) {
-                for &(slot, start, c) in chunk {
-                    let (slot, lo) = (slot as usize, (start as usize).max(b0));
-                    if lo >= b1 {
-                        continue;
-                    }
-                    let row = &arena[slot * stride + lo..slot * stride + b1];
-                    for (a, s) in acc[lo - b0..].iter_mut().zip(row) {
+                for &(slot, c) in chunk {
+                    let row = slot as usize * stride + off;
+                    for (a, s) in acc.iter_mut().zip(&arena[row + b0..row + b1]) {
                         *a += c.0 as u128 * s.0 as u128;
                     }
                 }
@@ -165,32 +172,20 @@ impl<const P: u64> Field for GfP<P> {
     }
 
     fn mul(self, rhs: Self) -> Self {
-        // Branching on the const modulus lets each instantiation keep only
-        // its own reduction path after constant folding. A generic `u128 %`
-        // compiles to a full 128-bit division on the row-operation hot
-        // path; both special moduli admit division-free reductions.
-        if P == MERSENNE61_P {
-            // Mersenne reduction: 2^61 ≡ 1 (mod p), so fold the high bits
-            // down twice (the first fold leaves a value < 2^62) and finish
-            // with one conditional subtract.
-            let wide = self.0 as u128 * rhs.0 as u128;
-            let folded = (wide & MERSENNE61_P as u128) as u64 + (wide >> 61) as u64;
-            let folded = (folded & MERSENNE61_P) + (folded >> 61);
-            GfP(if folded >= P { folded - P } else { folded })
-        } else if P == 257 {
-            // 2^8 ≡ −1 (mod 257): for a product x ≤ 256², the byte split
-            // x = hi·2^8 + lo reduces to lo − hi, lifted into 0..257 by
-            // adding 257 and one conditional subtract.
-            let x = self.0 * rhs.0;
-            let r = (x & 0xff) + 257 - (x >> 8);
-            GfP(if r >= 257 { r - 257 } else { r })
-        } else {
-            GfP(((self.0 as u128 * rhs.0 as u128) % P as u128) as u64)
+        GfP(Self::mul_add(0, self.0, rhs.0))
+    }
+
+    fn axpy(dst: &mut [Self], src: &[Self], c: Self) {
+        // A rank-1 update pays one product per symbol, so there is nothing
+        // to defer — but the add folds into the product's one reduction.
+        assert_eq!(dst.len(), src.len(), "axpy length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            d.0 = Self::mul_add(d.0, c.0, s.0);
         }
     }
 
-    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, u32, Self)]) {
-        // Same const-modulus branch as `mul`: both special moduli leave
+    fn combine_rows(dst: &mut [Self], arena: &[Self], stride: usize, terms: &[(u32, Self)]) {
+        // Same const-modulus branch as `mul_add`: both special moduli leave
         // room above a raw product to add many of them before reducing, so
         // a symbol pays one reduction per call (M61: per 32 terms) instead
         // of one per multiply.
@@ -266,10 +261,23 @@ mod tests {
         assert_eq!(Mersenne61::new(0).sub(a).value(), 1);
     }
 
+    /// The fused single-reduction `axpy` against `d.add(c.mul(s))` over a
+    /// whole `src` row.
+    fn assert_fused_axpy<const P: u64>(d: u64, c: u64, src: &[GfP<P>]) {
+        let (d, c) = (GfP::<P>::new(d), GfP::<P>::new(c));
+        let mut dst = vec![d; src.len()];
+        GfP::<P>::axpy(&mut dst, src, c);
+        for (got, &s) in dst.iter().zip(src) {
+            assert_eq!(*got, d.add(c.mul(s)), "{d:?} + {c:?}·{s:?}");
+        }
+    }
+
     #[test]
     fn gf257_fast_reduction_matches_generic_modulo_exhaustively() {
         // The byte-split path is locked against the old `%` implementation
-        // over the entire 257 × 257 multiplication table.
+        // over the entire 257 × 257 multiplication table, and the fused
+        // `axpy` over every (c, s) from the extreme starting values.
+        let src: Vec<Gf257> = (0..257).map(Gf257::new).collect();
         for a in 0..257u64 {
             for b in 0..257u64 {
                 assert_eq!(
@@ -278,104 +286,104 @@ mod tests {
                     "{a} * {b} mod 257"
                 );
             }
+            for d in [0, 1, 255, 256] {
+                assert_fused_axpy(d, a, &src);
+            }
         }
     }
 
+    /// Boundary M61 representatives where the shift-add folds are tightest.
+    const M61_EDGES: [u64; 8] = {
+        let p = MERSENNE61_P;
+        [0, 1, 2, (1 << 31) - 1, 1 << 31, p / 2, p - 2, p - 1]
+    };
+
     #[test]
     fn mersenne61_fast_reduction_matches_generic_modulo_at_edges() {
-        let p = 2_305_843_009_213_693_951u64;
-        // Boundary representatives where the shift-add folds are tightest.
-        let edges = [0, 1, 2, (1 << 31) - 1, 1 << 31, p / 2, p - 2, p - 1];
-        for &a in &edges {
-            for &b in &edges {
+        let p = MERSENNE61_P;
+        let src = M61_EDGES.map(Mersenne61::new);
+        for a in M61_EDGES {
+            for b in M61_EDGES {
                 assert_eq!(
                     Mersenne61::new(a).mul(Mersenne61::new(b)).value(),
                     ((a as u128 * b as u128) % p as u128) as u64,
                     "{a} * {b} mod 2^61-1"
                 );
+                // The fused `axpy` with the edges in all three positions.
+                assert_fused_axpy(a, b, &src);
             }
         }
     }
 
     proptest::proptest! {
-        /// Randomized lock of the Mersenne shift-add reduction against the
-        /// old generic `u128 %` implementation.
+        /// Randomized lock of the Mersenne shift-add reductions (`mul` and
+        /// the fused `axpy`) against the old generic `u128 %` implementation.
         #[test]
         fn mersenne61_fast_reduction_matches_generic_modulo(
-            a in 0u64..2_305_843_009_213_693_951,
-            b in 0u64..2_305_843_009_213_693_951,
+            a in 0u64..MERSENNE61_P,
+            b in 0u64..MERSENNE61_P,
+            d in 0u64..MERSENNE61_P,
         ) {
-            let p = 2_305_843_009_213_693_951u64;
+            let p = MERSENNE61_P;
             proptest::prop_assert_eq!(
                 Mersenne61::new(a).mul(Mersenne61::new(b)).value(),
                 ((a as u128 * b as u128) % p as u128) as u64
             );
+            assert_fused_axpy(d, a, &[Mersenne61::new(b)]);
         }
     }
 
-    /// `combine_rows` against its defining `axpy` fold, from a `dst` of
-    /// all `fill` over an arena of all `fill`.
+    /// `combine_rows` against its defining `axpy` fold on the trailing
+    /// `width` columns of three rows, every entry `p − 1 − (i mod 3)`:
+    /// `count` terms cycle over the rows, every `zero_every`-th coefficient
+    /// is zero and the rest are p − 1 — the largest sums the lanes see.
     fn assert_combine_is_axpy_fold<const P: u64>(
+        stride: usize,
         width: usize,
-        rows: usize,
-        fill: GfP<P>,
-        terms: &[(u32, u32, GfP<P>)],
-    ) {
-        let arena = vec![fill; rows * width];
-        let mut got = vec![fill; width];
-        let mut want = got.clone();
-        GfP::<P>::combine_rows(&mut got, &arena, width, terms);
-        combine_rows_by_axpy(&mut want, &arena, width, terms);
-        assert_eq!(got, want, "{} terms over GF({P})", terms.len());
-    }
-
-    /// `count` terms cycling over three rows, with start columns that
-    /// include 0, the row end and — for a wide row — both sides of the
-    /// accumulator block edge; every `zero_every`-th coefficient is zero.
-    fn boundary_terms<const P: u64>(
         count: usize,
-        width: usize,
         zero_every: usize,
-    ) -> Vec<(u32, u32, GfP<P>)> {
-        (0..count)
-            .map(|t| {
-                let c = if t % zero_every == zero_every - 1 {
-                    0
-                } else {
-                    P - 1
-                };
-                ((t % 3) as u32, (t * 11 % (width + 1)) as u32, GfP(c))
-            })
-            .collect()
+    ) {
+        let arena: Vec<_> = (0..3 * stride).map(|i| GfP(P - 1 - i as u64 % 3)).collect();
+        let zero = |t: usize| t % zero_every == zero_every - 1;
+        let terms: Vec<_> = (0..count)
+            .map(|t| ((t % 3) as u32, GfP(if zero(t) { 0 } else { P - 1 })))
+            .collect();
+        let mut got = arena[..width].to_vec();
+        let mut want = got.clone();
+        GfP::<P>::combine_rows(&mut got, &arena, stride, &terms);
+        combine_rows_by_axpy(&mut want, &arena, stride, &terms);
+        assert_eq!(got, want, "{count} terms over GF({P}), width {width}");
     }
 
     #[test]
     fn m61_combine_rows_is_exact_across_every_fold_boundary() {
-        let top = Mersenne61::new(MERSENNE61_P - 1);
-        // Narrow, exactly one block, and wider than the lane block.
-        for width in [7, M61_BLOCK_COLS, M61_BLOCK_COLS + 37] {
-            for count in [0, 1, 31, 32, 33, 64, 65, 1000] {
-                // All-(p−1) everywhere: the largest sums the lanes can see.
-                let terms = boundary_terms(count, width, usize::MAX);
-                assert_combine_is_axpy_fold(width, 3, top, &terms);
-                // The same with start column 0 throughout (the densest case).
-                let dense: Vec<_> = terms.iter().map(|&(s, _, c)| (s, 0, c)).collect();
-                assert_combine_is_axpy_fold(width, 3, top, &dense);
-                let terms = boundary_terms(count, width, 3);
-                assert_combine_is_axpy_fold(width, 3, top, &terms);
+        // Narrow, exactly one block, and wider than the lane block; the
+        // trailing widths reach both sides of the accumulator block edge.
+        for stride in [7, M61_BLOCK_COLS, M61_BLOCK_COLS + 37] {
+            let widths = [
+                0,
+                1,
+                M61_BLOCK_COLS - 1,
+                M61_BLOCK_COLS,
+                M61_BLOCK_COLS + 1,
+                stride,
+            ];
+            for width in widths.into_iter().filter(|&w| w <= stride) {
+                for count in [0, 1, 31, 32, 33, 64, 65, 1000] {
+                    assert_combine_is_axpy_fold::<MERSENNE61_P>(stride, width, count, usize::MAX);
+                    assert_combine_is_axpy_fold::<MERSENNE61_P>(stride, width, count, 3);
+                }
             }
         }
     }
 
     #[test]
     fn gf257_combine_rows_is_exact_past_two_to_the_sixteen_terms() {
-        let top = Gf257::new(256);
         // One past what a 32-bit lane of 2^16-sized products could hold.
         for count in [0, 1, 257, (1 << 16) + 1] {
             for width in [1, 5, 19] {
-                let dense: Vec<_> = (0..count).map(|t| ((t % 3) as u32, 0, top)).collect();
-                assert_combine_is_axpy_fold(width, 3, top, &dense);
-                assert_combine_is_axpy_fold(width, 3, top, &boundary_terms(count, width, 5));
+                assert_combine_is_axpy_fold::<257>(width + 2, width, count, usize::MAX);
+                assert_combine_is_axpy_fold::<257>(width + 2, width, count, 5);
             }
         }
     }
@@ -400,10 +408,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn m61_combine_rows_rejects_a_slot_outside_the_arena() {
         let arena = vec![Mersenne61::ONE; 2 * 4];
-        let mut dst = vec![Mersenne61::ZERO; 4];
-        // Start column at the row end: no symbol is touched, the slot is
-        // still checked.
-        Mersenne61::combine_rows(&mut dst, &arena, 4, &[(2, 4, Mersenne61::ONE)]);
+        let mut dst = vec![Mersenne61::ZERO; 1];
+        Mersenne61::combine_rows(&mut dst, &arena, 4, &[(2, Mersenne61::ONE)]);
     }
 
     #[test]

@@ -15,38 +15,32 @@ fn m61() -> impl Strategy<Value = Mersenne61> {
     any::<u64>().prop_map(Mersenne61::from_u64)
 }
 
-/// `combine_rows` must equal the fold of `axpy` over the same terms in
-/// order — the one definition the default and every override answer to.
-/// Roughly one coefficient in five is zero.
+/// `combine_rows` must equal the fold of `vector::scale_add` (the reference
+/// row operation) over the same terms in order, on the trailing `width`
+/// columns — the one definition the default and every override answer
+/// to — and so must the same fold over `F::axpy`, whose overrides promise
+/// `scale_add`'s result. Roughly one coefficient in five is zero.
 fn combine_rows_is_axpy_fold<F: Field>(seed: u64, rows: usize, stride: usize, count: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let arena: Vec<F> = vector::random_vec(rows * stride, &mut rng);
-    let mut got: Vec<F> = vector::random_vec(stride, &mut rng);
-    let mut want = got.clone();
-    let terms: Vec<(u32, u32, F)> = (0..count)
+    let width = rng.random_range(0..=stride);
+    let mut got: Vec<F> = vector::random_vec(width, &mut rng);
+    let (mut want, mut by_axpy) = (got.clone(), got.clone());
+    let terms: Vec<(u32, F)> = (0..count)
         .map(|_| {
-            let c = if rng.random_range(0..5u32) == 0 {
-                F::ZERO
-            } else {
-                F::random(&mut rng)
-            };
-            (
-                rng.random_range(0..rows) as u32,
-                rng.random_range(0..=stride) as u32,
-                c,
-            )
+            let zero = rng.random_range(0..5u32) == 0;
+            let c = if zero { F::ZERO } else { F::random(&mut rng) };
+            (rng.random_range(0..rows) as u32, c)
         })
         .collect();
     F::combine_rows(&mut got, &arena, stride, &terms);
-    for &(slot, start, c) in &terms {
-        let (slot, start) = (slot as usize, start as usize);
-        F::axpy(
-            &mut want[start..],
-            &arena[slot * stride + start..(slot + 1) * stride],
-            c,
-        );
+    for &(slot, c) in &terms {
+        let end = (slot as usize + 1) * stride;
+        vector::scale_add(&mut want, &arena[end - width..end], c);
+        F::axpy(&mut by_axpy, &arena[end - width..end], c);
     }
     assert_eq!(got, want);
+    assert_eq!(by_axpy, want);
 }
 
 proptest! {

@@ -11,34 +11,43 @@
 //! in per-node row arenas that grow one row per innovative insert, and
 //! stores every composed packet bit-packed at ⌈lg q⌉ bits per symbol in
 //! one flat `u64` arena ([`dyncode_gf::pack`]'s chunked-LE layout), so a
-//! round performs zero allocations after warmup. What it does less of
-//! than the reference path:
+//! round performs zero allocations after warmup.
 //!
-//! * **one reduction per symbol, not one per multiply.** The bases are in
-//!   reduced row echelon form, so the coefficients that reduce an incoming
-//!   packet `v` are `v[p_r]` at every pivot — all known before the first
-//!   row operation, exactly like compose's drawn coefficients. Reduce and
-//!   compose are therefore each one gather of `(slot, pivot, coefficient)`
-//!   terms and one [`Field::combine_rows`], which GF(257) and M61 override
-//!   to sum raw products in wide lanes and reduce once per symbol (M61:
-//!   one Mersenne fold per 32 terms). Back-elimination is a rank-1 update
-//!   — every touched symbol gets exactly one product — so it has nothing
-//!   to defer and stays on [`Field::axpy`];
-//! * every row operation starts at the row's pivot (rows are zero before
-//!   it), where `Subspace` pays full-length rows;
+//! **Each node stores its basis in its own column order, pivots first.**
+//! Slot s is the s-th row inserted and its pivot sits at position s;
+//! `cols` maps positions to natural columns, so at rank r positions
+//! `[0, r)` are the pivots and `[r, ambient)` the free columns. Every
+//! packet lies in the k-dimensional source span, whose nonzero vectors
+//! have a nonzero coefficient part, so every pivot is below k: payload
+//! columns never move and `cols` covers the k coefficient positions only.
+//! An RREF row is then e_s on `[0, r)`, and the row operations touch only
+//! the free positions:
+//!
+//! * **reduce** gathers the packet through `cols`; its entries at `[0, r)`
+//!   are exactly the reduce coefficients, known before the first row
+//!   operation, so the reduction is one [`Field::combine_rows`] of
+//!   `(slot, coefficient)` terms, which GF(257) and M61 override to sum raw
+//!   products in wide lanes and reduce once per symbol (M61: per 32 terms);
+//! * the **new pivot**, the free position with the smallest natural column
+//!   and a nonzero entry, is swapped to position r (in `cols`, the packet
+//!   and each row), normalized, and back-eliminated from every row by one
+//!   rank-1 [`Field::axpy`], which `GfP` fuses into a single branch-free
+//!   reduction per symbol;
+//! * **compose** writes each row's coin to its slot's position — the
+//!   message's entry there — combines only the free positions (at rank k:
+//!   the payload alone) and scatters through `cols` for packing;
 //! * a node whose span is already full (rank k) skips its whole inbox —
 //!   no insert against a full basis can be innovative or change state, and
 //!   inserts draw no coins, so the skip is bit-invisible.
 //!
 //! **Equivalence.** The insert computes what `Subspace::insert` computes
-//! (reduce against every pivot, leading-index scan, pivot normalization,
-//! back-elimination, pivot-sorted insert) — field arithmetic is exact, so
-//! summing the reduction's products in another order yields the same row
-//! — and compose draws exactly one `F::random` per basis row in pivot
-//! order — the draw sequence of `vector::random_combination` and, read
-//! from an advice stream, of `CoefficientSchedule::coefficients` — so runs
-//! are bit-identical to the reference `FieldBroadcast<F>` under the
-//! kernel contract.
+//! (reduce, leading-index scan, normalization, back-elimination,
+//! pivot-sorted insert) on permuted columns — field arithmetic is exact,
+//! so reordering sums or skipping products by a known zero yields the
+//! same row — and compose draws one `F::random` per basis row in pivot
+//! order, the draw sequence of `vector::random_combination` and, from an
+//! advice stream, of `CoefficientSchedule::coefficients`. Runs are
+//! bit-identical to the reference `FieldBroadcast<F>` (kernel contract).
 
 use crate::coefficient_rng;
 use dyncode_dynet::adversary::KnowledgeView;
@@ -50,17 +59,81 @@ use dyncode_gf::{pack, vector, Field};
 use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 
-/// One node's basis: a slot-major row arena plus the pivot-sorted
-/// indirection. Slots are assigned in insertion order and never move.
+/// One node's basis in its own column order (module doc).
 #[derive(Clone, Debug)]
 struct NodeBasis<F> {
-    /// Row slot `s` lives at `rows[s·ambient .. (s+1)·ambient]`; grows one
-    /// row per innovative insert (total memory is O(Σ ranks), not n·k).
+    /// Slot `s` (the s-th row inserted, pivot at position s) lives at
+    /// `rows[s·ambient .. (s+1)·ambient]`, position-indexed; grows one row
+    /// per innovative insert (total memory is O(Σ ranks), not n·k).
     rows: Vec<F>,
-    /// Basis position (pivot-ascending) → row slot.
+    /// Position → natural column over the k coefficient positions (the
+    /// payload positions are their own columns).
+    cols: Vec<u32>,
+    /// Slots in pivot-ascending order: compose's coin order.
     order: Vec<u32>,
-    /// Basis position → pivot column, strictly increasing.
-    pivots: Vec<u32>,
+}
+
+impl<F: Field> NodeBasis<F> {
+    fn rank(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Inserts the natural-order packet `src`; returns `true` iff
+    /// innovative. `w` (`ambient` symbols) and `terms` are work buffers.
+    /// Identical math to `Subspace::insert` (module doc).
+    fn insert(&mut self, src: &[F], w: &mut [F], terms: &mut Vec<(u32, F)>) -> bool {
+        let (k, ambient, r) = (self.cols.len(), w.len(), self.rank());
+        for (x, &c) in w[..k].iter_mut().zip(&self.cols) {
+            *x = src[c as usize];
+        }
+        w[k..].copy_from_slice(&src[k..]);
+        // Reduce against the whole basis at once: row s is the only one
+        // nonzero at position s (RREF), so its coefficient is `w[s]`.
+        terms.clear();
+        for (s, &c) in w[..r].iter().enumerate() {
+            if !c.is_zero() {
+                terms.push((s as u32, c.neg()));
+            }
+        }
+        F::combine_rows(&mut w[r..], &self.rows, ambient, terms);
+        // The leading column is a free coefficient one (pivots are < k).
+        let Some(j) = (r..k)
+            .filter(|&j| !w[j].is_zero())
+            .min_by_key(|&j| self.cols[j])
+        else {
+            assert!(vector::is_zero(&w[k..]), "packet outside the source span");
+            return false;
+        };
+        self.cols.swap(j, r);
+        w.swap(j, r);
+        for row in self.rows.chunks_exact_mut(ambient) {
+            row.swap(j, r);
+        }
+        // Normalize, then back-eliminate: one rank-1 update per row.
+        let inv = w[r].inv().expect("pivot entry nonzero");
+        vector::scale(&mut w[r..], inv);
+        for row in self.rows.chunks_exact_mut(ambient) {
+            let c = row[r];
+            if !c.is_zero() {
+                F::axpy(&mut row[r..], &w[r..], c.neg());
+            }
+        }
+        w[..r].fill(F::ZERO);
+        let p = self.cols[r];
+        let at = self.order.partition_point(|&s| self.cols[s as usize] < p);
+        self.order.insert(at, r as u32);
+        self.rows.extend_from_slice(w);
+        true
+    }
+
+    /// Writes the position-ordered `w` into `out` in natural column order.
+    fn scatter(&self, w: &[F], out: &mut [F]) {
+        let k = self.cols.len();
+        for (&c, &x) in self.cols.iter().zip(&w[..k]) {
+            out[c as usize] = x;
+        }
+        out[k..].copy_from_slice(&w[k..]);
+    }
 }
 
 /// The arena-backed dense-field coding state for all n nodes.
@@ -74,8 +147,6 @@ pub struct DenseCell<F: Field> {
     /// The `det=S` advice table; `None` = randomized mode.
     schedule: Option<CoefficientSchedule>,
     nodes: Vec<NodeBasis<F>>,
-    /// Per node: pivots below k (the coefficient-projection rank).
-    coeff_rank: Vec<u32>,
     /// Message arena: node `u`'s packed broadcast at
     /// `msgs[u·wpm .. (u+1)·wpm]`, valid iff `has_msg[u]`.
     msgs: Vec<u64>,
@@ -84,11 +155,13 @@ pub struct DenseCell<F: Field> {
     /// once per round instead of once per receiver (a node of degree d
     /// would otherwise decode the same packet d times).
     unpacked: Vec<F>,
-    /// Compose/unpack buffer, `ambient` symbols.
-    scratch: Vec<F>,
-    /// Gathered `(slot, pivot, coefficient)` terms of the reduction or
+    /// The row in flight in its node's column order, `ambient` symbols.
+    w: Vec<F>,
+    /// A natural-order row (compose's message, a seeded source).
+    msg: Vec<F>,
+    /// Gathered `(slot, coefficient)` terms of the reduction or
     /// composition in flight, at most k of them.
-    terms: Vec<(u32, u32, F)>,
+    terms: Vec<(u32, F)>,
 }
 
 impl<F: Field> DenseCell<F> {
@@ -98,25 +171,23 @@ impl<F: Field> DenseCell<F> {
     pub fn new(n: usize, k: usize, payload_len: usize) -> Self {
         let ambient = k + payload_len;
         let wpm = pack::packed_words(ambient, F::bits_per_symbol()).max(1);
+        let node = NodeBasis {
+            rows: Vec::new(),
+            cols: (0..k as u32).collect(),
+            order: Vec::new(),
+        };
         DenseCell {
             n,
             k,
             ambient,
             wpm,
             schedule: None,
-            nodes: vec![
-                NodeBasis {
-                    rows: Vec::new(),
-                    order: Vec::new(),
-                    pivots: Vec::new(),
-                };
-                n
-            ],
-            coeff_rank: vec![0; n],
+            nodes: vec![node; n],
             msgs: vec![0; n * wpm],
             has_msg: vec![false; n],
             unpacked: vec![F::ZERO; n * ambient],
-            scratch: vec![F::ZERO; ambient],
+            w: vec![F::ZERO; ambient],
+            msg: vec![F::ZERO; ambient],
             terms: Vec::with_capacity(k),
         }
     }
@@ -140,95 +211,30 @@ impl<F: Field> DenseCell<F> {
             self.ambient - self.k,
             "payload width mismatch"
         );
-        let mut v = std::mem::take(&mut self.scratch);
-        v.fill(F::ZERO);
-        v[index] = F::ONE;
-        v[self.k..].copy_from_slice(payload);
-        self.insert(node, &mut v);
-        self.scratch = v;
+        self.msg.fill(F::ZERO);
+        self.msg[index] = F::ONE;
+        self.msg[self.k..].copy_from_slice(payload);
+        self.nodes[node].insert(&self.msg, &mut self.w, &mut self.terms);
     }
 
-    /// The basis dimension of `node`.
+    /// The basis dimension of `node`; every pivot is below k, so this is
+    /// also its coefficient-projection rank.
     pub fn rank(&self, node: usize) -> usize {
-        self.nodes[node].order.len()
+        self.nodes[node].rank()
     }
 
-    /// The coefficient-projection rank of `node`.
-    pub fn coefficient_rank(&self, node: usize) -> usize {
-        self.coeff_rank[node] as usize
-    }
-
-    /// Basis row `r` (pivot order) of `node` — test and introspection
-    /// surface, not the hot path.
+    /// Basis row `r` (pivot order) of `node` in natural column order —
+    /// test and introspection surface, not the hot path.
     pub fn basis_row(&self, node: usize, r: usize) -> Vec<F> {
-        let st = &self.nodes[node];
+        let (st, a) = (&self.nodes[node], self.ambient);
         let slot = st.order[r] as usize;
-        st.rows[slot * self.ambient..(slot + 1) * self.ambient].to_vec()
-    }
-
-    /// Inserts `v` (an `ambient`-symbol packet) into `node`'s basis;
-    /// returns `true` iff innovative. `v` is clobbered (it becomes the
-    /// normalized new row). Identical math to `Subspace::insert`.
-    fn insert(&mut self, node: usize, v: &mut [F]) -> bool {
-        let (k, ambient) = (self.k, self.ambient);
-        let st = &mut self.nodes[node];
-        // Reduce against the whole basis at once. Row r is the only one
-        // nonzero in its pivot column p_r (RREF), so reducing by one row
-        // never changes `v` at another row's pivot: the coefficient a
-        // row-by-row reduction would meet at row r is `v[p_r]` as
-        // delivered. Every row is zero before its pivot (its leading
-        // index), so each term starts there.
-        let terms = &mut self.terms;
-        terms.clear();
-        for (&slot, &p) in st.order.iter().zip(&st.pivots) {
-            let c = v[p as usize];
-            if !c.is_zero() {
-                terms.push((slot, p, c.neg()));
-            }
-        }
-        F::combine_rows(v, &st.rows, ambient, terms);
-        debug_assert!(
-            st.pivots.iter().all(|&q| v[q as usize].is_zero()),
-            "reduced row must vanish at every pivot column"
-        );
-        let Some(p) = vector::leading_index(v) else {
-            return false;
-        };
-        // Normalize the new pivot to 1 (`v` is zero before `p`).
-        let inv = v[p].inv().expect("leading entry nonzero");
-        vector::scale(&mut v[p..], inv);
-        // Back-eliminate the new pivot column from existing rows; `v` is
-        // zero before `p`, so only entries from `p` on can change.
-        for r in 0..st.order.len() {
-            let slot = st.order[r] as usize;
-            let row = &mut st.rows[slot * ambient + p..(slot + 1) * ambient];
-            let c = row[0];
-            if !c.is_zero() {
-                F::axpy(row, &v[p..], c.neg());
-            }
-        }
-        debug_assert!(
-            st.rows.iter().skip(p).step_by(ambient).all(|c| c.is_zero()),
-            "existing rows must vanish at the new pivot column"
-        );
-        // Insert keeping pivots sorted; the row data takes the next slot.
-        let nrank = st.order.len();
-        assert!(
-            nrank < k,
-            "rank overflow: packets must lie in the k-dimensional source span"
-        );
-        let idx = st.pivots.partition_point(|&q| (q as usize) < p);
-        st.order.insert(idx, nrank as u32);
-        st.pivots.insert(idx, p as u32);
-        st.rows.extend_from_slice(v);
-        if p < k {
-            self.coeff_rank[node] += 1;
-        }
-        true
+        let mut row = vec![F::ZERO; a];
+        st.scatter(&st.rows[slot * a..(slot + 1) * a], &mut row);
+        row
     }
 
     fn node_done(&self, node: usize) -> bool {
-        self.coeff_rank[node] as usize == self.k
+        self.rank(node) == self.k
     }
 }
 
@@ -251,12 +257,11 @@ impl<F: Field> FastCell for DenseCell<F> {
         let bits = ambient as u64 * F::bits_per_symbol() as u64;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
-        let mut msg = std::mem::take(&mut self.scratch);
-        let mut terms = std::mem::take(&mut self.terms);
         let mut advice = None;
         for u in 0..self.n {
             let st = &self.nodes[u];
-            if st.order.is_empty() {
+            let r = st.rank();
+            if r == 0 {
                 // Nothing received: stay silent and draw no coefficients,
                 // exactly like the reference emit.
                 self.has_msg[u] = false;
@@ -264,68 +269,63 @@ impl<F: Field> FastCell for DenseCell<F> {
             }
             let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
             // One coefficient per basis row in pivot order — the draw
-            // sequence of `random_combination`; zero coefficients are
-            // skipped, as `scale_add` does, and each term starts at the
-            // row's pivot (rows are zero before their pivot).
-            terms.clear();
-            for (&slot, &p) in st.order.iter().zip(&st.pivots) {
+            // sequence of `random_combination` — written to its slot's
+            // position (row s is e_s on `[0, r)`); zero coefficients are
+            // skipped, as `scale_add` does.
+            self.terms.clear();
+            for &s in &st.order {
                 let c = F::random(rng);
+                self.w[s as usize] = c;
                 if !c.is_zero() {
-                    terms.push((slot, p, c));
+                    self.terms.push((s, c));
                 }
             }
-            msg.fill(F::ZERO);
-            F::combine_rows(&mut msg, &st.rows, ambient, &terms);
+            self.w[r..].fill(F::ZERO);
+            F::combine_rows(&mut self.w[r..], &st.rows, ambient, &self.terms);
+            st.scatter(&self.w, &mut self.msg);
             check_budget(u, round, bits, bit_limit);
             round_bits += bits;
             round_max = round_max.max(bits);
-            pack::pack(&msg, &mut self.msgs[u * wpm..(u + 1) * wpm]);
+            pack::pack(&self.msg, &mut self.msgs[u * wpm..(u + 1) * wpm]);
             self.has_msg[u] = true;
         }
-        self.scratch = msg;
-        self.terms = terms;
         (round_bits, round_max)
     }
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
         let (wpm, ambient) = (self.wpm, self.ambient);
         // Decode each sender's packed message once; every receiver then
-        // starts from a plain symbol copy.
-        let mut unpacked = std::mem::take(&mut self.unpacked);
+        // gathers from the plain symbols.
         for v in 0..self.n {
             if self.has_msg[v] {
                 pack::unpack(
                     &self.msgs[v * wpm..(v + 1) * wpm],
-                    &mut unpacked[v * ambient..(v + 1) * ambient],
+                    &mut self.unpacked[v * ambient..(v + 1) * ambient],
                 );
             }
         }
         let timing = phase::active();
-        let mut scratch = std::mem::take(&mut self.scratch);
         for u in 0..self.n {
+            let st = &mut self.nodes[u];
             // Saturation shortcut: at rank k the node holds the full
             // source span, so no insert can be innovative or change any
             // row (reducing an in-span vector yields zero), and inserts
             // draw no coins — skipping the inbox is bit-invisible.
-            if self.nodes[u].order.len() == self.k {
+            if st.rank() == self.k {
                 continue;
             }
             for &v in topo.neighbors(u) {
                 let v = v as usize;
                 if self.has_msg[v] {
-                    scratch.copy_from_slice(&unpacked[v * ambient..(v + 1) * ambient]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
+                    let src = &self.unpacked[v * ambient..(v + 1) * ambient];
+                    let t = timing.then(std::time::Instant::now);
+                    st.insert(src, &mut self.w, &mut self.terms);
+                    if let Some(t) = t {
                         phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
                     }
                 }
             }
         }
-        self.scratch = scratch;
-        self.unpacked = unpacked;
     }
 
     fn all_done(&self) -> bool {
@@ -367,50 +367,127 @@ mod tests {
     use dyncode_rlnc::node::DenseNode;
     use rand::{rngs::StdRng, SeedableRng};
 
-    /// Mirror of the reference basis: every insert must agree with
-    /// `Subspace::insert` on innovation, rank, pivots, and row content.
-    /// Inputs are random combinations of k source packets — the only
-    /// vectors a run can deliver.
-    fn insert_agrees_with_subspace<F: Field>(seed: u64, k: usize) {
-        let d = 7;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sources: Vec<Vec<F>> = (0..k)
+    /// k source packets `(e_i | random payload)`, `d` payload symbols.
+    fn sources<F: Field>(k: usize, d: usize, rng: &mut StdRng) -> Vec<Vec<F>> {
+        (0..k)
             .map(|i| {
-                let mut v = vec![F::ZERO; k + d];
-                v[i] = F::ONE;
-                for s in v[k..].iter_mut() {
-                    *s = F::random(&mut rng);
-                }
+                let mut v = vector::random_vec(k + d, rng);
+                v[..k].copy_from_slice(&vector::unit_vec(k, i));
                 v
             })
-            .collect();
-        let mut cell: DenseCell<F> = DenseCell::new(1, k, d);
-        let mut reference: Subspace<F> = Subspace::new(k + d);
+            .collect()
+    }
+
+    /// A random combination of the `picked` sources — the only vectors a
+    /// run can deliver.
+    fn combination<F: Field>(sources: &[Vec<F>], picked: &[usize], rng: &mut StdRng) -> Vec<F> {
+        let mut v = vec![F::ZERO; sources[0].len()];
+        for &i in picked {
+            vector::scale_add(&mut v, &sources[i], F::random(rng));
+        }
+        v
+    }
+
+    /// Inserts `v` into node 0 of `cell` and into `reference`: both must
+    /// agree on innovation, rank, pivots, and row content.
+    fn insert_both<F: Field>(cell: &mut DenseCell<F>, reference: &mut Subspace<F>, v: Vec<F>) {
+        let fast = cell.nodes[0].insert(&v, &mut cell.w, &mut cell.terms);
+        assert_eq!(fast, reference.insert(v));
+        assert_eq!(cell.rank(0), reference.dim());
+        assert_eq!(cell.rank(0), reference.prefix_rank(cell.k));
+        for (r, row) in reference.basis().iter().enumerate() {
+            assert_eq!(&cell.basis_row(0, r), row, "row {r}");
+        }
+    }
+
+    /// Mirror of the reference basis over random combinations of all k
+    /// sources, through saturation.
+    fn insert_agrees_with_subspace<F: Field>(seed: u64, k: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sources = sources::<F>(k, 7, &mut rng);
+        let all: Vec<usize> = (0..k).collect();
+        let mut cell: DenseCell<F> = DenseCell::new(1, k, 7);
+        let mut reference: Subspace<F> = Subspace::new(k + 7);
         for _ in 0..k + 55 {
-            let mut v = vec![F::ZERO; k + d];
-            for s in &sources {
-                F::axpy(&mut v, s, F::random(&mut rng));
-            }
-            let fast = cell.insert(0, &mut v.clone());
-            let slow = reference.insert(v);
-            assert_eq!(fast, slow);
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-            }
-            assert_eq!(cell.coefficient_rank(0), reference.prefix_rank(k));
+            let v = combination(&sources, &all, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
     }
 
     #[test]
     fn insert_mirrors_subspace_over_every_dense_field() {
         // k = 40 takes the reduction past 32 gathered terms, where M61's
-        // deferred reduction folds mid-sum.
-        for k in [5, 40] {
+        // deferred reduction folds mid-sum; at k = 130 the row is wider
+        // than M61's 128-column lane block.
+        for k in [5, 40, 130] {
             insert_agrees_with_subspace::<Gf256>(11, k);
             insert_agrees_with_subspace::<Gf257>(12, k);
             insert_agrees_with_subspace::<Mersenne61>(13, k);
         }
+    }
+
+    /// Pivots that arrive out of column order: seeded sources {1, 4, 7},
+    /// then combinations whose leading column is not the first free
+    /// position, so every new pivot is swapped in from j ≠ r and later
+    /// reduces gather through a permuted `cols`.
+    #[test]
+    fn gapped_pivots_mirror_subspace() {
+        let (k, d) = (10, 3);
+        let mut rng = StdRng::seed_from_u64(21);
+        let sources = sources::<Gf257>(k, d, &mut rng);
+        let mut cell = DenseCell::<Gf257>::new(1, k, d);
+        let mut reference = Subspace::new(k + d);
+        for i in [1, 4, 7] {
+            cell.seed_source(0, i, &sources[i][k..]);
+            reference.insert(sources[i].clone());
+        }
+        // {9} alone leads at a column where the {5, 9} row is nonzero, so
+        // the swap moves a live entry of an existing row.
+        let picks: [&[usize]; 6] = [&[5, 9], &[4, 8], &[0, 3, 7], &[1, 4, 7], &[9], &[2, 6, 8]];
+        for picked in picks {
+            insert_both(
+                &mut cell,
+                &mut reference,
+                combination(&sources, picked, &mut rng),
+            );
+        }
+        let all: Vec<usize> = (0..k).collect();
+        while cell.rank(0) < k {
+            insert_both(
+                &mut cell,
+                &mut reference,
+                combination(&sources, &all, &mut rng),
+            );
+        }
+    }
+
+    /// At rank k the basis is `(I | P)`, so compose combines the payload
+    /// columns only: the message is the coins in pivot order followed by
+    /// their combination of the payloads, drawn from the shared RNG one
+    /// coin per row. Sources are seeded in reverse, so slot order is not
+    /// pivot order.
+    fn saturated_compose_is_the_coins_in_pivot_order<F: Field>() {
+        let (k, d) = (12, 5);
+        let mut rng = StdRng::seed_from_u64(33);
+        let sources = sources::<F>(k, d, &mut rng);
+        let mut cell = DenseCell::<F>::new(1, k, d);
+        for i in (0..k).rev() {
+            cell.seed_source(0, i, &sources[i][k..]);
+        }
+        let mut coins = rng.clone();
+        cell.compose_all(3, &mut rng, None);
+        let all: Vec<usize> = (0..k).collect();
+        let want = combination(&sources, &all, &mut coins);
+        assert_eq!(rng, coins, "compose drew other than one coin per row");
+        let mut got = vec![F::ZERO; k + d];
+        pack::unpack(&cell.msgs[..cell.wpm], &mut got);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn saturated_compose_writes_the_coins_in_pivot_order() {
+        saturated_compose_is_the_coins_in_pivot_order::<Gf257>();
+        saturated_compose_is_the_coins_in_pivot_order::<Mersenne61>();
     }
 
     /// Under a schedule compose is the reference's deterministic emit —
@@ -466,7 +543,6 @@ mod tests {
             cell.seed_source(0, i, p);
         }
         assert_eq!(cell.rank(0), k);
-        assert_eq!(cell.coefficient_rank(0), k);
         assert!(!cell.all_done(), "node 1 has nothing yet");
         let v = cell.view();
         assert_eq!(v.dims, vec![k, 0]);
@@ -478,8 +554,8 @@ mod tests {
     #[test]
     fn zero_packet_is_never_innovative() {
         let mut cell: DenseCell<Gf257> = DenseCell::new(1, 3, 2);
-        let mut zero = vec![Gf257::ZERO; 5];
-        assert!(!cell.insert(0, &mut zero));
+        let zero = vec![Gf257::ZERO; 5];
+        assert!(!cell.nodes[0].insert(&zero, &mut cell.w, &mut cell.terms));
         assert_eq!(cell.rank(0), 0);
     }
 }

@@ -24,9 +24,11 @@
 //!   saturation shortcuts on both compose and delivery.
 //! * [`DenseCell`] — the dense-field analogue for
 //!   `field-broadcast(gf257|m61)`: per-node bases in lazily grown
-//!   row arenas, gather-then-`Field::combine_rows` reduce and compose,
-//!   packets crossing the arena packed into chunked-LE `u64` words
-//!   (`dyncode_gf::pack`), and the rank-k saturation shortcut.
+//!   row arenas, each in the node's own column order with pivots first,
+//!   so gather-then-`Field::combine_rows` reduce and compose and the
+//!   fused-`Field::axpy` back-elimination touch only the free columns;
+//!   packets cross the arena packed into chunked-LE `u64` words
+//!   (`dyncode_gf::pack`), and the rank-k saturation shortcut holds.
 //! * [`ForwardCell`] — the knowledge-based forwarding schedules with a
 //!   flat per-round message arena instead of per-node `Vec<usize>`
 //!   messages and inbox clones.
