@@ -1,16 +1,16 @@
 //! E15/E16 — ablations of the design choices DESIGN.md calls out: the
-//! coding field (header width vs innovation probability) and the phase
-//! constants of `greedy-forward` — both swept as protocol registry specs
-//! (`field-broadcast(gf256)`, `greedy-forward(gather=2,bcast=3)`), the
-//! same strings a campaign's `protocol =` key takes.
+//! coding field (header width vs innovation probability), swept as
+//! protocol registry specs (`field-broadcast(gf256)`, the same strings a
+//! campaign's `protocol =` key takes), and the phase constants of
+//! `greedy-forward`, on the concrete protocol its retry counter lives on.
 
 use super::standard_instance;
 use crate::ctx::ExpCtx;
 use crate::table::{f, Table};
-use dyncode_core::protocols::GreedyForward;
+use dyncode_core::protocols::{GreedyConfig, GreedyForward};
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_dynet::adversaries::{KnowledgeAdaptiveAdversary, ShuffledPathAdversary};
-use dyncode_dynet::simulator::{run_erased, Erased, SimConfig};
+use dyncode_dynet::simulator::{run, Protocol, SimConfig};
 
 /// E15 — the field-size trade-off at protocol level (Section 3's point
 /// that the header competes with the payload): larger q buys per-delivery
@@ -87,8 +87,8 @@ pub fn e15(ctx: &mut ExpCtx) {
 /// E16 — ablation of greedy-forward's phase constants: the gather length
 /// (Lemma 7.2 analyzes exactly n rounds) and the coded-broadcast length
 /// (short phases rely on the Las-Vegas verify loop to mop up failures).
-/// Each configuration is a registry spec (`greedy-forward(gather=G,bcast=B)`);
-/// the retry counter is read back through `as_any` introspection.
+/// Each configuration builds the protocol `greedy-forward(gather=G,bcast=B)`
+/// names by hand, so its retry counter can be read after the run.
 pub fn e16(ctx: &mut ExpCtx) {
     println!("\n## E16 — ablation: greedy-forward phase constants");
     let n = if ctx.quick { 32 } else { 64 };
@@ -116,16 +116,16 @@ pub fn e16(ctx: &mut ExpCtx) {
             .iter()
             .map(|&(gather_mult, broadcast_mult)| {
                 move || {
-                    let spec = ProtocolSpec::parse(&format!(
-                        "greedy-forward(gather={gather_mult},bcast={broadcast_mult})"
-                    ))
-                    .expect("static spec is valid");
+                    let cfg = GreedyConfig {
+                        gather_mult,
+                        broadcast_mult,
+                    };
                     let mut total_rounds = 0.0;
                     let mut total_retries = 0.0;
                     for &s in seeds_ref {
-                        let mut p = spec.build(inst_ref, 1);
+                        let mut p = GreedyForward::with_config(inst_ref, cfg);
                         let mut adv = KnowledgeAdaptiveAdversary;
-                        let r = run_erased(
+                        let r = run(
                             &mut p,
                             &mut adv,
                             &SimConfig::with_max_rounds(200 * n * n),
@@ -136,12 +136,8 @@ pub fn e16(ctx: &mut ExpCtx) {
                             "config ({gather_mult},{broadcast_mult}) failed"
                         );
                         assert!((0..n).all(|u| p.view().tokens[u].len() == n));
-                        let greedy = p
-                            .as_any()
-                            .downcast_ref::<Erased<GreedyForward>>()
-                            .expect("greedy-forward spec builds GreedyForward");
                         total_rounds += r.rounds as f64;
-                        total_retries += greedy.inner().total_retries() as f64;
+                        total_retries += p.total_retries() as f64;
                     }
                     (
                         total_rounds / seeds_ref.len() as f64,

@@ -5,6 +5,7 @@ use super::{d_for, meta_nkdb, standard_instance};
 use crate::ctx::ExpCtx;
 use crate::table::{f, Table};
 use dyncode_core::params::{Instance, Params, Placement};
+use dyncode_core::protocols::IndexedBroadcast;
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversaries::standard_suite;
@@ -74,7 +75,7 @@ pub fn e4(ctx: &mut ExpCtx) {
                         .iter()
                         .map(|&s| {
                             super::run_to_done(
-                                ProtocolSpec::IndexedBroadcast.build(inst_ref, 1),
+                                IndexedBroadcast::new(inst_ref),
                                 adv.as_mut(),
                                 100 * n,
                                 s,

@@ -4,6 +4,7 @@
 use super::{d_for, lgn, meta_nkdb, standard_instance};
 use crate::ctx::ExpCtx;
 use crate::table::{f, Table};
+use dyncode_core::protocols::GreedyForward;
 use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversaries::{KnowledgeAdaptiveAdversary, ShuffledPathAdversary};
@@ -281,11 +282,9 @@ pub fn e8(ctx: &mut ExpCtx) {
                     let mut b = d;
                     while coding_b.is_none() && b <= 4 * n * lgn(n) {
                         let inst = standard_instance(n, d, b, 8);
-                        let mut p = ProtocolSpec::parse("greedy-forward")
-                            .unwrap()
-                            .build(&inst, 1);
+                        let mut p = GreedyForward::new(&inst);
                         let mut adv = ShuffledPathAdversary;
-                        let r = dyncode_dynet::simulator::run_erased(
+                        let r = dyncode_dynet::simulator::run(
                             &mut p,
                             &mut adv,
                             &dyncode_dynet::SimConfig::with_max_rounds(budget + 1),

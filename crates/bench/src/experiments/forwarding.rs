@@ -1,6 +1,6 @@
-//! E1 (Theorem 2.1) and E6 (Lemma 7.2): the token-forwarding baseline and
-//! the random-forward gathering primitive — both driven through the
-//! protocol registry (`ProtocolSpec` strings), not bespoke constructors.
+//! E1 (Theorem 2.1) and E6 (Lemma 7.2): the token-forwarding baseline,
+//! swept as protocol registry specs, and the random-forward gathering
+//! primitive, whose gather statistic is read off the concrete protocol.
 
 use super::{d_for, meta_nkdb, standard_instance};
 use crate::ctx::ExpCtx;
@@ -10,7 +10,7 @@ use dyncode_core::spec::ProtocolSpec;
 use dyncode_core::theory;
 use dyncode_dynet::adversaries::ShuffledPathAdversary;
 use dyncode_dynet::adversary::TStable;
-use dyncode_dynet::simulator::{run_erased, Erased, SimConfig};
+use dyncode_dynet::simulator::{run, SimConfig};
 
 /// E1 — Theorem 2.1: token forwarding takes Θ(nkd/(bT) + n) rounds:
 /// sweeps n (k = n), then b at fixed n, then T at fixed n and b.
@@ -124,9 +124,8 @@ pub fn e1(ctx: &mut ExpCtx) {
 }
 
 /// E6 — Lemma 7.2: after random-forward the max node holds ≥ √(bk/d)
-/// tokens (or all of them). Runs the registry's `random-forward` spec on
-/// the erased surface and reads the gather statistic back through the
-/// `as_any` introspection hatch.
+/// tokens (or all of them). Builds the protocol `random-forward(rounds=2n)`
+/// names by hand, so the gather statistic can be read off it after the run.
 pub fn e6(ctx: &mut ExpCtx) {
     println!("\n## E6 — Lemma 7.2: random-forward gathers M = sqrt(bk/d)");
     let seeds: Vec<u64> = if ctx.quick {
@@ -158,28 +157,14 @@ pub fn e6(ctx: &mut ExpCtx) {
                 move || {
                     let d = 8;
                     let inst = standard_instance(n, d, b, 7);
-                    let spec = ProtocolSpec::RandomForward {
-                        rounds: Some(2 * n),
-                    };
                     let counts: Vec<f64> = seeds_ref
                         .iter()
                         .map(|&s| {
-                            let mut proto = spec.build(&inst, 1);
-                            let cap = proto
-                                .as_any()
-                                .downcast_ref::<Erased<RandomForward>>()
-                                .expect("random-forward spec builds RandomForward")
-                                .inner()
-                                .schedule_rounds();
+                            let mut proto = RandomForward::new(&inst, 2 * n);
+                            let cap = proto.schedule_rounds();
                             let mut adv = ShuffledPathAdversary;
-                            run_erased(&mut proto, &mut adv, &SimConfig::with_max_rounds(cap), s);
-                            proto
-                                .as_any()
-                                .downcast_ref::<Erased<RandomForward>>()
-                                .expect("spec type is stable across the run")
-                                .inner()
-                                .identified(0)
-                                .0 as f64
+                            run(&mut proto, &mut adv, &SimConfig::with_max_rounds(cap), s);
+                            proto.identified(0).0 as f64
                         })
                         .collect();
                     let min = counts.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -17,8 +17,8 @@
 //!   centralized algorithm (Corollary 2.6).
 //! * [`spec`] — the first-class protocol registry: every algorithm as a
 //!   parseable, `Display`-round-trippable [`ProtocolSpec`] string with a
-//!   factory erasing heterogeneous message types behind one
-//!   `Box<dyn ErasedProtocol>` surface.
+//!   factory building the concrete protocol as a per-node round-driver
+//!   cell (messages stay typed; only the cell is erased).
 //! * [`theory`] — closed-form bound formulas and shape-regression helpers
 //!   used by the experiment harness.
 //! * [`runner`] — seed sweeps and summaries, over concrete protocol types

@@ -134,9 +134,9 @@ where
 /// reference state machine — [`run_spec_kernel`] at [`Kernel::Reference`].
 ///
 /// Equivalence contract: for every simulator spec the returned
-/// `RunResult` is bit-identical to running the monomorphized protocol
-/// through [`run_one`] — the erased wrapper forwards every call without
-/// touching the RNG (locked by `tests/protocol_registry.rs`).
+/// `RunResult` is bit-identical to running the hand-built protocol
+/// through [`run_one`] — the registry cell is that protocol behind the
+/// same [`PerNode`] adapter (locked by `tests/protocol_registry.rs`).
 pub fn run_spec<FA>(
     spec: &ProtocolSpec,
     inst: &Instance,
@@ -245,7 +245,7 @@ fn build_gf256_cell(inst: &Instance, det: Option<u64>) -> Box<dyn FastCell> {
 /// coding families ([`Gf2Cell`], [`Gf256Cell`], [`DenseCell`]), the
 /// Theorem 2.1 forwarding schedules ([`ForwardCell`]) and the quorum
 /// family ([`QuorumCell`]); the stage-machine families have no arena
-/// layout and run as their reference state machines behind [`PerNode`].
+/// layout and run as their reference cells, [`ProtocolSpec::build`].
 ///
 /// # Errors
 /// Returns the [`fast_ineligibility`] message on an ineligible spec.
@@ -302,7 +302,7 @@ pub fn build_fast_cell(
         | ProtocolSpec::PriorityForward { .. }
         | ProtocolSpec::RandomForward { .. }
         | ProtocolSpec::NaiveCoded
-        | ProtocolSpec::Centralized => Box::new(PerNode::new(spec.build(inst, t))),
+        | ProtocolSpec::Centralized => spec.build(inst, t),
         ProtocolSpec::QuorumWatermark { .. } | ProtocolSpec::QuorumDecide { .. } => {
             let cfg = spec.quorum_config().expect("quorum spec has a config");
             Box::new(QuorumCell::new(p.n, p.k, cfg))
@@ -363,10 +363,10 @@ where
     }
     run_cell(
         || {
-            let cell = if fast {
+            let cell: Box<dyn FastCell> = if fast {
                 build_fast_cell(spec, inst, t).unwrap_or_else(|e| panic!("{e}"))
             } else {
-                Box::new(PerNode::new(spec.build(inst, t)))
+                spec.build(inst, t)
             };
             (cell, inst.params.k)
         },

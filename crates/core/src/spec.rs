@@ -1,7 +1,8 @@
 //! The first-class protocol registry: every algorithm the crate
 //! implements as *data* — a parseable, `Display`-round-trippable
-//! [`ProtocolSpec`] string plus a factory erasing the heterogeneous
-//! message types behind one [`ErasedProtocol`] surface.
+//! [`ProtocolSpec`] string plus a factory that builds the concrete
+//! protocol as a [`PerNode`] cell — erased once, at the cell, with its
+//! messages kept typed.
 //!
 //! The paper's central claims are comparisons *between* protocols
 //! (Theorems 2.1/2.3/7.3/7.5), so the protocol axis deserves the same
@@ -46,7 +47,7 @@ use crate::protocols::{
     PriorityConfig, PriorityForward, RandomForward, TokenForwarding,
 };
 use crate::term::{TerminationPredicate, QUORUM_DECISION, TOKEN_COMPLETION};
-use dyncode_dynet::simulator::{Erased, ErasedProtocol};
+use dyncode_dynet::simulator::{ErasedProtocol, PerNode, Protocol};
 use dyncode_gf::{Gf2, Gf256, Gf257, Mersenne61};
 use dyncode_obs::spec::{list, value, write_call, Call};
 use dyncode_quorum::{QuorumConfig, QuorumGoal, QuorumProtocol, DEFAULT_WATERMARK_ROUNDS};
@@ -411,71 +412,56 @@ impl ProtocolSpec {
         }
     }
 
-    /// Builds the protocol over `inst` as an erased simulator protocol.
-    /// `t` is the cell's stability interval, adopted by
-    /// `pipelined-forwarding` when the spec names no explicit T.
+    /// Builds the protocol over `inst` as its per-node cell: the concrete
+    /// state machine behind [`PerNode`], the reference layout every
+    /// `core::runner` path without an arena cell drives. `t` is the
+    /// cell's stability interval, adopted by `pipelined-forwarding` when
+    /// the spec names no explicit T.
     ///
     /// # Panics
     /// Panics for `patch-indexed` (not a simulator protocol — route runs
     /// through [`crate::runner::run_spec`], which handles it).
     pub fn build(&self, inst: &Instance, t: usize) -> Box<dyn ErasedProtocol> {
+        fn cell<P: Protocol + 'static>(p: P) -> Box<dyn ErasedProtocol> {
+            Box::new(PerNode::new(p))
+        }
         match self {
-            ProtocolSpec::TokenForwarding => Box::new(Erased::new(TokenForwarding::baseline(inst))),
+            ProtocolSpec::TokenForwarding => cell(TokenForwarding::baseline(inst)),
             ProtocolSpec::PipelinedForwarding { t: spec_t } => {
-                let tt = spec_t.unwrap_or(t).max(1);
-                // `pipelined` returns the baseline schedule below T = 4,
-                // exactly as the engine's old PipelinedForwarding arm did.
-                Box::new(Erased::new(TokenForwarding::pipelined(inst, tt)))
+                // `pipelined` returns the baseline schedule below T = 4.
+                cell(TokenForwarding::pipelined(inst, spec_t.unwrap_or(t).max(1)))
             }
-            ProtocolSpec::GreedyForward { cfg } => {
-                Box::new(Erased::new(GreedyForward::with_config(inst, *cfg)))
-            }
-            ProtocolSpec::PriorityForward { cfg } => {
-                Box::new(Erased::new(PriorityForward::with_config(inst, *cfg)))
-            }
+            ProtocolSpec::GreedyForward { cfg } => cell(GreedyForward::with_config(inst, *cfg)),
+            ProtocolSpec::PriorityForward { cfg } => cell(PriorityForward::with_config(inst, *cfg)),
             ProtocolSpec::RandomForward { rounds } => {
                 let r = rounds.unwrap_or(2 * inst.params.n).max(1);
-                Box::new(Erased::new(RandomForward::new(inst, r)))
+                cell(RandomForward::new(inst, r))
             }
-            ProtocolSpec::NaiveCoded => Box::new(Erased::new(NaiveCoded::new(inst))),
-            ProtocolSpec::IndexedBroadcast => Box::new(Erased::new(IndexedBroadcast::new(inst))),
+            ProtocolSpec::NaiveCoded => cell(NaiveCoded::new(inst)),
+            ProtocolSpec::IndexedBroadcast => cell(IndexedBroadcast::new(inst)),
             ProtocolSpec::FieldBroadcast { field, det } => match (field, det) {
-                (FieldKind::Gf2, None) => Box::new(Erased::new(FieldBroadcast::<Gf2>::new(inst))),
-                (FieldKind::Gf2, Some(s)) => {
-                    Box::new(Erased::new(FieldBroadcast::<Gf2>::deterministic(inst, *s)))
+                (FieldKind::Gf2, None) => cell(FieldBroadcast::<Gf2>::new(inst)),
+                (FieldKind::Gf2, Some(s)) => cell(FieldBroadcast::<Gf2>::deterministic(inst, *s)),
+                (FieldKind::Gf256, None) => cell(FieldBroadcast::<Gf256>::new(inst)),
+                (FieldKind::Gf256, Some(s)) => {
+                    cell(FieldBroadcast::<Gf256>::deterministic(inst, *s))
                 }
-                (FieldKind::Gf256, None) => {
-                    Box::new(Erased::new(FieldBroadcast::<Gf256>::new(inst)))
+                (FieldKind::Gf257, None) => cell(FieldBroadcast::<Gf257>::new(inst)),
+                (FieldKind::Gf257, Some(s)) => {
+                    cell(FieldBroadcast::<Gf257>::deterministic(inst, *s))
                 }
-                (FieldKind::Gf256, Some(s)) => Box::new(Erased::new(
-                    FieldBroadcast::<Gf256>::deterministic(inst, *s),
-                )),
-                (FieldKind::Gf257, None) => {
-                    Box::new(Erased::new(FieldBroadcast::<Gf257>::new(inst)))
-                }
-                (FieldKind::Gf257, Some(s)) => Box::new(Erased::new(
-                    FieldBroadcast::<Gf257>::deterministic(inst, *s),
-                )),
-                (FieldKind::Mersenne61, None) => {
-                    Box::new(Erased::new(FieldBroadcast::<Mersenne61>::new(inst)))
-                }
+                (FieldKind::Mersenne61, None) => cell(FieldBroadcast::<Mersenne61>::new(inst)),
                 (FieldKind::Mersenne61, Some(s)) => {
-                    Box::new(Erased::new(FieldBroadcast::<Mersenne61>::deterministic(
-                        inst, *s,
-                    )))
+                    cell(FieldBroadcast::<Mersenne61>::deterministic(inst, *s))
                 }
             },
-            ProtocolSpec::Centralized => Box::new(Erased::new(Centralized::new(inst))),
+            ProtocolSpec::Centralized => cell(Centralized::new(inst)),
             ProtocolSpec::PatchIndexed => {
                 panic!("patch-indexed is a charged-rounds model; run it via runner::run_spec")
             }
             ProtocolSpec::QuorumWatermark { .. } | ProtocolSpec::QuorumDecide { .. } => {
                 let cfg = self.quorum_config().expect("quorum spec has a config");
-                Box::new(Erased::new(QuorumProtocol::new(
-                    inst.params.n,
-                    inst.params.k,
-                    cfg,
-                )))
+                cell(QuorumProtocol::new(inst.params.n, inst.params.k, cfg))
             }
         }
     }

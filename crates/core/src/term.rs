@@ -9,9 +9,10 @@
 //! wrong for the quorum family, whose goal is a watermark threshold over
 //! `max_rounds` state and which owns no tokens at all.
 //!
-//! [`TerminationPredicate`] erases that post-condition the same way
-//! `ErasedProtocol` erases message types: the runner asks the spec for
-//! its predicate and verifies the final [`KnowledgeView`] against it.
+//! [`TerminationPredicate`] erases that post-condition the same way the
+//! registry erases each protocol behind its cell: the runner asks the
+//! spec for its predicate and verifies the final [`KnowledgeView`]
+//! against it.
 //! [`TOKEN_COMPLETION`] reproduces the historical check bit for bit —
 //! token families keep the identical success criterion (locked by the
 //! committed campaign baselines), and non-token families plug in their

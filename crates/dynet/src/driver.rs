@@ -8,7 +8,7 @@
 //! batched per round instead of per node: an arena-backed cell of
 //! `dyncode-kernel`, or any per-node `Protocol` behind
 //! [`PerNode`](crate::simulator::PerNode), which is how `simulator::run`
-//! and `run_erased` get here.
+//! and every registry-built protocol get here.
 //!
 //! The protocol draws from `seed` and the adversary from
 //! [`adversary_rng`] whatever the layout, so an arena cell and the state

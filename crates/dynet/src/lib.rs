@@ -22,8 +22,9 @@
 //!   **bit accounting** (the paper's central bookkeeping: coding headers
 //!   must fit in the message budget b), over a batched state layout
 //!   ([`driver::FastCell`]) and a delta-reused [`csr`] topology snapshot.
-//! * [`simulator`] — the per-node [`Protocol`] surface, its type-erased
-//!   twin, and [`run`], which adapts a protocol onto the driver.
+//! * [`simulator`] — the per-node [`Protocol`] surface and its
+//!   [`simulator::PerNode`] cell, which [`run`] drives on the round loop;
+//!   messages stay typed, only the cell is erased.
 //! * [`mis`] — Luby/greedy maximal independent sets and the Section 8.1
 //!   patch decomposition.
 //! * [`trace`] — record/replay of adversarial schedules.
@@ -82,5 +83,5 @@ pub use adversary::{Adversary, KnowledgeView, TStable};
 pub use bitset::BitSet;
 pub use graph::{Graph, NodeId};
 pub use simulator::{
-    run, run_erased, DeliverySpec, Erased, ErasedProtocol, Protocol, RunResult, SimConfig,
+    run, run_erased, DeliverySpec, ErasedProtocol, Protocol, RunResult, SimConfig,
 };

@@ -26,9 +26,7 @@ pub use dyncode_delivery::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use std::borrow::BorrowMut;
-use std::rc::Rc;
 
 /// A protocol running on the dynamic network: per-node message generation
 /// and delivery plus introspection for termination and adversaries.
@@ -74,231 +72,31 @@ pub trait Protocol {
     fn round_end(&mut self, _round: usize, _rng: &mut StdRng) {}
 }
 
-/// A type-erased protocol message: an opaque payload plus its wire size
-/// in bits, captured at compose time.
-///
-/// The payload is reference-counted, so the per-neighbor clones the
-/// delivery step performs are refcount bumps; [`Erased`] hands the typed
-/// message back to the inner protocol on delivery. The bit count is the
-/// inner protocol's own `message_bits` answer — erasure never re-prices a
-/// message, which is one half of the [`run_erased`] equivalence contract.
-#[derive(Clone)]
-pub struct ErasedMessage {
-    bits: u64,
-    payload: Rc<dyn Any>,
-}
-
-impl ErasedMessage {
-    /// The wire size of the erased message, in bits.
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-}
-
-impl std::fmt::Debug for ErasedMessage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErasedMessage")
-            .field("bits", &self.bits)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The object-safe twin of [`Protocol`]: messages are erased to
-/// byte-counted opaque payloads so heterogeneous protocols can share one
-/// `Box<dyn ErasedProtocol>` call surface (the campaign engine's
-/// `protocol = …` grid axis).
-///
-/// Obtain one by wrapping any concrete protocol in [`Erased`]; run it
-/// with [`run_erased`], which reproduces the monomorphized [`run`]'s
-/// `RunResult` bit for bit (see the `Erased` docs for why).
-pub trait ErasedProtocol {
-    /// Number of nodes n.
-    fn num_nodes(&self) -> usize;
-
+/// A registry-built protocol: a per-node [`Protocol`] in a [`PerNode`]
+/// cell, erased once, as a [`FastCell`]; its messages stay typed. Kept,
+/// with [`run_erased`], only for the call shape of the standalone
+/// `benchmark/` package (`build` → `run_erased` → `.view()` /
+/// `.num_tokens()`); workspace code runs cells through [`run_fast`].
+pub trait ErasedProtocol: FastCell {
     /// Number of tokens k being disseminated.
     fn num_tokens(&self) -> usize;
-
-    /// Node `node` chooses its broadcast for `round`; `None` is silence.
-    fn compose_erased(
-        &mut self,
-        node: NodeId,
-        round: usize,
-        rng: &mut StdRng,
-    ) -> Option<ErasedMessage>;
-
-    /// Node `node` receives the round's neighbor messages.
-    fn deliver_erased(
-        &mut self,
-        node: NodeId,
-        inbox: &[ErasedMessage],
-        round: usize,
-        rng: &mut StdRng,
-    );
-
-    /// Has `node` locally terminated?
-    fn node_done(&self, node: NodeId) -> bool;
-
-    /// A snapshot of per-node knowledge.
-    fn view(&self) -> KnowledgeView;
-
-    /// Global end-of-round hook; defaults to a no-op.
-    fn round_end_erased(&mut self, _round: usize, _rng: &mut StdRng) {}
-
-    /// Escape hatch for protocol-specific introspection after a run
-    /// (Las-Vegas retry counters, gather statistics): downcast the
-    /// erased protocol back to its concrete [`Erased<P>`] wrapper.
-    fn as_any(&self) -> &dyn Any;
 }
 
-/// Wraps a concrete [`Protocol`] as an [`ErasedProtocol`].
-///
-/// Every trait method forwards to the inner protocol with the same
-/// arguments in the same order, and no wrapper method touches the RNG, so
-/// a run through the erased surface draws the identical random stream and
-/// produces the identical `RunResult` as the monomorphized run — the
-/// contract `tests/protocol_registry.rs` locks across the whole protocol
-/// registry.
-pub struct Erased<P: Protocol> {
-    inner: P,
-    /// Typed-inbox scratch, refilled per delivery with its capacity kept
-    /// across rounds, so the erased path does not allocate a fresh
-    /// `Vec<P::Message>` per node per round.
-    scratch: Vec<P::Message>,
-}
-
-impl<P: Protocol> Erased<P> {
-    /// Wraps `inner`.
-    pub fn new(inner: P) -> Self {
-        Erased {
-            inner,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The wrapped protocol (the read half of the `as_any` introspection
-    /// hatch: downcast to `Erased<P>`, then read concrete state here).
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped protocol.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
-    }
-}
-
-impl<P: Protocol + 'static> ErasedProtocol for Erased<P>
-where
-    P::Message: 'static,
-{
-    fn num_nodes(&self) -> usize {
-        self.inner.num_nodes()
-    }
-
+impl<P: Protocol> ErasedProtocol for PerNode<P> {
     fn num_tokens(&self) -> usize {
-        self.inner.num_tokens()
-    }
-
-    fn compose_erased(
-        &mut self,
-        node: NodeId,
-        round: usize,
-        rng: &mut StdRng,
-    ) -> Option<ErasedMessage> {
-        self.inner.compose(node, round, rng).map(|m| ErasedMessage {
-            bits: self.inner.message_bits(&m),
-            payload: Rc::new(m),
-        })
-    }
-
-    fn deliver_erased(
-        &mut self,
-        node: NodeId,
-        inbox: &[ErasedMessage],
-        round: usize,
-        rng: &mut StdRng,
-    ) {
-        // Split-borrow: refill the scratch while the inner protocol stays
-        // untouched, then hand it over as the typed inbox.
-        let Erased { inner, scratch } = self;
-        scratch.clear();
-        scratch.extend(inbox.iter().map(|m| {
-            m.payload
-                .downcast_ref::<P::Message>()
-                .expect("erased inbox holds a foreign message type")
-                .clone()
-        }));
-        inner.deliver(node, scratch, round, rng);
-    }
-
-    fn node_done(&self, node: NodeId) -> bool {
-        self.inner.node_done(node)
-    }
-
-    fn view(&self) -> KnowledgeView {
-        self.inner.view()
-    }
-
-    fn round_end_erased(&mut self, round: usize, rng: &mut StdRng) {
-        self.inner.round_end(round, rng);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
+        self.protocol.num_tokens()
     }
 }
 
-/// A boxed erased protocol is itself a [`Protocol`] (over
-/// [`ErasedMessage`]), which is what makes [`run_erased`] a thin wrapper
-/// around [`run`] rather than a second simulator: both wrap the protocol
-/// in the same [`PerNode`] adapter, so the two paths cannot drift apart.
-impl Protocol for Box<dyn ErasedProtocol + '_> {
-    type Message = ErasedMessage;
-
-    fn num_nodes(&self) -> usize {
-        self.as_ref().num_nodes()
-    }
-
-    fn num_tokens(&self) -> usize {
-        self.as_ref().num_tokens()
-    }
-
-    fn compose(&mut self, node: NodeId, round: usize, rng: &mut StdRng) -> Option<ErasedMessage> {
-        self.as_mut().compose_erased(node, round, rng)
-    }
-
-    fn message_bits(&self, msg: &ErasedMessage) -> u64 {
-        msg.bits
-    }
-
-    fn deliver(&mut self, node: NodeId, inbox: &[ErasedMessage], round: usize, rng: &mut StdRng) {
-        self.as_mut().deliver_erased(node, inbox, round, rng);
-    }
-
-    fn node_done(&self, node: NodeId) -> bool {
-        self.as_ref().node_done(node)
-    }
-
-    fn view(&self) -> KnowledgeView {
-        self.as_ref().view()
-    }
-
-    fn round_end(&mut self, round: usize, rng: &mut StdRng) {
-        self.as_mut().round_end_erased(round, rng);
-    }
-}
-
-/// [`run`] for a dyn-dispatched protocol: identical round structure, bit
-/// accounting and determinism contract (it *is* [`run`], applied to the
-/// blanket `Protocol` impl for `Box<dyn ErasedProtocol>`), so the
-/// returned `RunResult` is byte-identical to the monomorphized path's.
+/// [`run_fast`] on a registry-built cell: the same `RunResult` as [`run`]
+/// on the concrete protocol.
 pub fn run_erased(
     protocol: &mut Box<dyn ErasedProtocol + '_>,
     adversary: &mut dyn Adversary,
     config: &SimConfig,
     seed: u64,
 ) -> RunResult {
-    run(protocol, adversary, config, seed)
+    run_fast(protocol.as_mut(), adversary, config, seed)
 }
 
 /// Simulator configuration.
@@ -399,8 +197,8 @@ pub fn adversary_rng(seed: u64) -> StdRng {
 }
 
 /// Any per-node [`Protocol`] as a [`FastCell`]: the adapter through which
-/// [`run`] and [`run_erased`] reach the round driver, and the cell
-/// `core::runner` builds for every spec without an arena layout.
+/// [`run`] reaches the round driver, and the cell the protocol registry
+/// builds for every spec (`core::spec::ProtocolSpec::build`).
 ///
 /// It forwards every protocol call with the arguments, and in the order,
 /// the model prescribes — `compose` per node ascending; then `deliver`
@@ -801,21 +599,13 @@ mod tests {
                 let mut adv = RandomConnectedAdversary::new(1);
                 let mono = run(&mut p, &mut adv, &cfg, seed);
 
-                let mut e: Box<dyn ErasedProtocol> = Box::new(Erased::new(Flood::new(n)));
+                let mut e: Box<dyn ErasedProtocol> = Box::new(PerNode::new(Flood::new(n)));
                 let mut adv = RandomConnectedAdversary::new(1);
                 let erased = run_erased(&mut e, &mut adv, &cfg, seed);
                 assert_eq!(mono, erased, "n={n} seed={seed}");
+                assert_eq!((e.num_tokens(), e.view().done), (1, p.view().done));
             }
         }
-    }
-
-    #[test]
-    fn erased_message_carries_inner_bit_pricing() {
-        let mut e: Box<dyn ErasedProtocol> = Box::new(Erased::new(Flood::new(2)));
-        let mut rng = StdRng::seed_from_u64(0);
-        let msg = e.compose_erased(0, 0, &mut rng).expect("node 0 speaks");
-        assert_eq!(msg.bits(), 1, "Flood prices every message at 1 bit");
-        assert_eq!(e.message_bits(&msg), msg.bits());
     }
 
     #[test]

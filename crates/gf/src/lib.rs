@@ -15,8 +15,8 @@
 //!   by practical RLNC implementations), and [`GfP`] const-generic prime
 //!   fields up to [`Mersenne61`] (q = 2^61 − 1, the stand-in for the
 //!   "large field" regime of the derandomization results, Section 6).
-//! * Dense vectors and matrices over any [`Field`] with reduced row-echelon
-//!   form, rank, and solving ([`matrix`]).
+//! * Dense vectors over any [`Field`] and their row operations
+//!   ([`vector`]).
 //! * [`Subspace`] — an incrementally maintained basis in RREF, the core
 //!   data structure of every coding node: inserting a received vector
 //!   reports whether it was *innovative* (increased the dimension).
@@ -54,7 +54,6 @@ pub mod field;
 pub mod gf2;
 pub mod gf256;
 pub mod gfp;
-pub mod matrix;
 pub mod pack;
 pub mod subspace;
 pub mod vector;
@@ -66,5 +65,4 @@ pub use field::Field;
 pub use gf2::Gf2;
 pub use gf256::Gf256;
 pub use gfp::{Gf257, Gf65537, GfP, Mersenne61};
-pub use matrix::Matrix;
 pub use subspace::Subspace;

@@ -4,11 +4,12 @@
 //!    whatever a spec prints, parsing it back yields an equal spec
 //!    (property-tested over randomly generated specs), and malformed
 //!    strings are rejected with errors that enumerate the registry.
-//! 2. **Erasure**: `run_erased` on a registry-built protocol reproduces
-//!    the monomorphized `run`'s `RunResult` **bit for bit** — rounds,
-//!    total bits, max message bits, per-round history — across a seeded
-//!    cross-protocol matrix covering every simulator family, three
-//!    coding fields, deterministic advice mode, and configured variants.
+//! 2. **Registry cell == hand-built protocol**: `run_spec` on the cell
+//!    `ProtocolSpec::build` returns reproduces `run` on the hand-built
+//!    protocol's `RunResult` **bit for bit** — rounds, total bits, max
+//!    message bits, per-round history — across a seeded cross-protocol
+//!    matrix covering every simulator family, three coding fields,
+//!    deterministic advice mode, and configured variants.
 
 use dyncode::core::params::{Instance, Params, Placement};
 use dyncode::core::protocols::{
@@ -116,10 +117,10 @@ fn rejection_cases_cover_every_malformation_class() {
     }
 }
 
-/// Runs `spec` through the erased registry path and the hand-built
-/// monomorphized path under identical `(adversary, config, seed)` and
-/// asserts the full `RunResult` (history included) is identical.
-fn assert_erased_equals_mono<P, FB>(spec: &str, t: usize, build: FB, cap: usize, seed: u64)
+/// Runs `spec` through the registry cell and the hand-built protocol
+/// under identical `(adversary, config, seed)` and asserts the full
+/// `RunResult` (history included) is identical.
+fn assert_matches_hand_built<P, FB>(spec: &str, t: usize, build: FB, cap: usize, seed: u64)
 where
     P: Protocol + 'static,
     FB: Fn(&Instance) -> P,
@@ -133,33 +134,33 @@ where
     let spec = ProtocolSpec::parse(spec).expect(spec);
     let adv = || Box::new(RandomConnectedAdversary::new(1)) as Box<dyn Adversary>;
 
-    let erased: RunResult = run_spec(&spec, &inst, t, &adv, &cfg, seed);
-    let mut mono = build(&inst);
+    let registry: RunResult = run_spec(&spec, &inst, t, &adv, &cfg, seed);
+    let mut hand_built = build(&inst);
     let mut a = RandomConnectedAdversary::new(1);
-    let direct = run(&mut mono, &mut a, &cfg, seed);
-    assert_eq!(erased, direct, "{spec} (seed {seed})");
+    let direct = run(&mut hand_built, &mut a, &cfg, seed);
+    assert_eq!(registry, direct, "{spec} (seed {seed})");
 }
 
-/// The seeded cross-protocol matrix of the acceptance criteria: every
-/// simulator protocol family × several seeds, erased == monomorphized.
+/// The seeded cross-protocol matrix: every simulator protocol family ×
+/// several seeds, registry cell == hand-built protocol.
 #[test]
 fn erased_dispatch_reproduces_monomorphized_runs_across_the_registry() {
     for seed in [1u64, 7, 23] {
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "token-forwarding",
             1,
             TokenForwarding::baseline,
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "pipelined-forwarding(8)",
             1,
             |i| TokenForwarding::pipelined(i, 8),
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "greedy-forward(gather=2,bcast=3)",
             1,
             |i| {
@@ -174,51 +175,51 @@ fn erased_dispatch_reproduces_monomorphized_runs_across_the_registry() {
             500_000,
             seed,
         );
-        assert_erased_equals_mono("priority-forward", 1, PriorityForward::new, 500_000, seed);
+        assert_matches_hand_built("priority-forward", 1, PriorityForward::new, 500_000, seed);
         // random-forward never self-terminates: both paths must agree on
         // the incomplete result at the cap too.
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "random-forward(rounds=24)",
             1,
             |i| RandomForward::new(i, 24),
             36,
             seed,
         );
-        assert_erased_equals_mono("naive-coded", 1, NaiveCoded::new, 500_000, seed);
-        assert_erased_equals_mono("indexed-broadcast", 1, IndexedBroadcast::new, 100_000, seed);
-        assert_erased_equals_mono(
+        assert_matches_hand_built("naive-coded", 1, NaiveCoded::new, 500_000, seed);
+        assert_matches_hand_built("indexed-broadcast", 1, IndexedBroadcast::new, 100_000, seed);
+        assert_matches_hand_built(
             "field-broadcast(gf256)",
             1,
             FieldBroadcast::<Gf256>::new,
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "field-broadcast(gf257)",
             1,
             FieldBroadcast::<Gf257>::new,
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "field-broadcast(m61)",
             1,
             FieldBroadcast::<Mersenne61>::new,
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "field-broadcast(m61,det=4)",
             1,
             |i| FieldBroadcast::<Mersenne61>::deterministic(i, 4),
             100_000,
             seed,
         );
-        assert_erased_equals_mono("centralized", 1, Centralized::new, 100_000, seed);
+        assert_matches_hand_built("centralized", 1, Centralized::new, 100_000, seed);
         // The quorum families terminate by the quorum-threshold
-        // predicate, not token completion; the erased and monomorphized
-        // paths must still agree on every byte of the result.
-        assert_erased_equals_mono(
+        // predicate, not token completion; the registry cell and the
+        // hand-built protocol must still agree on every byte of the result.
+        assert_matches_hand_built(
             "quorum-watermark(f=1)",
             1,
             |i: &Instance| {
@@ -234,7 +235,7 @@ fn erased_dispatch_reproduces_monomorphized_runs_across_the_registry() {
             100_000,
             seed,
         );
-        assert_erased_equals_mono(
+        assert_matches_hand_built(
             "quorum-decide(f=2,q=5)",
             1,
             |i: &Instance| {
