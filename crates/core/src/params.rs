@@ -185,19 +185,23 @@ impl Instance {
         placement
             .fits(params.n, params.k)
             .unwrap_or_else(|why| panic!("{why}"));
+        // Distinct random d-bit values, as a rejection loop draws them
+        // (2^d ≥ 2k makes the expected number of retries < 2k): the first
+        // k draws, sorted and deduplicated, then — only after a repeat —
+        // further draws from the same stream, each kept if new, until k
+        // are distinct. The kept set is the loop's; sorting fixes order.
         let mut rng = StdRng::seed_from_u64(seed);
-        // Distinct random d-bit values via rejection (2^d ≥ 2k makes the
-        // expected number of retries < 2k), keyed on the packed words
-        // (the masked tail makes word equality value equality).
-        let mut seen = std::collections::HashSet::with_capacity(params.k);
-        let mut tokens = Vec::with_capacity(params.k);
+        let mut tokens: Vec<Gf2Vec> = (0..params.k)
+            .map(|_| Gf2Vec::random(params.d, &mut rng))
+            .collect();
+        tokens.sort_unstable_by(token_cmp);
+        tokens.dedup();
         while tokens.len() < params.k {
             let t = Gf2Vec::random(params.d, &mut rng);
-            if seen.insert(t.words().to_vec()) {
-                tokens.push(t);
+            if let Err(at) = tokens.binary_search_by(|x| token_cmp(x, &t)) {
+                tokens.insert(at, t);
             }
         }
-        tokens.sort_by(token_cmp);
 
         let holders: Vec<Vec<usize>> = (0..params.k)
             .map(|i| match placement {
@@ -333,6 +337,46 @@ mod tests {
         assert_eq!(cl.initial_tokens_of(1), vec![1, 3, 5, 7]);
         let rr = Instance::generate(Params::new(3, 8, 8, 16), Placement::RoundRobin, 1);
         assert_eq!(rr.initial_tokens_of(0), vec![0, 3, 6]);
+    }
+
+    /// The rejection loop `generate` reproduces: draw, keep a value not
+    /// seen before (keyed on the packed words), until k are kept; sort.
+    fn distinct_by_rejection(params: Params, seed: u64) -> Vec<Gf2Vec> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut seen = std::collections::HashSet::with_capacity(params.k);
+        let mut tokens = Vec::with_capacity(params.k);
+        while tokens.len() < params.k {
+            let t = Gf2Vec::random(params.d, &mut rng);
+            if seen.insert(t.words().to_vec()) {
+                tokens.push(t);
+            }
+        }
+        tokens.sort_by(token_cmp);
+        tokens
+    }
+
+    #[test]
+    fn sorted_draws_equal_the_rejection_loop() {
+        // d = 8, k = 128 draws half of a 256-value space: nearly every
+        // seed repeats a value among its first k draws, so `generate`
+        // keeps drawing there.
+        let mut repeated = 0;
+        for (n, k, d) in [(8, 8, 5), (64, 64, 16), (224, 224, 16), (128, 128, 8)] {
+            let p = Params::new(n, k, d, 2 * d);
+            for seed in 0..100 {
+                let inst = Instance::generate(p, Placement::RoundRobin, seed);
+                assert_eq!(
+                    inst.tokens,
+                    distinct_by_rejection(p, seed),
+                    "{p:?} seed {seed}"
+                );
+                let mut rng = StdRng::seed_from_u64(seed);
+                let draws: std::collections::HashSet<Gf2Vec> =
+                    (0..k).map(|_| Gf2Vec::random(d, &mut rng)).collect();
+                repeated += usize::from(draws.len() < k);
+            }
+        }
+        assert!(repeated >= 150, "only {repeated} seeds repeated a draw");
     }
 
     #[test]

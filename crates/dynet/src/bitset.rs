@@ -23,6 +23,25 @@ impl BitSet {
         }
     }
 
+    /// The set whose packed words are `words` (bit `i % 64` of word
+    /// `i / 64` is element `i`), over the universe `0..capacity`.
+    ///
+    /// # Panics
+    /// Panics unless `words` holds exactly ⌈capacity/64⌉ words with no bit
+    /// set at or past `capacity`.
+    pub fn from_words(words: &[u64], capacity: usize) -> Self {
+        assert_eq!(words.len(), capacity.div_ceil(64), "word count mismatch");
+        let tail = capacity % 64;
+        assert!(
+            tail == 0 || words[words.len() - 1] >> tail == 0,
+            "element past capacity {capacity}"
+        );
+        BitSet {
+            words: words.to_vec(),
+            capacity,
+        }
+    }
+
     /// The universe size.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -233,6 +252,22 @@ mod tests {
         }
         assert!(s.is_full());
         assert_eq!(s.len(), 65);
+    }
+
+    #[test]
+    fn from_words_equals_inserting_the_same_elements() {
+        let mut s = BitSet::new(130);
+        for i in [0, 63, 64, 129] {
+            s.insert(i);
+        }
+        let w = (1u64 << 63) | 1;
+        assert_eq!(BitSet::from_words(&[w, 1, 2], 130), s);
+    }
+
+    #[test]
+    #[should_panic(expected = "element past capacity")]
+    fn from_words_rejects_bits_past_capacity() {
+        BitSet::from_words(&[1 << 8], 8);
     }
 
     #[test]

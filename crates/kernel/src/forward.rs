@@ -1,15 +1,26 @@
-//! The arena-backed token-forwarding cell: both Theorem 2.1 schedules
-//! (baseline and T-stable pipelined) with a flat per-round message arena.
+//! The word-level token-forwarding cell: both Theorem 2.1 schedules
+//! (baseline and T-stable pipelined) over flat `u64` arenas.
 //!
-//! The reference `TokenForwarding` allocates a `Vec<usize>` message per
-//! speaking node per round, and the simulator clones those into a fresh
-//! inbox `Vec` per receiving node. Here a round's messages live in one
-//! reused `u32` arena indexed by per-node offsets, and delivery walks the
-//! CSR neighbors straight into the receivers' known-sets — zero per-round
-//! heap growth after warmup. The schedule logic (prefix completion,
-//! window filter, phase/window resets) is a line-for-line transcription
-//! of the reference protocol, which draws no randomness, so equivalence
-//! is purely structural.
+//! Each node's state is a row of `wpr = ⌈k/64⌉` words, and each role is
+//! one `n × wpr` arena: the tokens the node knows, the batch tokens it
+//! already broadcast this window (pipelined mode only), and its current
+//! message — a token mask that is zero outside its recorded word span.
+//!
+//! * **Compose.** A popcount select finds the end of the retired prefix
+//!   (whole words skipped by popcount, then the low bits of the word it
+//!   lands in cleared). The next `batch` known bits are the candidate
+//!   window; pipelined mode drops the ones already sent (`& !sent`); the
+//!   first ⌊b/d⌋ left are the message, charged popcount × d bits. The
+//!   window counts already-sent tokens before the filter drops them, as
+//!   the reference's `take(batch)` does.
+//! * **Deliver.** Each receiver ORs every neighbour's span words into its
+//!   row: no per-token work, no bounds check per token.
+//! * **View.** `BitSet`s are built only when asked — by view-reading
+//!   adversaries and by tracers.
+//!
+//! The schedule logic (prefix completion, window filter, phase/window
+//! resets) is the reference `TokenForwarding`'s, which draws no
+//! randomness, so equivalence is purely structural.
 
 use dyncode_dynet::adversary::KnowledgeView;
 use dyncode_dynet::bitset::BitSet;
@@ -17,7 +28,7 @@ use dyncode_dynet::csr::CsrTopology;
 use dyncode_dynet::driver::{check_budget, FastCell};
 use rand::rngs::StdRng;
 
-/// The arena-backed forwarding state for all n nodes.
+/// The word-arena forwarding state for all n nodes.
 pub struct ForwardCell {
     n: usize,
     k: usize,
@@ -33,15 +44,18 @@ pub struct ForwardCell {
     window: Option<usize>,
     /// Retired-prefix length on the public schedule.
     completed: usize,
-    /// Per node: known token indices.
-    known: Vec<BitSet>,
-    /// Per node: batch tokens already broadcast this window (pipelined
-    /// mode only).
-    sent: Vec<BitSet>,
-    /// Message arena: node `u`'s round broadcast is
-    /// `msg_tokens[msg_off[u] .. msg_off[u + 1]]`.
-    msg_tokens: Vec<u32>,
-    msg_off: Vec<u32>,
+    /// Words per node row, ⌈k/64⌉.
+    wpr: usize,
+    /// Known tokens: node `u`'s row is `known[u * wpr..(u + 1) * wpr]`.
+    known: Vec<u64>,
+    /// Batch tokens already broadcast this window, same layout
+    /// (pipelined mode only; empty in baseline mode).
+    sent: Vec<u64>,
+    /// This round's messages as token masks, same layout.
+    msg: Vec<u64>,
+    /// Per node: the words `[lo, hi)` of its message row that may be
+    /// nonzero; empty for a silent node.
+    span: Vec<(u32, u32)>,
 }
 
 impl ForwardCell {
@@ -62,13 +76,15 @@ impl ForwardCell {
         holders: &[Vec<usize>],
     ) -> Self {
         assert!(
-            per_msg >= 1 && batch >= 1 && phase_rounds >= 1,
+            k >= 1 && per_msg >= 1 && batch >= 1 && phase_rounds >= 1,
             "bad schedule"
         );
-        let mut known = vec![BitSet::new(k); n];
+        let wpr = k.div_ceil(64);
+        let mut known = vec![0u64; n * wpr];
         for (i, hs) in holders.iter().enumerate() {
             for &u in hs {
-                known[u].insert(i);
+                assert!(i < k && u < n, "holder {u} of token {i} out of range");
+                known[u * wpr + i / 64] |= 1 << (i % 64);
             }
         }
         ForwardCell {
@@ -80,10 +96,15 @@ impl ForwardCell {
             phase_rounds,
             window,
             completed: 0,
+            wpr,
             known,
-            sent: vec![BitSet::new(k); n],
-            msg_tokens: Vec::new(),
-            msg_off: vec![0; n + 1],
+            sent: if window.is_some() {
+                vec![0; n * wpr]
+            } else {
+                Vec::new()
+            },
+            msg: vec![0; n * wpr],
+            span: vec![(0, 0); n],
         }
     }
 
@@ -92,9 +113,104 @@ impl ForwardCell {
         self.completed
     }
 
-    fn node_done(&self, u: usize) -> bool {
-        self.completed >= self.k && self.known[u].len() == self.k
+    /// The known-token rows, node by node.
+    fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.known.chunks_exact(self.wpr)
     }
+
+    /// Is a node knowing `count` tokens locally done?
+    fn done_at(&self, count: usize) -> bool {
+        self.completed >= self.k && count == self.k
+    }
+}
+
+/// Number of set bits in a row.
+fn count(row: &[u64]) -> usize {
+    row.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// The `r` lowest set bits of `x` (all of them if it has no more than
+/// `r`), and how many that is.
+#[inline]
+fn take_low(x: u64, r: usize) -> (u64, usize) {
+    let all = x.count_ones() as usize;
+    if all <= r {
+        return (x, all);
+    }
+    let mut rest = x;
+    for _ in 0..r {
+        rest &= rest - 1;
+    }
+    (x ^ rest, r)
+}
+
+/// `x` without its `r` lowest set bits, for `r` below its popcount.
+#[inline]
+fn clear_low(x: u64, r: usize) -> u64 {
+    // Under prefix completion the skipped tokens are usually the word's
+    // low `r` bits: one mask then does it.
+    let low = (1u64 << r) - 1;
+    if x & low == low {
+        x & !low
+    } else {
+        x ^ take_low(x, r).0
+    }
+}
+
+/// Writes into `out` (zero on entry) the message of a node whose known
+/// row is `known`: past the `completed` smallest known tokens, the next
+/// `batch` known ones, minus `sent` when given, at most `per_msg` of
+/// them; the chosen tokens are then added to `sent`. Returns how many
+/// were chosen and the word span `[lo, hi)` they occupy (empty when none
+/// were).
+fn compose_row(
+    known: &[u64],
+    mut sent: Option<&mut [u64]>,
+    completed: usize,
+    batch: usize,
+    per_msg: usize,
+    out: &mut [u64],
+) -> (usize, (u32, u32)) {
+    // Select: the word holding the first token past the retired prefix,
+    // and how many known tokens of that word still belong to the prefix.
+    let mut skip = completed;
+    let mut start = 0;
+    while start < known.len() {
+        let c = known[start].count_ones() as usize;
+        if skip < c {
+            break;
+        }
+        skip -= c;
+        start += 1;
+    }
+    let (mut window_left, mut msg_left) = (batch, per_msg);
+    let (mut lo, mut hi) = (0, 0);
+    for w in start..known.len() {
+        if window_left == 0 || msg_left == 0 {
+            break;
+        }
+        let word = if w == start {
+            clear_low(known[w], skip)
+        } else {
+            known[w]
+        };
+        let (candidates, seen) = take_low(word, window_left);
+        window_left -= seen;
+        let fresh = sent.as_deref().map_or(candidates, |s| candidates & !s[w]);
+        let (chosen, taken) = take_low(fresh, msg_left);
+        msg_left -= taken;
+        if chosen != 0 {
+            if hi == 0 {
+                lo = w;
+            }
+            hi = w + 1;
+            out[w] = chosen;
+            if let Some(s) = sent.as_deref_mut() {
+                s[w] |= chosen;
+            }
+        }
+    }
+    (per_msg - msg_left, (lo as u32, hi as u32))
 }
 
 impl FastCell for ForwardCell {
@@ -103,9 +219,10 @@ impl FastCell for ForwardCell {
     }
 
     fn spoke(&self, node: usize) -> bool {
-        // A nonempty arena slice ⇔ the reference compose returned a
-        // nonempty batch ⇔ `Some(chosen)`.
-        self.msg_off[node + 1] > self.msg_off[node]
+        // A nonempty span ⇔ the reference compose returned a nonempty
+        // batch ⇔ `Some(chosen)`.
+        let (lo, hi) = self.span[node];
+        hi > lo
     }
 
     fn compose_all(
@@ -114,99 +231,96 @@ impl FastCell for ForwardCell {
         _rng: &mut StdRng,
         bit_limit: Option<u64>,
     ) -> (u64, u64) {
+        let wpr = self.wpr;
         let mut round_bits = 0u64;
         let mut round_max = 0u64;
-        self.msg_tokens.clear();
-        self.msg_off[0] = 0;
         for u in 0..self.n {
-            let start = self.msg_tokens.len();
-            // The next batch: the `batch` smallest known tokens past the
-            // retired prefix; in pipelined mode, minus those already sent
-            // this window; at most ⌊b/d⌋ chosen — exactly the reference
-            // compose (`next_batch` + window filter + take).
-            for i in self.known[u].iter().skip(self.completed).take(self.batch) {
-                if self.msg_tokens.len() - start == self.per_msg {
-                    break;
-                }
-                if self.window.is_some() && self.sent[u].contains(i) {
-                    continue;
-                }
-                self.msg_tokens.push(i as u32);
-            }
-            if self.window.is_some() {
-                for j in start..self.msg_tokens.len() {
-                    let i = self.msg_tokens[j] as usize;
-                    self.sent[u].insert(i);
-                }
-            }
-            let chosen = self.msg_tokens.len() - start;
+            let row = u * wpr..(u + 1) * wpr;
+            let (lo, hi) = self.span[u];
+            self.msg[row.start + lo as usize..row.start + hi as usize].fill(0);
+            let sent = self.window.map(|_| &mut self.sent[row.clone()]);
+            let (chosen, span) = compose_row(
+                &self.known[row.clone()],
+                sent,
+                self.completed,
+                self.batch,
+                self.per_msg,
+                &mut self.msg[row],
+            );
+            self.span[u] = span;
             if chosen > 0 {
                 let bits = (chosen * self.d) as u64;
                 check_budget(u, round, bits, bit_limit);
                 round_bits += bits;
                 round_max = round_max.max(bits);
             }
-            self.msg_off[u + 1] = self.msg_tokens.len() as u32;
         }
         (round_bits, round_max)
     }
 
     fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
-        for u in 0..self.n {
+        let wpr = self.wpr;
+        for (u, row) in self.known.chunks_exact_mut(wpr).enumerate() {
             for &v in topo.neighbors(u) {
                 let v = v as usize;
-                let (a, b) = (self.msg_off[v] as usize, self.msg_off[v + 1] as usize);
-                for j in a..b {
-                    let token = self.msg_tokens[j] as usize;
-                    self.known[u].insert(token);
+                let (lo, hi) = (self.span[v].0 as usize, self.span[v].1 as usize);
+                let words = &self.msg[v * wpr + lo..v * wpr + hi];
+                for (a, b) in row[lo..hi].iter_mut().zip(words) {
+                    *a |= b;
                 }
             }
         }
     }
 
     fn round_end(&mut self, round: usize, _rng: &mut StdRng) {
-        if let Some(t) = self.window {
-            if (round + 1).is_multiple_of(t) {
-                for s in &mut self.sent {
-                    s.clear();
-                }
-            }
-        }
-        if (round + 1).is_multiple_of(self.phase_rounds) {
+        let window_end = self.window.is_some_and(|t| (round + 1).is_multiple_of(t));
+        let phase_end = (round + 1).is_multiple_of(self.phase_rounds);
+        if phase_end {
             self.completed = (self.completed + self.batch).min(self.k);
-            for s in &mut self.sent {
-                s.clear();
-            }
+        }
+        if window_end || phase_end {
+            self.sent.fill(0);
         }
     }
 
     fn all_done(&self) -> bool {
-        self.completed >= self.k && (0..self.n).all(|u| self.known[u].len() == self.k)
+        self.completed >= self.k && self.rows().all(|r| count(r) == self.k)
     }
 
     fn view(&self) -> KnowledgeView {
+        let dims: Vec<usize> = self.rows().map(count).collect();
         KnowledgeView {
-            tokens: self.known.clone(),
-            dims: self.known.iter().map(BitSet::len).collect(),
-            done: (0..self.n).map(|u| self.node_done(u)).collect(),
+            tokens: self.rows().map(|r| BitSet::from_words(r, self.k)).collect(),
+            done: dims.iter().map(|&c| self.done_at(c)).collect(),
+            dims,
         }
     }
 
     fn history_stats(&self) -> (usize, usize, usize, usize) {
-        let counts: Vec<usize> = self.known.iter().map(BitSet::len).collect();
-        let min_dim = counts.iter().copied().min().unwrap_or(0);
-        let max_dim = counts.iter().copied().max().unwrap_or(0);
-        let total_tokens = counts.iter().sum();
-        let done = (0..self.n).filter(|&u| self.node_done(u)).count();
-        (min_dim, max_dim, total_tokens, done)
+        let (mut min_dim, mut max_dim, mut total_tokens, mut done) = (usize::MAX, 0, 0, 0);
+        for c in self.rows().map(count) {
+            min_dim = min_dim.min(c);
+            max_dim = max_dim.max(c);
+            total_tokens += c;
+            done += usize::from(self.done_at(c));
+        }
+        // `min(max)`: the minimum, or 0 with no rows, as the default's.
+        (min_dim.min(max_dim), max_dim, total_tokens, done)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// Node `u`'s message this round, as ascending token indices.
+    fn msg(c: &ForwardCell, u: usize) -> Vec<usize> {
+        BitSet::from_words(&c.msg[u * c.wpr..(u + 1) * c.wpr], c.k)
+            .iter()
+            .collect()
+    }
 
     /// Node 0 knows everything, batch 4, 2 tokens per message, window 4:
     /// the hand-computed schedule of the reference window-rule test.
@@ -215,15 +329,13 @@ mod tests {
         let holders: Vec<Vec<usize>> = (0..8).map(|_| vec![0]).collect();
         let mut cell = ForwardCell::new(8, 8, 4, 2, 4, 100, Some(4), &holders);
         let mut rng = StdRng::seed_from_u64(1);
-        let msg = |c: &ForwardCell, u: usize| -> Vec<u32> {
-            c.msg_tokens[c.msg_off[u] as usize..c.msg_off[u + 1] as usize].to_vec()
-        };
         cell.compose_all(0, &mut rng, None);
         assert_eq!(msg(&cell, 0), vec![0, 1]);
         cell.compose_all(1, &mut rng, None);
         assert_eq!(msg(&cell, 0), vec![2, 3]);
         cell.compose_all(2, &mut rng, None);
         assert!(msg(&cell, 0).is_empty(), "batch exhausted");
+        assert!(!cell.spoke(0));
         for r in 2..4 {
             cell.round_end(r, &mut rng);
         }
@@ -244,5 +356,96 @@ mod tests {
         cell.round_end(5, &mut rng);
         assert_eq!(cell.completed(), 4);
         assert!(!cell.all_done(), "nodes still missing tokens");
+    }
+
+    #[test]
+    fn history_stats_agree_with_the_view() {
+        // Three words per row, node 1 past the first word boundary.
+        let holders: Vec<Vec<usize>> = (0..130).map(|i| vec![i % 3]).collect();
+        let cell = ForwardCell::new(3, 130, 8, 8, 8, 10, None, &holders);
+        let v = cell.view();
+        assert_eq!(v.dims, vec![44, 43, 43]);
+        assert!(v.tokens[1].contains(127) && !v.tokens[1].contains(128));
+        let (min_dim, max_dim, total, done) = cell.history_stats();
+        assert_eq!((min_dim, max_dim, total, done), (43, 44, 130, 0));
+    }
+
+    /// A known set over `k` tokens from per-token draws in 0..4: absent on
+    /// 0, so runs and gaps cross word boundaries; `prefix` makes the first
+    /// `completed` tokens all known, the prefix-completion invariant.
+    fn known_set(k: usize, draws: &[u8], completed: usize, prefix: bool) -> BitSet {
+        let mut s = BitSet::new(k);
+        for (i, &x) in draws.iter().enumerate().take(k) {
+            if x != 0 || (prefix && i < completed) {
+                s.insert(i);
+            }
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The select-based window equals the reference compose:
+        /// `iter().skip(completed).take(batch)`, then the sent filter,
+        /// then at most `per_msg`.
+        #[test]
+        fn compose_row_equals_skip_take_filter(
+            k in 1usize..260,
+            draws in proptest::collection::vec(0u8..4, 260),
+            sent_draws in proptest::collection::vec(any::<bool>(), 260),
+            completed_pct in 0usize..111,
+            prefix in any::<bool>(),
+            batch in 1usize..80,
+            per_msg in 1usize..40,
+            pipelined in any::<bool>(),
+        ) {
+            let completed = (k * completed_pct / 100).min(k);
+            let known = known_set(k, &draws, completed, prefix);
+            let mut sent = BitSet::new(k);
+            for i in (0..k).filter(|&i| sent_draws[i]) {
+                sent.insert(i);
+            }
+            let expected: Vec<usize> = known
+                .iter()
+                .skip(completed)
+                .take(batch)
+                .filter(|&i| !pipelined || !sent.contains(i))
+                .take(per_msg)
+                .collect();
+            let wpr = k.div_ceil(64);
+            let words = |s: &BitSet| -> Vec<u64> {
+                let mut w = vec![0u64; wpr];
+                for i in s.iter() {
+                    w[i / 64] |= 1 << (i % 64);
+                }
+                w
+            };
+            let (known_w, mut sent_w) = (words(&known), words(&sent));
+            let mut out = vec![0u64; wpr];
+            let (chosen, (lo, hi)) = compose_row(
+                &known_w,
+                pipelined.then_some(&mut sent_w[..]),
+                completed,
+                batch,
+                per_msg,
+                &mut out,
+            );
+            let got: Vec<usize> = BitSet::from_words(&out, k).iter().collect();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(chosen, expected.len());
+            if pipelined {
+                for &i in &expected {
+                    sent.insert(i);
+                }
+            }
+            prop_assert_eq!(BitSet::from_words(&sent_w, k), sent);
+            match (expected.first(), expected.last()) {
+                (Some(&a), Some(&b)) => {
+                    prop_assert_eq!((lo as usize, hi as usize), (a / 64, b / 64 + 1));
+                }
+                _ => prop_assert_eq!(lo, hi),
+            }
+        }
     }
 }

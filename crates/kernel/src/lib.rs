@@ -29,9 +29,10 @@
 //!   fused-`Field::axpy` back-elimination touch only the free columns;
 //!   packets cross the arena packed into chunked-LE `u64` words
 //!   (`dyncode_gf::pack`), and the rank-k saturation shortcut holds.
-//! * [`ForwardCell`] — the knowledge-based forwarding schedules with a
-//!   flat per-round message arena instead of per-node `Vec<usize>`
-//!   messages and inbox clones.
+//! * [`ForwardCell`] — the knowledge-based forwarding schedules over
+//!   flat `u64` word arenas: a message is a token mask composed by
+//!   popcount select and delivered by word OR, instead of per-node
+//!   `Vec<usize>` messages and inbox clones.
 //! * [`QuorumCell`] — the quorum family's per-peer round tables as one
 //!   n × n arena, merged elementwise-max along the CSR rows.
 //!

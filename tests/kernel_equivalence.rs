@@ -53,11 +53,6 @@ const ADVERSARIES: &[&str] = &[
 /// Runs one cell on both backends and asserts bit-identity, histories
 /// included.
 fn assert_equivalent(spec_s: &str, adv_s: &str, n: usize, t: usize, seed: u64) {
-    let spec = ProtocolSpec::parse(spec_s).expect(spec_s);
-    let kind = AdversaryKind::parse(adv_s).expect(adv_s);
-    // d = ⌈lg n⌉ + 2: distinct d-bit values for k = n tokens at any n here.
-    let d = (usize::BITS - (n.max(2) - 1).leading_zeros()) as usize + 2;
-    let inst = Instance::generate(Params::new(n, n, d, 2 * d), Placement::OneTokenPerNode, 42);
     // random-forward forwards forever (it never completes), so the full
     // 200n² cap would only replay tens of thousands of silent rounds; a
     // short cap checks the same bit-identity without the wait.
@@ -66,6 +61,25 @@ fn assert_equivalent(spec_s: &str, adv_s: &str, n: usize, t: usize, seed: u64) {
     } else {
         200 * n * n
     };
+    assert_equivalent_sized(spec_s, adv_s, n, t, seed, 2, cap);
+}
+
+/// [`assert_equivalent`] with ⌊b/d⌋ = `per_msg` and a round cap of `cap`.
+fn assert_equivalent_sized(
+    spec_s: &str,
+    adv_s: &str,
+    n: usize,
+    t: usize,
+    seed: u64,
+    per_msg: usize,
+    cap: usize,
+) {
+    let spec = ProtocolSpec::parse(spec_s).expect(spec_s);
+    let kind = AdversaryKind::parse(adv_s).expect(adv_s);
+    // d = ⌈lg n⌉ + 2: distinct d-bit values for k = n tokens at any n here.
+    let d = (usize::BITS - (n.max(2) - 1).leading_zeros()) as usize + 2;
+    let params = Params::new(n, n, d, per_msg * d);
+    let inst = Instance::generate(params, Placement::OneTokenPerNode, 42);
     let cfg = SimConfig::with_max_rounds(cap).recording();
     let adv = || kind.build(t) as Box<dyn Adversary>;
     let reference = run_spec_kernel(&spec, &inst, t, &adv, &cfg, seed, Kernel::Reference);
@@ -195,6 +209,43 @@ fn advice_specs_match_across_adversaries_and_delivery_models() {
         "field-broadcast(gf257,det=7)",
         "field-broadcast(m61,det=3)",
     ]);
+}
+
+/// Everywhere else k < 64, so a known-token row is one word. At
+/// n = k = 65 and 130 the rows span two and three words, so the prefix
+/// select, the window and the delivered spans cross word boundaries;
+/// ⌊b/d⌋ = 8 as in the benchmark, so a pipelined(8) batch is 32 tokens.
+/// The cap is past both schedules' lengths (k/8 phases of n rounds; k/32
+/// phases of 2n + 16): a run that cannot complete — a T = 8 schedule
+/// may not under a fully dynamic adversary — stops there on both
+/// backends.
+fn assert_forwarding_matches_past_one_word(spec: &str) {
+    for adv in [
+        "edge-markov(0.1,0.3)",
+        "shuffled-path",
+        "knowledge-adaptive",
+    ] {
+        for n in [65, 130] {
+            for t in [1, 8] {
+                assert_equivalent_sized(spec, adv, n, t, 11, 8, 20 * n);
+            }
+        }
+    }
+}
+
+#[test]
+fn token_forwarding_matches_past_one_word() {
+    assert_forwarding_matches_past_one_word("token-forwarding");
+}
+
+#[test]
+fn pipelined_forwarding_matches_past_one_word() {
+    assert_forwarding_matches_past_one_word("pipelined-forwarding");
+}
+
+#[test]
+fn pipelined_forwarding_8_matches_past_one_word() {
+    assert_forwarding_matches_past_one_word("pipelined-forwarding(8)");
 }
 
 #[test]
