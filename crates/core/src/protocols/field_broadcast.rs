@@ -42,9 +42,8 @@ pub struct FieldBroadcast<F: Field> {
 
 /// Packs a d-bit token into ⌈d / (bits_per_symbol − 1)⌉ field symbols,
 /// using one fewer bit per symbol than the field width so every chunk is
-/// a valid canonical representative for any q ≥ 2. Crate-visible so the
-/// fast kernel's `DenseCell` seeding uses the identical encoding.
-pub(crate) fn token_to_symbols<F: Field>(token: &dyncode_gf::Gf2Vec) -> Vec<F> {
+/// a valid canonical representative for any q ≥ 2.
+fn token_to_symbols<F: Field>(token: &dyncode_gf::Gf2Vec) -> Vec<F> {
     let chunk = (F::bits_per_symbol() as usize - 1).max(1);
     (0..token.len())
         .step_by(chunk)
@@ -57,6 +56,18 @@ pub(crate) fn token_to_symbols<F: Field>(token: &dyncode_gf::Gf2Vec) -> Vec<F> {
             F::from_u64(acc)
         })
         .collect()
+}
+
+/// Every token of `inst` as `F` symbols ([`token_to_symbols`]), zero-padded
+/// to the longest — the payload encoding of [`FieldBroadcast`], and of the
+/// fast kernel's symbol-field cells, which must seed identically.
+pub(crate) fn symbol_payloads<F: Field>(inst: &Instance) -> Vec<Vec<F>> {
+    let mut payloads: Vec<Vec<F>> = inst.tokens.iter().map(token_to_symbols::<F>).collect();
+    let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
+    for v in &mut payloads {
+        v.resize(payload_len, F::ZERO);
+    }
+    payloads
 }
 
 impl<F: Field> FieldBroadcast<F> {
@@ -73,19 +84,8 @@ impl<F: Field> FieldBroadcast<F> {
 
     fn build(inst: &Instance, schedule: Option<CoefficientSchedule>) -> Self {
         let p = inst.params;
-        let payloads: Vec<Vec<F>> = inst
-            .tokens
-            .iter()
-            .map(|t| token_to_symbols::<F>(t))
-            .collect();
-        let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
-        let payloads: Vec<Vec<F>> = payloads
-            .into_iter()
-            .map(|mut v| {
-                v.resize(payload_len, F::ZERO);
-                v
-            })
-            .collect();
+        let payloads = symbol_payloads::<F>(inst);
+        let payload_len = payloads[0].len();
         let mut nodes: Vec<DenseNode<F>> =
             (0..p.n).map(|_| DenseNode::new(p.k, payload_len)).collect();
         for (i, holders) in inst.holders.iter().enumerate() {

@@ -14,7 +14,7 @@
 //! per-round histories included.
 
 use crate::params::Instance;
-use crate::protocols::field_broadcast::token_to_symbols;
+use crate::protocols::field_broadcast::symbol_payloads;
 use crate::protocols::patch::{patch_dissemination, PatchParams};
 use crate::protocols::token_forwarding::ForwardingConfig;
 use crate::spec::{registry, FieldKind, ProtocolSpec};
@@ -22,9 +22,12 @@ use crate::term::{TerminationPredicate, TOKEN_COMPLETION};
 use dyncode_dynet::adversary::Adversary;
 use dyncode_dynet::driver::{run_fast, FastCell};
 use dyncode_dynet::simulator::{PerNode, Protocol, RunResult, SimConfig};
-use dyncode_gf::{Field, Gf256, Gf257, Mersenne61};
-use dyncode_kernel::{DenseCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode, QuorumCell};
+use dyncode_gf::{Gf256, Gf257, Mersenne61};
+use dyncode_kernel::{
+    CodingCell, DenseCell, ForwardCell, Gf256Cell, Gf2Cell, Gf2ViewMode, QuorumCell, RowAlgebra,
+};
 use dyncode_obs::spec::list;
+use std::borrow::Borrow;
 
 pub use dyncode_kernel::Kernel;
 
@@ -199,40 +202,16 @@ pub fn resolve_kernel(spec: &ProtocolSpec, kernel: Kernel) -> Kernel {
     }
 }
 
-/// Seeds a [`DenseCell`] over `F` from the instance, using the exact
-/// token-to-symbol encoding, payload padding, and `(token, holder)`
-/// seeding order of `FieldBroadcast::<F>::new` (`det` = its advice seed).
-fn build_dense_cell<F: Field>(inst: &Instance, det: Option<u64>) -> Box<dyn FastCell> {
-    let p = inst.params;
-    let payloads: Vec<Vec<F>> = inst
-        .tokens
-        .iter()
-        .map(|t| token_to_symbols::<F>(t))
-        .collect();
-    let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
-    let mut cell: DenseCell<F> = DenseCell::new(p.n, p.k, payload_len).with_advice(det);
+/// Seeds `cell` with token i's payload `payloads[i]` at each of its
+/// holders, in the `(token, holder)` order of `FieldBroadcast::new`.
+fn seeded<A, P>(mut cell: CodingCell<A>, inst: &Instance, payloads: &[P]) -> Box<dyn FastCell>
+where
+    A: RowAlgebra + 'static,
+    P: Borrow<A::Payload>,
+{
     for (i, holders) in inst.holders.iter().enumerate() {
-        let mut payload = payloads[i].clone();
-        payload.resize(payload_len, F::ZERO);
         for &u in holders {
-            cell.seed_source(u, i, &payload);
-        }
-    }
-    Box::new(cell)
-}
-
-/// Seeds the bit-planar [`Gf256Cell`] from the instance — the same
-/// encoding, padding, and seeding order as [`build_dense_cell`].
-fn build_gf256_cell(inst: &Instance, det: Option<u64>) -> Box<dyn FastCell> {
-    let p = inst.params;
-    let payloads: Vec<Vec<Gf256>> = inst.tokens.iter().map(token_to_symbols::<Gf256>).collect();
-    let payload_len = payloads.iter().map(Vec::len).max().unwrap_or(1);
-    let mut cell = Gf256Cell::new(p.n, p.k, payload_len).with_advice(det);
-    for (i, holders) in inst.holders.iter().enumerate() {
-        let mut payload = payloads[i].clone();
-        payload.resize(payload_len, Gf256::ZERO);
-        for &u in holders {
-            cell.seed_source(u, i, &payload);
+            cell.seed_source(u, i, payloads[i].borrow());
         }
     }
     Box::new(cell)
@@ -255,14 +234,6 @@ pub fn build_fast_cell(
     t: usize,
 ) -> Result<Box<dyn FastCell>, String> {
     let p = inst.params;
-    let seed_coding = |mut cell: Gf2Cell| -> Box<dyn FastCell> {
-        for (i, holders) in inst.holders.iter().enumerate() {
-            for &u in holders {
-                cell.seed_source(u, i, &inst.tokens[i]);
-            }
-        }
-        Box::new(cell)
-    };
     Ok(match spec {
         ProtocolSpec::TokenForwarding | ProtocolSpec::PipelinedForwarding { .. } => {
             let cfg = match spec {
@@ -282,9 +253,11 @@ pub fn build_fast_cell(
                 &inst.holders,
             ))
         }
-        ProtocolSpec::IndexedBroadcast => {
-            seed_coding(Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Indexed))
-        }
+        ProtocolSpec::IndexedBroadcast => seeded(
+            Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Indexed),
+            inst,
+            &inst.tokens,
+        ),
         // `det=S` is the randomized mode's cell with the advice table attached.
         ProtocolSpec::FieldBroadcast { field, det } => match field {
             // field-broadcast(gf2) packs a d-bit token into d one-bit
@@ -292,11 +265,24 @@ pub fn build_fast_cell(
             // the wire cost is k + d bits — the indexed-broadcast layout
             // with the all-or-nothing decodability view.
             FieldKind::Gf2 => {
-                seed_coding(Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Broadcast).with_advice(*det))
+                let cell = Gf2Cell::new(p.n, p.k, p.d, Gf2ViewMode::Broadcast);
+                seeded(cell.with_advice(*det), inst, &inst.tokens)
             }
-            FieldKind::Gf256 => build_gf256_cell(inst, *det),
-            FieldKind::Gf257 => build_dense_cell::<Gf257>(inst, *det),
-            FieldKind::Mersenne61 => build_dense_cell::<Mersenne61>(inst, *det),
+            FieldKind::Gf256 => {
+                let payloads = symbol_payloads::<Gf256>(inst);
+                let cell = Gf256Cell::new(p.n, p.k, payloads[0].len());
+                seeded(cell.with_advice(*det), inst, &payloads)
+            }
+            FieldKind::Gf257 => {
+                let payloads = symbol_payloads::<Gf257>(inst);
+                let cell = DenseCell::new(p.n, p.k, payloads[0].len());
+                seeded(cell.with_advice(*det), inst, &payloads)
+            }
+            FieldKind::Mersenne61 => {
+                let payloads = symbol_payloads::<Mersenne61>(inst);
+                let cell = DenseCell::new(p.n, p.k, payloads[0].len());
+                seeded(cell.with_advice(*det), inst, &payloads)
+            }
         },
         ProtocolSpec::GreedyForward { .. }
         | ProtocolSpec::PriorityForward { .. }

@@ -1,12 +1,12 @@
-//! The bit-planar GF(2^8) RLNC cell — the fast backend for
+//! The bit-planar GF(2^8) row algebra — the fast backend for
 //! `field-broadcast(gf256[,det=S])`.
 //!
-//! [`DenseCell`](crate::densecell::DenseCell) keeps one byte per symbol
+//! [`DenseRows`](crate::densecell::DenseRows) keeps one byte per symbol
 //! and routes row operations through the log/antilog product table; at
 //! the kernel's row lengths that is one L1 table load per byte, and the
 //! reference backend's per-entry `mul` loop is only ~30% slower — not
-//! enough of a gap to pay for a second backend. This cell stores each
-//! row *bit-planar* instead: plane `j` holds bit `j` of every symbol,
+//! enough of a gap to pay for a second backend. These rows are stored
+//! *bit-planar* instead: plane `j` holds bit `j` of every symbol,
 //! packed 64 symbols per `u64` word, so a row of `ambient` symbols is
 //! 8 × ⌈ambient/64⌉ words. Multiplication by a constant `c` is a GF(2)-
 //! linear map on the 8 planes — `y_j = Σ_i M_c[i,j]·x_i` where column
@@ -14,51 +14,31 @@
 //! (on average ~32) word-wide XORs per 64 symbols: register arithmetic
 //! instead of table lookups, with no per-symbol branches.
 //!
-//! Two further structural wins over both the reference and the generic
-//! dense cell:
+//! **Contiguous-pivot shortcut.** A random in-span packet reduces to a
+//! leading index at the first uncovered column w.p. 1 − 1/q, so a node's
+//! pivots are almost always exactly `0..rank`. RREF then pins row `j`'s
+//! support to `{j} ∪ [rank..ambient)` — the interior columns are all
+//! other rows' pivots — with two payoffs: the elimination coefficients
+//! are all readable up front (word-wide, via an 8×8 bit-block
+//! transpose), and at high rank the whole reduce *bit-slices*:
+//! `c·row = Σ_b bit_b(c)·(x^b·row)`, so rows fold into eight XOR
+//! accumulators (straight-line word XORs, no per-row plane-mask decode)
+//! and the monomial multiplications happen once. Back-elimination
+//! bit-slices the other way — the eight products `x^b·v` are formed once
+//! and rows XOR in the ones their coefficient selects. Compose at
+//! contiguous rank writes the drawn coefficients directly and pays row
+//! arithmetic only on the tail words `[rank/64..w)`; at rank k this is
+//! the classic saturated `(I | P)` compose, O(k + k·payload) instead of
+//! O(k·ambient).
 //!
-//! * **Contiguous-pivot shortcut.** A random in-span packet reduces to
-//!   a leading index at the first uncovered column w.p. 1 − 1/q, so a
-//!   node's pivots are almost always exactly `0..rank`. RREF then pins
-//!   row `j`'s support to `{j} ∪ [rank..ambient)` — the interior
-//!   columns are all other rows' pivots — with two payoffs: the
-//!   elimination coefficients are all readable up front (word-wide,
-//!   via an 8×8 bit-block transpose), and at high rank the whole
-//!   reduce *bit-slices*: `c·row = Σ_b bit_b(c)·(x^b·row)`, so rows
-//!   fold into eight XOR accumulators (straight-line word XORs, no
-//!   per-row plane-mask decode) and the monomial multiplications
-//!   happen once. Back-elimination bit-slices the other way — the
-//!   eight products `x^b·v` are formed once and rows XOR in the ones
-//!   their coefficient selects. Compose at contiguous rank writes the
-//!   drawn coefficients directly and pays row arithmetic only on the
-//!   tail words `[rank/64..w)`; at rank k this is the classic
-//!   saturated `(I | P)` compose, O(k + k·payload) instead of
-//!   O(k·ambient).
-//! * **Saturation skip** on delivery, as in the dense cell: a rank-k
-//!   basis absorbs nothing, and inserts draw no coins, so skipping the
-//!   inbox is bit-invisible.
-//!
-//! Messages stay bit-planar in the arena — the wire format is internal
-//! to the cell, and the bit accounting is ⌈lg q⌉ · ambient either way.
-//!
-//! **Equivalence.** The insert replays `Subspace::insert` operation for
-//! operation (reduce in pivot order, leading-index scan, pivot
-//! normalization, back-elimination, pivot-sorted insert) on the planar
-//! representation — GF(2^8) addition is XOR on every plane, so each
-//! planar op equals the symbol-wise op exactly — and compose draws one
-//! `Gf256::random` per basis row in pivot order, the draw sequence of
-//! `vector::random_combination` and, read from an advice stream, of
-//! `CoefficientSchedule::coefficients`. Runs are bit-identical to the
-//! reference `FieldBroadcast<Gf256>` under the kernel contract.
+//! Each node keeps its rows in insertion slots behind a pivot-sorted
+//! `order`/`pivots` indirection; messages stay bit-planar in the arena
+//! (the bit accounting is ⌈lg q⌉ · ambient either way). GF(2^8) addition
+//! is XOR on every plane, so each planar op equals the symbol-wise op of
+//! `Subspace::insert` exactly.
 
-use crate::coefficient_rng;
-use dyncode_dynet::adversary::KnowledgeView;
-use dyncode_dynet::bitset::BitSet;
-use dyncode_dynet::csr::CsrTopology;
-use dyncode_dynet::driver::{check_budget, FastCell};
-use dyncode_dynet::phase;
+use crate::codingcell::{CodingCell, RowAlgebra};
 use dyncode_gf::{Field, Gf256};
-use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 
 /// `dst ^= c · src` on bit-planar rows of `w` words per plane, restricted
@@ -193,7 +173,7 @@ fn leading(planes: &[u64], w: usize) -> Option<usize> {
 }
 
 /// One node's basis: a slot-major planar row arena plus the pivot-sorted
-/// indirection, exactly as in the dense cell.
+/// indirection.
 #[derive(Clone, Debug)]
 struct NodeBasis {
     /// Row slot `s` lives at `rows[s·rw .. (s+1)·rw]` (`rw = 8w` words).
@@ -204,9 +184,11 @@ struct NodeBasis {
     pivots: Vec<u32>,
 }
 
-/// The bit-planar GF(2^8) coding state for all n nodes.
-pub struct Gf256Cell {
-    n: usize,
+/// The bit-planar GF(2^8) coding cell.
+pub type Gf256Cell = CodingCell<Gf256Rows>;
+
+/// Every node's bit-planar GF(2^8) basis.
+pub struct Gf256Rows {
     k: usize,
     /// Row width in symbols: k coefficients + payload symbols.
     ambient: usize,
@@ -214,16 +196,8 @@ pub struct Gf256Cell {
     w: usize,
     /// Words per row: 8 planes.
     rw: usize,
-    /// The `det=S` advice table; `None` = randomized mode.
-    schedule: Option<CoefficientSchedule>,
     nodes: Vec<NodeBasis>,
-    /// Per node: pivots below k (the coefficient-projection rank).
-    coeff_rank: Vec<u32>,
-    /// Message arena: node `u`'s planar broadcast at
-    /// `msgs[u·rw .. (u+1)·rw]`, valid iff `has_msg[u]`.
-    msgs: Vec<u64>,
-    has_msg: Vec<bool>,
-    /// Compose/delivery buffer, one planar row.
+    /// Delivery buffer, one planar row.
     scratch: Vec<u64>,
     /// Normalization buffer, one planar row.
     scratch2: Vec<u64>,
@@ -242,87 +216,33 @@ const BITSLICE_MIN_RANK: usize = 32;
 
 impl Gf256Cell {
     /// A fresh cell: n nodes, k coded indices, `payload_len`-symbol
-    /// payloads. Seed the sources with [`Gf256Cell::seed_source`] before
+    /// payloads. Seed the sources with [`CodingCell::seed_source`] before
     /// running.
     pub fn new(n: usize, k: usize, payload_len: usize) -> Self {
         let ambient = k + payload_len;
         let w = ambient.div_ceil(64);
         let rw = 8 * w;
-        Gf256Cell {
-            n,
+        let node = NodeBasis {
+            rows: Vec::new(),
+            order: Vec::new(),
+            pivots: Vec::new(),
+        };
+        let rows = Gf256Rows {
             k,
             ambient,
             w,
             rw,
-            schedule: None,
-            nodes: vec![
-                NodeBasis {
-                    rows: Vec::new(),
-                    order: Vec::new(),
-                    pivots: Vec::new(),
-                };
-                n
-            ],
-            coeff_rank: vec![0; n],
-            msgs: vec![0; n * rw],
-            has_msg: vec![false; n],
+            nodes: vec![node; n],
             scratch: vec![0; rw],
             scratch2: vec![0; rw],
             cscratch: vec![0; w * 64],
             bacc: vec![0; 8 * rw],
-        }
+        };
+        CodingCell::over(n, k, rows)
     }
+}
 
-    /// `Some(seed)` makes this `FieldBroadcast::deterministic(_, seed)`:
-    /// compose reads the advice table instead of the protocol RNG.
-    pub fn with_advice(mut self, seed: Option<u64>) -> Self {
-        self.schedule = seed.map(CoefficientSchedule::new);
-        self
-    }
-
-    /// Seeds `node` with source index `index` and its payload — the planar
-    /// analogue of `DenseNode::seed_source`.
-    ///
-    /// # Panics
-    /// Panics if the payload width disagrees or `index >= k`.
-    pub fn seed_source(&mut self, node: usize, index: usize, payload: &[Gf256]) {
-        assert!(index < self.k, "source index out of range");
-        assert_eq!(
-            payload.len(),
-            self.ambient - self.k,
-            "payload width mismatch"
-        );
-        let mut v = std::mem::take(&mut self.scratch);
-        v.fill(0);
-        set_sym(&mut v, self.w, index, 1);
-        for (i, s) in payload.iter().enumerate() {
-            set_sym(&mut v, self.w, self.k + i, s.0);
-        }
-        self.insert(node, &mut v);
-        self.scratch = v;
-    }
-
-    /// The basis dimension of `node`.
-    pub fn rank(&self, node: usize) -> usize {
-        self.nodes[node].order.len()
-    }
-
-    /// The coefficient-projection rank of `node`.
-    pub fn coefficient_rank(&self, node: usize) -> usize {
-        self.coeff_rank[node] as usize
-    }
-
-    /// Basis row `r` (pivot order) of `node` as symbols — test and
-    /// introspection surface, not the hot path.
-    pub fn basis_row(&self, node: usize, r: usize) -> Vec<Gf256> {
-        let st = &self.nodes[node];
-        let slot = st.order[r] as usize;
-        let row = &st.rows[slot * self.rw..(slot + 1) * self.rw];
-        (0..self.ambient)
-            .map(|i| Gf256(get_sym(row, self.w, i)))
-            .collect()
-    }
-
+impl Gf256Rows {
     /// Inserts `v` (a planar `ambient`-symbol packet) into `node`'s basis;
     /// returns `true` iff innovative. `v` is clobbered (it becomes the
     /// normalized new row). Identical math to `Subspace::insert` — in
@@ -455,181 +375,146 @@ impl Gf256Cell {
             }
         }
         // Insert keeping pivots sorted; the row data takes the next slot.
-        let nrank = st.order.len();
         assert!(
-            nrank < k,
-            "rank overflow: packets must lie in the k-dimensional source span"
+            p < k,
+            "pivot beyond the coefficients: packets must lie in the source span"
         );
+        let nrank = st.order.len();
         let idx = st.pivots.partition_point(|&q| (q as usize) < p);
         st.order.insert(idx, nrank as u32);
         st.pivots.insert(idx, p as u32);
         st.rows.extend_from_slice(v);
-        if p < k {
-            self.coeff_rank[node] += 1;
-        }
         self.scratch2 = tmp;
         self.cscratch = coeffs;
         self.bacc = acc;
         true
     }
-
-    fn node_done(&self, node: usize) -> bool {
-        self.coeff_rank[node] as usize == self.k
-    }
 }
 
-impl FastCell for Gf256Cell {
-    fn num_nodes(&self) -> usize {
-        self.n
+impl RowAlgebra for Gf256Rows {
+    type Payload = [Gf256];
+
+    #[inline]
+    fn msg_words(&self) -> usize {
+        self.rw
     }
 
-    fn spoke(&self, node: usize) -> bool {
-        self.has_msg[node]
+    #[inline]
+    fn msg_bits(&self) -> u64 {
+        self.ambient as u64 * Gf256::bits_per_symbol() as u64
     }
 
-    fn compose_all(
-        &mut self,
-        round: usize,
-        rng: &mut StdRng,
-        bit_limit: Option<u64>,
-    ) -> (u64, u64) {
+    #[inline]
+    fn rank(&self, node: usize) -> usize {
+        self.nodes[node].order.len()
+    }
+
+    fn seed(&mut self, node: usize, index: usize, payload: &[Gf256]) {
+        assert_eq!(
+            payload.len(),
+            self.ambient - self.k,
+            "payload width mismatch"
+        );
+        let mut v = std::mem::take(&mut self.scratch);
+        v.fill(0);
+        set_sym(&mut v, self.w, index, 1);
+        for (i, s) in payload.iter().enumerate() {
+            set_sym(&mut v, self.w, self.k + i, s.0);
+        }
+        self.insert(node, &mut v);
+        self.scratch = v;
+    }
+
+    #[inline]
+    fn compose(&mut self, node: usize, rng: &mut StdRng, msg: &mut [u64]) {
         let (w, rw) = (self.w, self.rw);
-        let bits = self.ambient as u64 * Gf256::bits_per_symbol() as u64;
-        let mut round_bits = 0u64;
-        let mut round_max = 0u64;
-        let mut msg = std::mem::take(&mut self.scratch);
-        let mut advice = None;
-        for u in 0..self.n {
-            let st = &self.nodes[u];
-            let nrank = st.order.len();
-            if nrank == 0 {
-                // Nothing received: stay silent and draw no coefficients,
-                // exactly like the reference emit.
-                self.has_msg[u] = false;
-                continue;
-            }
-            let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
-            msg.fill(0);
-            if st.pivots[nrank - 1] as usize == nrank - 1 {
-                // Contiguous-pivot shortcut (saturation is the nrank = k
-                // case). With pivots exactly 0..nrank, RREF pins row j's
-                // support to {j} ∪ [nrank..): the drawn coefficients ARE
-                // the combination's first nrank symbols, and only the
-                // tail words [lo·64..) need row arithmetic. A row whose
-                // pivot bit sits inside the tail word range contributes
-                // it through its axpy; pivots below lo·64 are set
-                // directly — each column < nrank is touched by exactly
-                // one row, so the disjoint writes compose exactly.
-                let lo = nrank / 64;
-                for j in 0..nrank {
-                    // Same draw sequence as the general path.
-                    let c = Gf256::random(rng);
-                    if c.0 != 0 {
-                        if j < lo * 64 {
-                            set_sym(&mut msg, w, j, c.0);
-                        }
-                        let slot = st.order[j] as usize;
-                        plane_axpy(&mut msg, &st.rows[slot * rw..(slot + 1) * rw], c.0, w, lo);
+        let st = &self.nodes[node];
+        let nrank = st.order.len();
+        msg.fill(0);
+        if st.pivots[nrank - 1] as usize == nrank - 1 {
+            // Contiguous-pivot shortcut (saturation is the nrank = k
+            // case). With pivots exactly 0..nrank, RREF pins row j's
+            // support to {j} ∪ [nrank..): the drawn coefficients ARE
+            // the combination's first nrank symbols, and only the
+            // tail words [lo·64..) need row arithmetic. A row whose
+            // pivot bit sits inside the tail word range contributes
+            // it through its axpy; pivots below lo·64 are set
+            // directly — each column < nrank is touched by exactly
+            // one row, so the disjoint writes compose exactly.
+            let lo = nrank / 64;
+            for j in 0..nrank {
+                // Same draw sequence as the general path.
+                let c = Gf256::random(rng);
+                if c.0 != 0 {
+                    if j < lo * 64 {
+                        set_sym(msg, w, j, c.0);
                     }
-                }
-            } else {
-                for r in 0..nrank {
-                    // One coefficient per basis row in pivot order — the
-                    // draw sequence of `random_combination`; the axpy
-                    // skips zero coefficients, as `scale_add` does, and
-                    // starts at the row's pivot word (rows are zero
-                    // before their pivot).
-                    let c = Gf256::random(rng);
-                    if c.0 != 0 {
-                        let slot = st.order[r] as usize;
-                        let p = st.pivots[r] as usize;
-                        plane_axpy(
-                            &mut msg,
-                            &st.rows[slot * rw..(slot + 1) * rw],
-                            c.0,
-                            w,
-                            p / 64,
-                        );
-                    }
+                    let slot = st.order[j] as usize;
+                    plane_axpy(msg, &st.rows[slot * rw..(slot + 1) * rw], c.0, w, lo);
                 }
             }
-            check_budget(u, round, bits, bit_limit);
-            round_bits += bits;
-            round_max = round_max.max(bits);
-            self.msgs[u * rw..(u + 1) * rw].copy_from_slice(&msg);
-            self.has_msg[u] = true;
-        }
-        self.scratch = msg;
-        (round_bits, round_max)
-    }
-
-    fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
-        let rw = self.rw;
-        let timing = phase::active();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for u in 0..self.n {
-            // Saturation shortcut: at rank k the node holds the full
-            // source span, so no insert can be innovative or change any
-            // row (reducing an in-span vector yields zero), and inserts
-            // draw no coins — skipping the inbox is bit-invisible.
-            if self.nodes[u].order.len() == self.k {
-                continue;
-            }
-            for &v in topo.neighbors(u) {
-                let v = v as usize;
-                if self.has_msg[v] {
-                    scratch.copy_from_slice(&self.msgs[v * rw..(v + 1) * rw]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
-                        phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
-                    }
+        } else {
+            for r in 0..nrank {
+                // One coefficient per basis row in pivot order — the
+                // draw sequence of `random_combination`; the axpy
+                // skips zero coefficients, as `scale_add` does, and
+                // starts at the row's pivot word (rows are zero
+                // before their pivot).
+                let c = Gf256::random(rng);
+                if c.0 != 0 {
+                    let slot = st.order[r] as usize;
+                    let p = st.pivots[r] as usize;
+                    plane_axpy(msg, &st.rows[slot * rw..(slot + 1) * rw], c.0, w, p / 64);
                 }
             }
         }
-        self.scratch = scratch;
     }
 
-    fn all_done(&self) -> bool {
-        (0..self.n).all(|u| self.node_done(u))
-    }
-
-    fn view(&self) -> KnowledgeView {
-        // Mirror of `FieldBroadcast::view`: all-or-nothing decodability.
-        let tokens: Vec<BitSet> = (0..self.n)
-            .map(|u| {
-                let mut s = BitSet::new(self.k);
-                if self.node_done(u) {
-                    for i in 0..self.k {
-                        s.insert(i);
-                    }
-                }
-                s
-            })
-            .collect();
-        KnowledgeView {
-            dims: (0..self.n).map(|u| self.rank(u)).collect(),
-            done: (0..self.n).map(|u| self.node_done(u)).collect(),
-            tokens,
-        }
-    }
-
-    fn history_stats(&self) -> (usize, usize, usize, usize) {
-        let min_dim = (0..self.n).map(|u| self.rank(u)).min().unwrap_or(0);
-        let max_dim = (0..self.n).map(|u| self.rank(u)).max().unwrap_or(0);
-        let done = (0..self.n).filter(|&u| self.node_done(u)).count();
-        (min_dim, max_dim, self.k * done, done)
+    #[inline]
+    fn receive(&mut self, node: usize, _sender: usize, msg: &[u64]) {
+        let mut v = std::mem::take(&mut self.scratch);
+        v.copy_from_slice(msg);
+        self.insert(node, &mut v);
+        self.scratch = v;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codingcell::tests::{
+        self as shared, assert_compose_matches_rows, combination, insert_both, sources, SymbolRows,
+    };
     use dyncode_gf::{vector, Subspace};
-    use dyncode_rlnc::node::DenseNode;
     use rand::{rngs::StdRng, SeedableRng};
+
+    impl SymbolRows for Gf256Rows {
+        type F = Gf256;
+
+        fn payload(symbols: &[Gf256]) -> Box<[Gf256]> {
+            symbols.into()
+        }
+
+        fn insert_symbols(&mut self, node: usize, v: &[Gf256]) -> bool {
+            let mut planar = vec![0u64; self.rw];
+            for (i, s) in v.iter().enumerate() {
+                set_sym(&mut planar, self.w, i, s.0);
+            }
+            self.insert(node, &mut planar)
+        }
+
+        fn row_symbols(&self, node: usize, r: usize) -> Vec<Gf256> {
+            let st = &self.nodes[node];
+            let slot = st.order[r] as usize;
+            self.message_symbols(&st.rows[slot * self.rw..(slot + 1) * self.rw])
+        }
+
+        fn message_symbols(&self, msg: &[u64]) -> Vec<Gf256> {
+            (0..self.ambient)
+                .map(|i| Gf256(get_sym(msg, self.w, i)))
+                .collect()
+        }
+    }
 
     #[test]
     fn planar_axpy_matches_symbolwise_axpy() {
@@ -684,54 +569,13 @@ mod tests {
         assert_eq!(vector::leading_index(&symbols), Some(67));
     }
 
-    /// Mirror of the reference basis: every insert must agree with
-    /// `Subspace::insert` on innovation, rank, pivots, and row content.
-    /// Inputs are random combinations of k source packets — the only
-    /// vectors a run can deliver.
+    /// Below and above the bit-slice break-even rank, and past one plane
+    /// word.
     #[test]
     fn insert_mirrors_subspace() {
-        let (k, d) = (5, 7);
-        let mut rng = StdRng::seed_from_u64(11);
-        let sources: Vec<Vec<Gf256>> = (0..k)
-            .map(|i| {
-                let mut v = vec![Gf256::ZERO; k + d];
-                v[i] = Gf256::ONE;
-                for s in v[k..].iter_mut() {
-                    *s = Gf256::random(&mut rng);
-                }
-                v
-            })
-            .collect();
-        let mut cell = Gf256Cell::new(1, k, d);
-        let mut reference: Subspace<Gf256> = Subspace::new(k + d);
-        let w = cell.w;
-        for _ in 0..60 {
-            let mut v = vec![Gf256::ZERO; k + d];
-            for s in &sources {
-                Gf256::axpy(&mut v, s, Gf256::random(&mut rng));
-            }
-            let mut planar = vec![0u64; cell.rw];
-            for (i, s) in v.iter().enumerate() {
-                set_sym(&mut planar, w, i, s.0);
-            }
-            let fast = cell.insert(0, &mut planar);
-            let slow = reference.insert(v);
-            assert_eq!(fast, slow);
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-            }
-            assert_eq!(cell.coefficient_rank(0), reference.prefix_rank(k));
+        for k in [5, 40, 130] {
+            shared::insert_mirrors_subspace(Gf256Cell::new, 11, k);
         }
-    }
-
-    /// Builds the planar image of a byte vector.
-    fn to_planar(v: &[Gf256], w: usize) -> Vec<u64> {
-        let mut planar = vec![0u64; 8 * w];
-        for (i, s) in v.iter().enumerate() {
-            set_sym(&mut planar, w, i, s.0);
-        }
-        planar
     }
 
     /// Contiguous pivots past the 64-symbol word boundary: combinations
@@ -742,48 +586,17 @@ mod tests {
     fn contiguous_pivots_across_word_boundary_mirror_subspace() {
         let (k, d) = (80, 5);
         let mut rng = StdRng::seed_from_u64(29);
-        let sources: Vec<Vec<Gf256>> = (0..k)
-            .map(|i| {
-                let mut v = vec![Gf256::ZERO; k + d];
-                v[i] = Gf256::ONE;
-                for s in v[k..].iter_mut() {
-                    *s = Gf256::random(&mut rng);
-                }
-                v
-            })
-            .collect();
+        let sources = sources::<Gf256>(k, d, &mut rng);
         let mut cell = Gf256Cell::new(1, k, d);
-        let mut reference: Subspace<Gf256> = Subspace::new(k + d);
+        let mut reference = Subspace::new(k + d);
         // Combinations that exclude the last source: pivots fill 0..k−1
         // contiguously, never saturating, and rank crosses 64.
         for _ in 0..90 {
-            let mut v = vec![Gf256::ZERO; k + d];
-            for s in sources.iter().take(k - 1) {
-                Gf256::axpy(&mut v, s, Gf256::random(&mut rng));
-            }
-            let mut planar = to_planar(&v, cell.w);
-            assert_eq!(cell.insert(0, &mut planar), reference.insert(v));
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-            }
+            let v = combination(&sources, 0..k - 1, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
         assert_eq!(cell.rank(0), k - 1, "contiguous partial rank");
-        // Compose at contiguous rank k−1 < k (lo = 1): the shortcut must
-        // equal the explicit per-row combination under the same draws.
-        let mut rng_a = StdRng::seed_from_u64(31);
-        let mut rng_b = rng_a.clone();
-        let mut expect = vec![Gf256::ZERO; k + d];
-        for r in 0..cell.rank(0) {
-            let row = cell.basis_row(0, r);
-            let c = Gf256::random(&mut rng_a);
-            vector::scale_add(&mut expect, &row, c);
-        }
-        cell.compose_all(0, &mut rng_b, None);
-        let msg = &cell.msgs[..cell.rw];
-        for (i, e) in expect.iter().enumerate() {
-            assert_eq!(get_sym(msg, cell.w, i), e.0, "symbol {i}");
-        }
+        assert_compose_matches_rows(&mut cell, 31);
     }
 
     /// A pivot gap (no source 0 yet) forces the non-contiguous fallback
@@ -794,151 +607,42 @@ mod tests {
     fn pivot_gap_falls_back_and_refills_mirroring_subspace() {
         let (k, d) = (80, 5);
         let mut rng = StdRng::seed_from_u64(37);
-        let sources: Vec<Vec<Gf256>> = (0..k)
-            .map(|i| {
-                let mut v = vec![Gf256::ZERO; k + d];
-                v[i] = Gf256::ONE;
-                for s in v[k..].iter_mut() {
-                    *s = Gf256::random(&mut rng);
-                }
-                v
-            })
-            .collect();
+        let sources = sources::<Gf256>(k, d, &mut rng);
         let mut cell = Gf256Cell::new(1, k, d);
-        let mut reference: Subspace<Gf256> = Subspace::new(k + d);
-        let check = |cell: &mut Gf256Cell, reference: &mut Subspace<Gf256>, v: Vec<Gf256>| {
-            let mut planar = to_planar(&v, cell.w);
-            assert_eq!(cell.insert(0, &mut planar), reference.insert(v));
-            assert_eq!(cell.rank(0), reference.dim());
-            for (r, row) in reference.basis().iter().enumerate() {
-                assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-            }
-        };
+        let mut reference = Subspace::new(k + d);
         // Phase 1: combinations that skip source 0 — pivots 1..k, a gap
         // at column 0, so every reduce takes the general path.
         for _ in 0..90 {
-            let mut v = vec![Gf256::ZERO; k + d];
-            for s in &sources[1..] {
-                Gf256::axpy(&mut v, s, Gf256::random(&mut rng));
-            }
-            check(&mut cell, &mut reference, v);
+            let v = combination(&sources, 1..k, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
         assert_eq!(cell.rank(0), k - 1, "gapped basis at rank k-1");
         // Phase 2: combinations including source 0 fill the gap (pivot 0)
         // and saturate; inserts after saturation reduce to zero.
         for _ in 0..4 {
-            let mut v = vec![Gf256::ZERO; k + d];
-            for s in &sources {
-                Gf256::axpy(&mut v, s, Gf256::random(&mut rng));
-            }
-            check(&mut cell, &mut reference, v);
+            let v = combination(&sources, 0..k, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
         assert_eq!(cell.rank(0), k, "gap filled, saturated");
-        assert_eq!(cell.coefficient_rank(0), k);
     }
 
-    /// The saturated compose (rank k, k % 64 == 0) must emit the same
-    /// planar message as the general per-row combination under the same
-    /// draws.
     #[test]
     fn saturated_compose_matches_general_combination() {
-        let (k, d) = (64, 3);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut cell = Gf256Cell::new(1, k, d);
-        for i in 0..k {
-            let payload: Vec<Gf256> = (0..d).map(|_| Gf256::random(&mut rng)).collect();
-            cell.seed_source(0, i, &payload);
-        }
-        assert_eq!(cell.rank(0), k, "node saturated");
-        // General combination from the extracted rows, with a cloned rng.
-        let mut rng_a = StdRng::seed_from_u64(23);
-        let mut rng_b = rng_a.clone();
-        let mut expect = vec![Gf256::ZERO; k + d];
-        for r in 0..k {
-            let row = cell.basis_row(0, r);
-            let c = Gf256::random(&mut rng_a);
-            vector::scale_add(&mut expect, &row, c);
-        }
-        let (bits, maxb) = cell.compose_all(0, &mut rng_b, None);
-        assert_eq!(bits, (k + d) as u64 * 8);
-        assert_eq!(maxb, bits);
-        {
-            use rand::RngExt as _;
-            let a: u64 = rng_a.random();
-            let b: u64 = rng_b.random();
-            assert_eq!(a, b, "draw counts must match");
-        }
-        let msg = &cell.msgs[..cell.rw];
-        for (i, e) in expect.iter().enumerate() {
-            assert_eq!(get_sym(msg, cell.w, i), e.0, "symbol {i}");
-        }
+        shared::saturated_compose_matches_general_combination(Gf256Cell::new);
     }
 
-    /// Under a schedule compose is the reference's deterministic emit —
-    /// `DenseNode::emit_with_coefficients` on the node's advice vector —
-    /// on the contiguous shortcut (node 0, rank 70: `lo` = 1) and the
-    /// general path (node 1, gapped pivots) alike, and the shared
-    /// protocol RNG is never read.
     #[test]
     fn advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng() {
-        let (k, d, round) = (70, 3, 17);
-        let schedule = CoefficientSchedule::new(7);
-        let mut rng = StdRng::seed_from_u64(5);
-        let payloads: Vec<Vec<Gf256>> = (0..k)
-            .map(|_| (0..d).map(|_| Gf256::random(&mut rng)).collect())
-            .collect();
-        let all: Vec<usize> = (0..k).collect();
-        let held: [&[usize]; 3] = [&all, &[1, 4, 66], &[]];
-        let mut cell = Gf256Cell::new(3, k, d).with_advice(Some(schedule.seed()));
-        let mut nodes = vec![DenseNode::<Gf256>::new(k, d); 3];
-        for (u, indices) in held.iter().enumerate() {
-            for &i in *indices {
-                cell.seed_source(u, i, &payloads[i]);
-                nodes[u].seed_source(i, &payloads[i]);
-            }
-        }
-        let before = rng.clone();
-        cell.compose_all(round, &mut rng, None);
-        assert_eq!(rng, before, "advice compose advanced the shared RNG");
-        for (u, node) in nodes.iter().enumerate() {
-            let coeffs: Vec<Gf256> = schedule.coefficients(u, round, node.rank());
-            let expect = node.emit_with_coefficients(&coeffs);
-            assert_eq!(cell.spoke(u), expect.is_some(), "node {u}");
-            if let Some(packet) = expect {
-                let msg = &cell.msgs[u * cell.rw..(u + 1) * cell.rw];
-                for (i, e) in packet.data.iter().enumerate() {
-                    assert_eq!(get_sym(msg, cell.w, i), e.0, "node {u} symbol {i}");
-                }
-            }
-        }
+        shared::advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng(Gf256Cell::new);
     }
 
     #[test]
     fn seeded_sources_make_node_decodable() {
-        let (k, d) = (4, 3);
-        let mut rng = StdRng::seed_from_u64(7);
-        let payloads: Vec<Vec<Gf256>> = (0..k)
-            .map(|_| (0..d).map(|_| Gf256::random(&mut rng)).collect())
-            .collect();
-        let mut cell = Gf256Cell::new(2, k, d);
-        for (i, p) in payloads.iter().enumerate() {
-            cell.seed_source(0, i, p);
-        }
-        assert_eq!(cell.rank(0), k);
-        assert_eq!(cell.coefficient_rank(0), k);
-        assert!(!cell.all_done(), "node 1 has nothing yet");
-        let v = cell.view();
-        assert_eq!(v.dims, vec![k, 0]);
-        assert_eq!(v.tokens[0].len(), k, "done view is all-or-nothing");
-        assert!(v.tokens[1].is_empty());
-        assert_eq!(cell.history_stats(), (0, k, k, 1));
+        shared::seeded_sources_make_node_decodable(Gf256Cell::new, &[]);
     }
 
     #[test]
     fn zero_packet_is_never_innovative() {
-        let mut cell = Gf256Cell::new(1, 3, 2);
-        let mut zero = vec![0u64; cell.rw];
-        assert!(!cell.insert(0, &mut zero));
-        assert_eq!(cell.rank(0), 0);
+        shared::zero_packet_is_never_innovative(Gf256Cell::new);
     }
 }

@@ -1,25 +1,19 @@
-//! The word-packed GF(2) RLNC cell: per-node coding state as `u64` row
+//! The word-packed GF(2) row algebra: per-node coding state as `u64` row
 //! slots with incremental Gaussian elimination on limb slices.
 //!
 //! One cell covers both GF(2) coding families of the registry —
 //! `indexed-broadcast` (Lemma 5.3 over packed GF(2)) and
 //! `field-broadcast(gf2)` — because their dynamics are *identical*: both
-//! seed source vectors `e_i ++ payload_i`, both emit a uniformly random
-//! span combination (one coin per basis row, in pivot order), both insert
-//! received packets into an RREF basis, and both price a message at
-//! `k + d` bits. They differ only in the adversary view ([`Gf2ViewMode`]):
+//! seed source vectors `e_i ++ payload_i` and price a message at `k + d`
+//! bits. They differ only in the adversary view ([`Gf2ViewMode`]):
 //! `field-broadcast` reports all-or-nothing decodability, while
-//! `indexed-broadcast` reports per-token availability. Under
-//! `field-broadcast(gf2,det=S)` the coins come from each node's advice
-//! stream ([`Gf2Cell::with_advice`]) instead of the protocol RNG.
+//! `indexed-broadcast` reports per-token availability.
 //!
-//! **Layout: slot = pivot column.** Every packet lies in the span of the
-//! k source vectors, and a nonzero vector of that span has a nonzero
-//! coefficient part, so every pivot is below k. Node u's basis row with
-//! pivot p therefore lives at slot p of a k-slot block, and a k-bit pivot
-//! bitmap per node is the whole of the basis bookkeeping: pivot order is
-//! bitmap order, and rank is the bitmap's popcount. RREF makes each row
-//! zero at every other pivot, so
+//! **Layout: slot = pivot column.** Every pivot is below k, so node u's
+//! basis row with pivot p lives at slot p of a k-slot block, and a k-bit
+//! pivot bitmap per node is the whole of the basis bookkeeping: pivot
+//! order is bitmap order, and rank is the bitmap's popcount. RREF makes
+//! each row zero at every other pivot, so
 //!
 //! * **reduce** XORs exactly the rows at `v`'s pivot bits, all known
 //!   before the first XOR (`v & piv`, no reload per XOR, no lookup);
@@ -30,24 +24,14 @@
 //!   coefficient word, so row arithmetic runs only on limbs `[lo..wpr)` —
 //!   at saturation with k = 128 one limb of three.
 //!
-//! The XOR sequences are reorderings of `Subspace`/`Gf2Basis`'s (reduce in
-//! pivot order, leading-one scan, back-eliminate, sorted insert — over
-//! GF(2) normalization is a no-op), and XOR sums are exact, so spans,
-//! pivots, rows, coin counts and hence whole runs are bit-identical to the
-//! reference protocols. Against the insertion-order slots this replaced
-//! (a pivot-sorted permutation per node, a column-to-slot table, and a
-//! reduce that reloaded `v` after every XOR), `coded-binary` `wall_s`
-//! fell from 1.22 s to 0.88 s (medians of ten alternating pairs).
+//! Over GF(2) normalization is a no-op. Against the insertion-order slots
+//! this replaced (a pivot-sorted permutation per node, a column-to-slot
+//! table, and a reduce that reloaded `v` after every XOR), `coded-binary`
+//! `wall_s` fell from 1.22 s to 0.88 s (medians of ten alternating pairs).
 
-use crate::coefficient_rng;
-use dyncode_dynet::adversary::KnowledgeView;
-use dyncode_dynet::bitset::BitSet;
-use dyncode_dynet::csr::CsrTopology;
-use dyncode_dynet::driver::{check_budget, FastCell};
-use dyncode_dynet::phase;
+use crate::codingcell::{CodingCell, RowAlgebra};
 use dyncode_gf::bits::{limb_leading_one, limb_prefix_ones, limb_xor, limbs_for};
 use dyncode_gf::Gf2Vec;
-use dyncode_rlnc::determinize::CoefficientSchedule;
 use rand::rngs::StdRng;
 use rand::RngExt;
 
@@ -63,9 +47,11 @@ pub enum Gf2ViewMode {
     Indexed,
 }
 
-/// The arena-backed packed GF(2) coding state for all n nodes.
-pub struct Gf2Cell {
-    n: usize,
+/// The packed GF(2) coding cell.
+pub type Gf2Cell = CodingCell<Gf2Rows>;
+
+/// Every node's packed GF(2) basis, slot = pivot.
+pub struct Gf2Rows {
     k: usize,
     /// Row width in bits: k coefficient bits + payload bits.
     ambient: usize,
@@ -74,8 +60,6 @@ pub struct Gf2Cell {
     /// Pivot bitmap width in u64 limbs: ⌈k/64⌉.
     kw: usize,
     mode: Gf2ViewMode,
-    /// The `det=S` advice table; `None` = randomized mode.
-    schedule: Option<CoefficientSchedule>,
     /// Per node, k row slots: the row with pivot `p` at `rows[u][p·wpr..]`
     /// (pivot-less slots are never read). Per-node blocks, not one n·k·wpr
     /// block: a single 1.5 MiB block, freed and re-requested per run, left
@@ -83,13 +67,8 @@ pub struct Gf2Cell {
     rows: Vec<Box<[u64]>>,
     /// Per node, `kw` words: bit `p` set iff a basis row pivots at `p`.
     piv: Vec<u64>,
-    /// Per node: basis dimension (the bitmap's popcount). Every pivot is
-    /// below k, so this is also the coefficient-projection rank.
+    /// Per node: basis dimension (the bitmap's popcount).
     rank: Vec<u32>,
-    /// Message arena: node `u`'s current broadcast at
-    /// `msgs[u·wpr .. (u+1)·wpr]`, valid iff `has_msg[u]`.
-    msgs: Vec<u64>,
-    has_msg: Vec<bool>,
     /// Reduce buffer for incoming packets.
     scratch: Vec<u64>,
 }
@@ -109,58 +88,27 @@ fn ones(mut mask: u64, base: usize) -> impl Iterator<Item = usize> {
 impl Gf2Cell {
     /// A fresh cell: n nodes, k coded indices, `payload_bits`-bit
     /// payloads, reporting views per `mode`. Seed the sources with
-    /// [`Gf2Cell::seed_source`] before running.
+    /// [`CodingCell::seed_source`] before running.
     pub fn new(n: usize, k: usize, payload_bits: usize, mode: Gf2ViewMode) -> Self {
         let ambient = k + payload_bits;
         let wpr = limbs_for(ambient).max(1);
         let kw = limbs_for(k);
-        Gf2Cell {
-            n,
+        let rows = Gf2Rows {
             k,
             ambient,
             wpr,
             kw,
             mode,
-            schedule: None,
             rows: (0..n).map(|_| vec![0; k * wpr].into()).collect(),
             piv: vec![0; n * kw],
             rank: vec![0; n],
-            msgs: vec![0; n * wpr],
-            has_msg: vec![false; n],
             scratch: vec![0; wpr],
-        }
+        };
+        CodingCell::over(n, k, rows)
     }
+}
 
-    /// `Some(seed)` makes this `FieldBroadcast::deterministic(_, seed)`:
-    /// compose reads the advice table instead of the protocol RNG.
-    pub fn with_advice(mut self, seed: Option<u64>) -> Self {
-        self.schedule = seed.map(CoefficientSchedule::new);
-        self
-    }
-
-    /// Seeds `node` with source index `index` and its payload — the
-    /// packed analogue of `Gf2Node::seed_source` / `DenseNode::seed_source`.
-    ///
-    /// # Panics
-    /// Panics if the payload width disagrees or `index >= k`.
-    pub fn seed_source(&mut self, node: usize, index: usize, payload: &Gf2Vec) {
-        assert!(index < self.k, "source index out of range");
-        assert_eq!(
-            payload.len(),
-            self.ambient - self.k,
-            "payload width mismatch"
-        );
-        let packet = Gf2Vec::unit(self.k, index).concat(payload);
-        let mut v = packet.words().to_vec();
-        v.resize(self.wpr, 0);
-        self.insert(node, &mut v);
-    }
-
-    /// The basis dimension of `node`.
-    pub fn rank(&self, node: usize) -> usize {
-        self.rank[node] as usize
-    }
-
+impl Gf2Rows {
     /// `node`'s pivot columns, ascending (basis order).
     fn pivots(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
         let piv = &self.piv[node * self.kw..(node + 1) * self.kw];
@@ -170,13 +118,6 @@ impl Gf2Cell {
     /// Node `node`'s row at slot (= pivot column) `p`.
     fn row(&self, node: usize, p: usize) -> &[u64] {
         &self.rows[node][p * self.wpr..(p + 1) * self.wpr]
-    }
-
-    /// Basis row `r` (pivot order) of `node`, as a [`Gf2Vec`] — test and
-    /// introspection surface, not the hot path.
-    pub fn basis_row(&self, node: usize, r: usize) -> Gf2Vec {
-        let p = self.pivots(node).nth(r).expect("row index below rank");
-        Gf2Vec::from_words(self.row(node, p).to_vec(), self.ambient)
     }
 
     /// Inserts `v` (a `wpr`-limb packet) into `node`'s basis; returns
@@ -226,204 +167,140 @@ impl Gf2Cell {
         self.rank[node] += 1;
         true
     }
-
-    /// Individually decodable tokens of `node` (unit coefficient
-    /// prefixes), as set bits inserted into `out`.
-    fn available_into(&self, node: usize, out: &mut BitSet) -> usize {
-        let mut count = 0;
-        for p in self.pivots(node) {
-            if limb_prefix_ones(self.row(node, p), self.k) == 1 {
-                out.insert(p);
-                count += 1;
-            }
-        }
-        count
-    }
-
-    fn node_done(&self, node: usize) -> bool {
-        self.rank[node] as usize == self.k
-    }
 }
 
-impl FastCell for Gf2Cell {
-    fn num_nodes(&self) -> usize {
-        self.n
+impl RowAlgebra for Gf2Rows {
+    type Payload = Gf2Vec;
+
+    #[inline]
+    fn msg_words(&self) -> usize {
+        self.wpr
     }
 
-    fn spoke(&self, node: usize) -> bool {
-        self.has_msg[node]
+    #[inline]
+    fn msg_bits(&self) -> u64 {
+        self.ambient as u64
     }
 
-    fn compose_all(
-        &mut self,
-        round: usize,
-        rng: &mut StdRng,
-        bit_limit: Option<u64>,
-    ) -> (u64, u64) {
+    #[inline]
+    fn rank(&self, node: usize) -> usize {
+        self.rank[node] as usize
+    }
+
+    fn seed(&mut self, node: usize, index: usize, payload: &Gf2Vec) {
+        assert_eq!(
+            payload.len(),
+            self.ambient - self.k,
+            "payload width mismatch"
+        );
+        let mut v = Gf2Vec::unit(self.k, index).concat(payload).words().to_vec();
+        v.resize(self.wpr, 0);
+        self.insert(node, &mut v);
+    }
+
+    #[inline]
+    fn compose(&mut self, node: usize, rng: &mut StdRng, msg: &mut [u64]) {
         let (kw, wpr) = (self.kw, self.wpr);
-        let bits = self.ambient as u64;
-        let mut round_bits = 0u64;
-        let mut round_max = 0u64;
-        let mut advice = None;
-        for u in 0..self.n {
-            if self.rank[u] == 0 {
-                // A node that has received nothing stays silent — and
-                // draws no coins, exactly like the reference emit.
-                self.has_msg[u] = false;
-                continue;
+        let piv = &self.piv[node * kw..(node + 1) * kw];
+        let rows = &self.rows[node];
+        msg.fill(0);
+        // Over a leading all-ones bitmap word, row p contributes exactly
+        // bit p (it is zero at every other pivot), so the coin word is the
+        // message word; rows add limbs [lo..) only.
+        let lo = piv.iter().take_while(|&&m| m == !0).count();
+        for w in 0..kw {
+            // One coin per basis row, ascending pivots: the exact draw
+            // sequence of `random_combination` over GF(2).
+            let mut coins = 0u64;
+            for p in ones(piv[w], 0) {
+                coins |= u64::from(rng.random::<bool>()) << p;
             }
-            let rng = coefficient_rng(self.schedule.as_ref(), u, round, rng, &mut advice);
-            let piv = &self.piv[u * kw..(u + 1) * kw];
-            let rows = &self.rows[u];
-            let msg = &mut self.msgs[u * wpr..(u + 1) * wpr];
-            msg.fill(0);
-            // Over a leading all-ones bitmap word, row p contributes
-            // exactly bit p (it is zero at every other pivot), so the
-            // coin word is the message word; rows add limbs [lo..) only.
-            let lo = piv.iter().take_while(|&&m| m == !0).count();
-            for w in 0..kw {
-                // One coin per basis row, ascending pivots: the exact draw
-                // sequence of `random_combination` over GF(2).
-                let mut coins = 0u64;
-                for p in ones(piv[w], 0) {
-                    coins |= u64::from(rng.random::<bool>()) << p;
-                }
-                if w < lo {
-                    msg[w] = coins;
-                }
-                for p in ones(coins, w * 64) {
-                    limb_xor(&mut msg[lo..], &rows[p * wpr + lo..(p + 1) * wpr]);
-                }
+            if w < lo {
+                msg[w] = coins;
             }
-            check_budget(u, round, bits, bit_limit);
-            round_bits += bits;
-            round_max = round_max.max(bits);
-            self.has_msg[u] = true;
-        }
-        (round_bits, round_max)
-    }
-
-    fn deliver_all(&mut self, topo: &CsrTopology, _round: usize, _rng: &mut StdRng) {
-        let wpr = self.wpr;
-        let timing = phase::active();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for u in 0..self.n {
-            // Saturation shortcut: every packet lies in the span of the k
-            // source vectors, so a node at rank k already holds the full
-            // span — no insert can be innovative or change any state, and
-            // the whole inbox can be skipped. (The reference pays a full
-            // O(rank · len) reduce per packet here; this is where the
-            // fast path wins the straggler phase of a run.)
-            if self.node_done(u) {
-                continue;
+            for p in ones(coins, w * 64) {
+                limb_xor(&mut msg[lo..], &rows[p * wpr + lo..(p + 1) * wpr]);
             }
-            for &v in topo.neighbors(u) {
-                let v = v as usize;
-                if self.has_msg[v] {
-                    scratch.copy_from_slice(&self.msgs[v * wpr..(v + 1) * wpr]);
-                    if timing {
-                        let t = std::time::Instant::now();
-                        self.insert(u, &mut scratch);
-                        phase::elim_add(t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.insert(u, &mut scratch);
-                    }
-                }
-            }
-        }
-        self.scratch = scratch;
-    }
-
-    fn all_done(&self) -> bool {
-        (0..self.n).all(|u| self.node_done(u))
-    }
-
-    fn view(&self) -> KnowledgeView {
-        let mut tokens = Vec::with_capacity(self.n);
-        for u in 0..self.n {
-            let mut s = BitSet::new(self.k);
-            match self.mode {
-                Gf2ViewMode::Broadcast => {
-                    if self.node_done(u) {
-                        for i in 0..self.k {
-                            s.insert(i);
-                        }
-                    }
-                }
-                Gf2ViewMode::Indexed => {
-                    self.available_into(u, &mut s);
-                }
-            }
-            tokens.push(s);
-        }
-        KnowledgeView {
-            dims: self.rank.iter().map(|&r| r as usize).collect(),
-            done: (0..self.n).map(|u| self.node_done(u)).collect(),
-            tokens,
         }
     }
 
-    fn history_stats(&self) -> (usize, usize, usize, usize) {
-        let min_dim = self.rank.iter().copied().min().unwrap_or(0) as usize;
-        let max_dim = self.rank.iter().copied().max().unwrap_or(0) as usize;
-        let done = (0..self.n).filter(|&u| self.node_done(u)).count();
-        let total_tokens = match self.mode {
-            Gf2ViewMode::Broadcast => self.k * done,
-            Gf2ViewMode::Indexed => {
-                let mut scratch = BitSet::new(self.k);
-                (0..self.n)
-                    .map(|u| self.available_into(u, &mut scratch))
-                    .sum()
+    #[inline]
+    fn receive(&mut self, node: usize, _sender: usize, msg: &[u64]) {
+        let mut v = std::mem::take(&mut self.scratch);
+        v.copy_from_slice(msg);
+        self.insert(node, &mut v);
+        self.scratch = v;
+    }
+
+    /// `indexed-broadcast`'s view: the tokens with a unit coefficient
+    /// prefix row.
+    fn each_decodable(&self, node: usize, mut each: impl FnMut(usize)) -> bool {
+        if self.mode == Gf2ViewMode::Broadcast {
+            return false;
+        }
+        for p in self.pivots(node) {
+            if limb_prefix_ones(self.row(node, p), self.k) == 1 {
+                each(p);
             }
-        };
-        (min_dim, max_dim, total_tokens, done)
+        }
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codingcell::tests::{
+        self as shared, assert_compose_matches_rows, combination, sources, SymbolRows,
+    };
     use dyncode_gf::bits::limb_get;
     use dyncode_gf::{Field, Gf2, Gf2Basis};
-    use dyncode_rlnc::node::DenseNode;
     use rand::SeedableRng;
 
-    /// k source packets `e_i ++ payload_i` with random d-bit payloads.
-    fn sources(k: usize, d: usize, rng: &mut StdRng) -> Vec<Gf2Vec> {
-        (0..k)
-            .map(|i| Gf2Vec::unit(k, i).concat(&Gf2Vec::random(d, rng)))
-            .collect()
+    impl SymbolRows for Gf2Rows {
+        type F = Gf2;
+
+        fn payload(symbols: &[Gf2]) -> Box<Gf2Vec> {
+            let bits: Vec<bool> = symbols.iter().map(|s| !s.is_zero()).collect();
+            Box::new(Gf2Vec::from_bools(&bits))
+        }
+
+        fn insert_symbols(&mut self, node: usize, v: &[Gf2]) -> bool {
+            let mut limbs = Self::payload(v).words().to_vec();
+            limbs.resize(self.wpr, 0);
+            self.insert(node, &mut limbs)
+        }
+
+        fn row_symbols(&self, node: usize, r: usize) -> Vec<Gf2> {
+            let p = self.pivots(node).nth(r).expect("row index below rank");
+            self.message_symbols(self.row(node, p))
+        }
+
+        fn message_symbols(&self, msg: &[u64]) -> Vec<Gf2> {
+            (0..self.ambient)
+                .map(|i| Gf2::from_bool(limb_get(msg, i)))
+                .collect()
+        }
     }
 
-    /// Inserts a random combination of `sources[i]` over `indices` into
-    /// node 0 of `cell` and into `reference`; both must agree on
-    /// innovation, rank, pivots and row content, and — every pivot being
-    /// a coefficient column — the rank is the coefficient-projection rank.
-    fn insert_both(
-        cell: &mut Gf2Cell,
-        reference: &mut Gf2Basis,
-        sources: &[Gf2Vec],
-        indices: impl Iterator<Item = usize>,
-        rng: &mut StdRng,
-    ) {
-        let mut v = Gf2Vec::zeros(cell.ambient);
-        for i in indices {
-            if rng.random() {
-                v.xor_assign(&sources[i]);
-            }
-        }
-        let mut limbs = v.words().to_vec();
-        limbs.resize(cell.wpr, 0);
-        assert_eq!(cell.insert(0, &mut limbs), reference.insert(v));
-        assert_eq!(cell.rank(0), reference.dim());
-        for (r, row) in reference.basis().iter().enumerate() {
-            assert_eq!(&cell.basis_row(0, r), row, "row {r}");
-        }
+    const VIEWS: [Gf2ViewMode; 2] = [Gf2ViewMode::Broadcast, Gf2ViewMode::Indexed];
+
+    /// Inserts `v` into node 0 of `cell` and into `reference`: both must
+    /// agree on innovation, rank, pivots and row content, and — every
+    /// pivot being a coefficient column — the rank is the
+    /// coefficient-projection rank.
+    fn insert_both(cell: &mut Gf2Cell, reference: &mut Gf2Basis, v: Vec<Gf2>) {
+        let rows = &mut cell.rows;
         assert_eq!(
-            cell.rank(0),
-            reference.prefix_rank(cell.k),
-            "coefficient rank"
+            rows.insert_symbols(0, &v),
+            reference.insert(*Gf2Rows::payload(&v))
         );
+        assert_eq!(rows.rank(0), reference.dim());
+        assert_eq!(rows.rank(0), reference.prefix_rank(rows.k));
+        for (r, row) in reference.basis().iter().enumerate() {
+            let row = rows.message_symbols(row.words());
+            assert_eq!(rows.row_symbols(0, r), row, "row {r}");
+        }
     }
 
     /// Mirror of the packed reference basis on random combinations of the
@@ -435,149 +312,83 @@ mod tests {
     fn insert_agrees_with_gf2basis() {
         for (k, d) in [(6, 9), (128, 9), (130, 5)] {
             let mut rng = StdRng::seed_from_u64(11);
-            let sources = sources(k, d, &mut rng);
+            let sources = sources::<Gf2>(k, d, &mut rng);
             let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Indexed);
             let mut reference = Gf2Basis::new(k + d);
             for _ in 0..k + 40 {
-                insert_both(&mut cell, &mut reference, &sources, 0..k, &mut rng);
+                let v = combination(&sources, 0..k, &mut rng);
+                insert_both(&mut cell, &mut reference, v);
             }
             assert_eq!(cell.rank(0), k, "k = {k} saturates");
         }
     }
 
     /// A gapped bitmap — sources 0, 63, 64 and 100 withheld, so no
-    /// bitmap word is all ones and every reduce and back-elimination
-    /// takes the general path across three coefficient limbs — then the
-    /// gaps filled, re-enabling the leading-full-word shortcut.
+    /// bitmap word is all ones and every reduce, back-elimination and
+    /// compose takes the general path across three coefficient limbs —
+    /// then the gaps filled, re-enabling the leading-full-word shortcut.
     #[test]
     fn gapped_bitmap_inserts_mirror_gf2basis_and_refill() {
         let (k, d) = (130, 7);
         let gaps = [0, 63, 64, 100];
         let mut rng = StdRng::seed_from_u64(19);
-        let sources = sources(k, d, &mut rng);
+        let sources = sources::<Gf2>(k, d, &mut rng);
         let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Indexed);
         let mut reference = Gf2Basis::new(k + d);
         for _ in 0..k + 20 {
             let held = (0..k).filter(|i| !gaps.contains(i));
-            insert_both(&mut cell, &mut reference, &sources, held, &mut rng);
+            let v = combination(&sources, held, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
         assert_eq!(cell.rank(0), k - gaps.len(), "gapped basis");
         for &g in &gaps {
-            assert!(!limb_get(&cell.piv[..cell.kw], g), "gap {g} has no pivot");
+            assert!(
+                !limb_get(&cell.rows.piv[..cell.rows.kw], g),
+                "gap {g} has no pivot"
+            );
         }
         assert_compose_matches_rows(&mut cell, 3);
         for _ in 0..20 {
-            insert_both(&mut cell, &mut reference, &sources, 0..k, &mut rng);
+            let v = combination(&sources, 0..k, &mut rng);
+            insert_both(&mut cell, &mut reference, v);
         }
         assert_eq!(cell.rank(0), k, "gaps filled, saturated");
     }
 
-    /// Node 0's composed message equals the explicit per-row combination
-    /// `Σ coin_r · row_r` of its basis rows in pivot order, under a cloned
-    /// RNG, and both sides drew the same number of coins.
-    fn assert_compose_matches_rows(cell: &mut Gf2Cell, seed: u64) {
-        let mut rng_a = StdRng::seed_from_u64(seed);
-        let mut rng_b = rng_a.clone();
-        let mut expect = Gf2Vec::zeros(cell.ambient);
-        for r in 0..cell.rank(0) {
-            if rng_a.random() {
-                expect.xor_assign(&cell.basis_row(0, r));
-            }
-        }
-        let (bits, _) = cell.compose_all(0, &mut rng_b, None);
-        assert_eq!(bits, cell.ambient as u64 * cell.n as u64);
-        assert_eq!(rng_a, rng_b, "draw counts must match");
-        let msg = Gf2Vec::from_words(cell.msgs[..cell.wpr].to_vec(), cell.ambient);
-        assert_eq!(msg, expect, "rank {}", cell.rank(0));
-    }
-
-    /// The leading-full-word compose shortcut against the explicit
-    /// combination: at contiguous rank 64 (`lo` = 1 with nothing past
-    /// it), at contiguous rank 100 (`lo` = 1, a partial second word), and
-    /// at rank k = 128 (`lo` = 2: both coefficient limbs are coin words,
-    /// rows add the payload limb only).
     #[test]
     fn saturated_compose_matches_general_combination() {
-        let (k, d) = (128, 9);
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut cell = Gf2Cell::new(1, k, d, Gf2ViewMode::Broadcast);
-        let mut seeded = 0;
-        for rank in [64, 100, k] {
-            for i in seeded..rank {
-                cell.seed_source(0, i, &Gf2Vec::random(d, &mut rng));
-            }
-            seeded = rank;
-            assert_eq!(cell.rank(0), rank);
-            assert_compose_matches_rows(&mut cell, 23 + rank as u64);
+        for mode in VIEWS {
+            shared::saturated_compose_matches_general_combination(|n, k, d| {
+                Gf2Cell::new(n, k, d, mode)
+            });
         }
     }
 
-    /// Under a schedule compose is the reference's deterministic emit —
-    /// `DenseNode::<Gf2>::emit_with_coefficients` on the node's advice
-    /// vector, here on two-limb rows — and the shared protocol RNG is
-    /// never read.
     #[test]
     fn advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng() {
-        let (k, d, round) = (70, 9, 17);
-        let schedule = CoefficientSchedule::new(7);
-        let mut rng = StdRng::seed_from_u64(5);
-        let payloads: Vec<Gf2Vec> = (0..k).map(|_| Gf2Vec::random(d, &mut rng)).collect();
-        // Node 0 holds every source, node 1 a gapped subset, node 2 none.
-        let all: Vec<usize> = (0..k).collect();
-        let held: [&[usize]; 3] = [&all, &[1, 4, 66], &[]];
-        let mut cell =
-            Gf2Cell::new(3, k, d, Gf2ViewMode::Broadcast).with_advice(Some(schedule.seed()));
-        let mut nodes = vec![DenseNode::<Gf2>::new(k, d); 3];
-        for (u, indices) in held.iter().enumerate() {
-            for &i in *indices {
-                cell.seed_source(u, i, &payloads[i]);
-                let symbols: Vec<Gf2> =
-                    (0..d).map(|j| Gf2::from_bool(payloads[i].get(j))).collect();
-                nodes[u].seed_source(i, &symbols);
-            }
-        }
-        let before = rng.clone();
-        cell.compose_all(round, &mut rng, None);
-        assert_eq!(rng, before, "advice compose advanced the shared RNG");
-        for (u, node) in nodes.iter().enumerate() {
-            let coeffs: Vec<Gf2> = schedule.coefficients(u, round, node.rank());
-            let expect = node.emit_with_coefficients(&coeffs);
-            assert_eq!(cell.spoke(u), expect.is_some(), "node {u}");
-            if let Some(packet) = expect {
-                let msg = &cell.msgs[u * cell.wpr..(u + 1) * cell.wpr];
-                for (i, e) in packet.data.iter().enumerate() {
-                    assert_eq!(limb_get(msg, i), !e.is_zero(), "node {u} bit {i}");
-                }
-            }
+        for mode in VIEWS {
+            shared::advice_compose_mirrors_the_reference_emit_and_spares_the_shared_rng(
+                |n, k, d| Gf2Cell::new(n, k, d, mode),
+            );
         }
     }
 
+    /// Broadcast-mode views are all-or-nothing; the indexed view reports
+    /// a lone seeded source as decodable.
     #[test]
     fn seeded_sources_make_node_decodable() {
-        let (k, d) = (4, 5);
-        let mut rng = StdRng::seed_from_u64(7);
-        let payloads: Vec<Gf2Vec> = (0..k).map(|_| Gf2Vec::random(d, &mut rng)).collect();
-        let mut cell = Gf2Cell::new(2, k, d, Gf2ViewMode::Indexed);
-        for (i, p) in payloads.iter().enumerate() {
-            cell.seed_source(0, i, p);
+        for (mode, lone) in [
+            (Gf2ViewMode::Broadcast, &[][..]),
+            (Gf2ViewMode::Indexed, &[0]),
+        ] {
+            shared::seeded_sources_make_node_decodable(|n, k, d| Gf2Cell::new(n, k, d, mode), lone);
         }
-        assert_eq!(cell.rank(0), k);
-        assert!(!cell.all_done(), "node 1 has nothing yet");
-        let v = cell.view();
-        assert_eq!(v.dims, vec![k, 0]);
-        assert_eq!(v.tokens[0].len(), k);
-        assert!(v.tokens[1].is_empty());
-        // Broadcast-mode view is all-or-nothing.
-        let mut bc = Gf2Cell::new(1, k, d, Gf2ViewMode::Broadcast);
-        bc.seed_source(0, 0, &payloads[0]);
-        assert!(bc.view().tokens[0].is_empty(), "not done yet: empty");
     }
 
     #[test]
     fn zero_packet_is_never_innovative() {
-        let mut cell = Gf2Cell::new(1, 3, 3, Gf2ViewMode::Indexed);
-        let mut zero = vec![0u64; cell.wpr];
-        assert!(!cell.insert(0, &mut zero));
-        assert_eq!(cell.rank(0), 0);
+        for mode in VIEWS {
+            shared::zero_packet_is_never_innovative(|n, k, d| Gf2Cell::new(n, k, d, mode));
+        }
     }
 }

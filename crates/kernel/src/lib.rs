@@ -13,22 +13,24 @@
 //! arenas and do a round's work in one `compose_all` and one
 //! `deliver_all`:
 //!
-//! * [`Gf2Cell`] — per-node GF(2) RLNC state as word-packed rows stored
-//!   at their pivot column plus a pivot bitmap, with incremental Gaussian
-//!   elimination running directly on `u64` limb slices
-//!   (`dyncode_gf::bits::limb_xor` and friends) instead of per-packet
-//!   `Vec` clones.
-//! * [`Gf256Cell`] — `field-broadcast(gf256)` with *bit-planar* rows
-//!   (plane j holds bit j of every symbol, 64 symbols per word), turning
-//!   constant-multiply row ops into batched word XORs, plus rank-k
-//!   saturation shortcuts on both compose and delivery.
-//! * [`DenseCell`] — the dense-field analogue for
-//!   `field-broadcast(gf257|m61)`: per-node bases in lazily grown
-//!   row arenas, each in the node's own column order with pivots first,
-//!   so gather-then-`Field::combine_rows` reduce and compose and the
-//!   fused-`Field::axpy` back-elimination touch only the free columns;
-//!   packets cross the arena packed into chunked-LE `u64` words
-//!   (`dyncode_gf::pack`), and the rank-k saturation shortcut holds.
+//! * [`CodingCell`] — the RLNC algorithm once: the silent rank-0 node,
+//!   the coin source (protocol RNG or `det=S` advice), bit accounting,
+//!   ascending-neighbour delivery with the rank-k saturation skip, and
+//!   the decodability view. It is generic over a [`RowAlgebra`], the
+//!   field's row layout and elimination, monomorphised per field:
+//!   * [`Gf2Cell`] over [`Gf2Rows`](gf2cell::Gf2Rows) — word-packed
+//!     GF(2) rows stored at their pivot column plus a pivot bitmap,
+//!     eliminated on `u64` limb slices; its [`Gf2ViewMode`] serves
+//!     `indexed-broadcast` and `field-broadcast(gf2)`;
+//!   * [`Gf256Cell`] over [`Gf256Rows`](gf256cell::Gf256Rows) —
+//!     *bit-planar* GF(2^8) rows (plane j holds bit j of every symbol, 64
+//!     symbols per word), turning constant-multiply row ops into batched
+//!     word XORs;
+//!   * [`DenseCell`] over [`DenseRows`](densecell::DenseRows) —
+//!     `field-broadcast(gf257|m61)`: per-node bases in each node's own
+//!     column order with pivots first, so reduce, compose and
+//!     back-elimination touch only the free columns, and messages packed
+//!     into chunked-LE `u64` words.
 //! * [`ForwardCell`] — the knowledge-based forwarding schedules over
 //!   flat `u64` word arenas: a message is a token mask composed by
 //!   popcount select and delivered by word OR, instead of per-node
@@ -57,12 +59,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod codingcell;
 pub mod densecell;
 pub mod forward;
 pub mod gf256cell;
 pub mod gf2cell;
 pub mod quorumcell;
 
+pub use codingcell::{CodingCell, RowAlgebra};
 pub use densecell::DenseCell;
 // The round driver and its topology snapshot live in `dyncode-dynet`
 // (every run goes through them, arena cell or not); re-exported under
@@ -74,27 +78,7 @@ pub use gf256cell::Gf256Cell;
 pub use gf2cell::{Gf2Cell, Gf2ViewMode};
 pub use quorumcell::QuorumCell;
 
-use dyncode_rlnc::determinize::CoefficientSchedule;
-use rand::rngs::StdRng;
 use std::fmt;
-
-/// The RNG `node`'s compose loop reads in `round` — the whole difference
-/// between a coding cell's two modes: under a `det=S` schedule the node's
-/// advice stream, parked in the caller's stack `slot` (the shared protocol
-/// RNG is then never advanced, as in the reference); `shared` otherwise.
-#[inline]
-pub(crate) fn coefficient_rng<'a>(
-    schedule: Option<&CoefficientSchedule>,
-    node: usize,
-    round: usize,
-    shared: &'a mut StdRng,
-    slot: &'a mut Option<StdRng>,
-) -> &'a mut StdRng {
-    match schedule {
-        Some(s) => slot.insert(s.rng(node, round)),
-        None => shared,
-    }
-}
 
 /// Which state layout a run uses on the round driver — threaded through
 /// `core::runner::run_spec_kernel`, the engine's `kernel =` campaign key,
